@@ -1,12 +1,15 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <limits>
 
 #include "crypto/cpu.h"
 #include "gfw/dist_runner.h"
@@ -16,9 +19,8 @@ namespace gfwsim::bench {
 namespace {
 
 // "aes=simd ghash=simd chacha=simd poly1305=portable" — what the crypto
-// substrate dispatches to on this host/build, for run summaries and the
-// JSON mirror (perf baselines are only comparable within one tier
-// configuration).
+// substrate dispatches to on this host/build, for run summaries (timings
+// are only comparable within one tier configuration).
 std::string kernel_tier_string() {
   const crypto::KernelTiers tiers = crypto::active_kernel_tiers();
   std::string out = "aes=";
@@ -40,14 +42,13 @@ std::string kernel_tier_string() {
      << "  --seed S      base-seed override (decimal or 0x-hex)\n"
      << "  --days D      per-shard campaign length override, in days\n"
      << "  --csv PATH    mirror paper-vs-measured rows to PATH as CSV\n"
-     << "  --json PATH   mirror the rows to PATH as JSON (with numeric\n"
-     << "                values where the bench reports them)\n"
      << "  --loss P      per-segment loss probability in [0,1] (default 0)\n"
      << "  --dup P       per-segment duplication probability in [0,1]\n"
      << "  --reorder P   per-segment reorder probability in [0,1]\n"
      << "  --jitter MS   uniform extra one-way latency in [0, MS) ms\n"
      << "  --checkpoint PATH  journal completed shards to PATH\n"
      << "  --resume           skip shards already in --checkpoint\n"
+     << "                     (requires --checkpoint)\n"
      << "  --shard-retries N  retries before quarantining a failing shard\n"
      << "  --stall-timeout S  stall watchdog deadline in wall seconds (0=off)\n"
      << "  --workers N   run shards across N forked worker processes\n"
@@ -70,27 +71,63 @@ const char* flag_value(int argc, char** argv, int& i, const char* argv0) {
   return argv[++i];
 }
 
+// Numeric flags must consume their whole token: "2x", "two", "-1" or an
+// empty string is a usage error, never a silent 0 or a truncated prefix.
+// leading_unsigned parses the leading unsigned integer of `text`
+// (decimal, 0x-hex or 0-octal) and points `rest` past it; a sign, a
+// blank or an overflow is a usage error.
+std::uint64_t leading_unsigned(const char* text, const char*& rest, const char* argv0) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) usage(argv0, 2);
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t value = std::strtoull(text, &end, 0);
+  if (errno == ERANGE) usage(argv0, 2);
+  rest = end;
+  return value;
+}
+
+std::uint64_t unsigned_flag(int argc, char** argv, int& i, const char* argv0,
+                            std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const char* rest = nullptr;
+  const std::uint64_t value =
+      leading_unsigned(flag_value(argc, argv, i, argv0), rest, argv0);
+  if (*rest != '\0' || value > max) usage(argv0, 2);
+  return value;
+}
+
+// A finite, non-negative real.
+double real_flag(int argc, char** argv, int& i, const char* argv0) {
+  const char* text = flag_value(argc, argv, i, argv0);
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+    usage(argv0, 2);
+  }
+  return value;
+}
+
 double probability_flag(int argc, char** argv, int& i, const char* argv0) {
-  const double value = std::strtod(flag_value(argc, argv, i, argv0), nullptr);
-  if (value < 0.0 || value > 1.0) usage(argv0, 2);
+  const double value = real_flag(argc, argv, i, argv0);
+  if (value > 1.0) usage(argv0, 2);
   return value;
 }
 
 // Byte-size flag with optional k/m/g (binary) suffix: "64m" = 64 MiB.
 std::uint64_t size_flag(int argc, char** argv, int& i, const char* argv0) {
-  const char* text = flag_value(argc, argv, i, argv0);
-  char* end = nullptr;
-  const std::uint64_t base = std::strtoull(text, &end, 0);
-  if (end == text) usage(argv0, 2);
+  const char* rest = nullptr;
+  const std::uint64_t base =
+      leading_unsigned(flag_value(argc, argv, i, argv0), rest, argv0);
   std::uint64_t scale = 1;
-  switch (*end) {
+  switch (*rest) {
     case '\0': break;
-    case 'k': case 'K': scale = 1ull << 10; ++end; break;
-    case 'm': case 'M': scale = 1ull << 20; ++end; break;
-    case 'g': case 'G': scale = 1ull << 30; ++end; break;
+    case 'k': case 'K': scale = 1ull << 10; ++rest; break;
+    case 'm': case 'M': scale = 1ull << 20; ++rest; break;
+    case 'g': case 'G': scale = 1ull << 30; ++rest; break;
     default: usage(argv0, 2);
   }
-  if (*end != '\0') usage(argv0, 2);
+  if (*rest != '\0' || base > std::numeric_limits<std::uint64_t>::max() / scale) {
+    usage(argv0, 2);
+  }
   return base * scale;
 }
 
@@ -106,28 +143,6 @@ void split_csv_path(const std::string& path, std::string& directory, std::string
   if (name.empty()) usage(nullptr, 2);
 }
 
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 BenchOptions parse_bench_args(int argc, char** argv) {
@@ -139,22 +154,17 @@ BenchOptions parse_bench_args(int argc, char** argv) {
       usage(argv0, 0);
     } else if (std::strcmp(arg, "--shards") == 0) {
       options.shards = static_cast<std::uint32_t>(
-          std::strtoul(flag_value(argc, argv, i, argv0), nullptr, 0));
+          unsigned_flag(argc, argv, i, argv0, UINT32_MAX));
       if (options.shards == 0) usage(argv0, 2);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      options.threads = static_cast<unsigned>(
-          std::strtoul(flag_value(argc, argv, i, argv0), nullptr, 0));
+      options.threads = static_cast<unsigned>(unsigned_flag(argc, argv, i, argv0, UINT_MAX));
     } else if (std::strcmp(arg, "--seed") == 0) {
-      options.seed = std::strtoull(flag_value(argc, argv, i, argv0), nullptr, 0);
+      options.seed = unsigned_flag(argc, argv, i, argv0);
     } else if (std::strcmp(arg, "--days") == 0) {
-      options.days = static_cast<int>(
-          std::strtol(flag_value(argc, argv, i, argv0), nullptr, 0));
-      if (options.days <= 0) usage(argv0, 2);
+      options.days = static_cast<int>(unsigned_flag(argc, argv, i, argv0, INT_MAX));
+      if (options.days == 0) usage(argv0, 2);
     } else if (std::strcmp(arg, "--csv") == 0) {
       options.csv = flag_value(argc, argv, i, argv0);
-    } else if (std::strcmp(arg, "--json") == 0) {
-      options.json = flag_value(argc, argv, i, argv0);
-      if (options.json.empty()) usage(argv0, 2);
     } else if (std::strcmp(arg, "--loss") == 0) {
       options.loss = probability_flag(argc, argv, i, argv0);
     } else if (std::strcmp(arg, "--dup") == 0) {
@@ -162,42 +172,40 @@ BenchOptions parse_bench_args(int argc, char** argv) {
     } else if (std::strcmp(arg, "--reorder") == 0) {
       options.reorder = probability_flag(argc, argv, i, argv0);
     } else if (std::strcmp(arg, "--jitter") == 0) {
-      options.jitter_ms = std::strtod(flag_value(argc, argv, i, argv0), nullptr);
-      if (options.jitter_ms < 0.0) usage(argv0, 2);
+      options.jitter_ms = real_flag(argc, argv, i, argv0);
     } else if (std::strcmp(arg, "--checkpoint") == 0) {
       options.checkpoint = flag_value(argc, argv, i, argv0);
       if (options.checkpoint.empty()) usage(argv0, 2);
     } else if (std::strcmp(arg, "--resume") == 0) {
       options.resume = true;
     } else if (std::strcmp(arg, "--shard-retries") == 0) {
-      options.shard_retries = static_cast<int>(
-          std::strtol(flag_value(argc, argv, i, argv0), nullptr, 0));
-      if (options.shard_retries < 0) usage(argv0, 2);
+      options.shard_retries = static_cast<int>(unsigned_flag(argc, argv, i, argv0, INT_MAX));
     } else if (std::strcmp(arg, "--stall-timeout") == 0) {
-      options.stall_timeout_s = std::strtod(flag_value(argc, argv, i, argv0), nullptr);
-      if (options.stall_timeout_s < 0.0) usage(argv0, 2);
+      options.stall_timeout_s = real_flag(argc, argv, i, argv0);
     } else if (std::strcmp(arg, "--workers") == 0) {
-      options.workers = static_cast<unsigned>(
-          std::strtoul(flag_value(argc, argv, i, argv0), nullptr, 0));
+      options.workers = static_cast<unsigned>(unsigned_flag(argc, argv, i, argv0, UINT_MAX));
       if (options.workers == 0) usage(argv0, 2);
     } else if (std::strcmp(arg, "--worker-kill-after") == 0) {
-      options.worker_kill_after = static_cast<int>(
-          std::strtol(flag_value(argc, argv, i, argv0), nullptr, 0));
-      if (options.worker_kill_after <= 0) usage(argv0, 2);
+      options.worker_kill_after =
+          static_cast<int>(unsigned_flag(argc, argv, i, argv0, INT_MAX));
+      if (options.worker_kill_after == 0) usage(argv0, 2);
     } else if (std::strcmp(arg, "--mem-budget") == 0) {
       options.mem_budget = size_flag(argc, argv, i, argv0);
     } else if (std::strcmp(arg, "--probe-queue-cap") == 0) {
-      options.probe_queue_cap = static_cast<std::size_t>(
-          std::strtoull(flag_value(argc, argv, i, argv0), nullptr, 0));
+      options.probe_queue_cap = static_cast<std::size_t>(unsigned_flag(
+          argc, argv, i, argv0, std::numeric_limits<std::size_t>::max()));
     } else if (std::strcmp(arg, "--worker-rlimit-as") == 0) {
       options.worker_rlimit_as = size_flag(argc, argv, i, argv0);
     } else if (std::strcmp(arg, "--worker-rlimit-cpu") == 0) {
-      options.worker_rlimit_cpu = std::strtoull(
-          flag_value(argc, argv, i, argv0), nullptr, 0);
+      options.worker_rlimit_cpu = unsigned_flag(argc, argv, i, argv0);
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       usage(argv0, 2);
     }
+  }
+  if (options.resume && options.checkpoint.empty()) {
+    std::cerr << "--resume requires --checkpoint\n";
+    usage(argv0, 2);
   }
   if (options.worker_kill_after > 0 && options.workers == 0) {
     std::cerr << "--worker-kill-after requires --workers\n";
@@ -380,7 +388,7 @@ void print_run_summary(std::ostream& os, const gfw::CampaignResult& result,
 }
 
 BenchReporter::BenchReporter(std::string bench_name, const BenchOptions& options)
-    : bench_(std::move(bench_name)), json_path_(options.json) {
+    : bench_(std::move(bench_name)) {
   if (!options.csv.empty()) {
     std::string directory, name;
     split_csv_path(options.csv, directory, name);
@@ -390,50 +398,11 @@ BenchReporter::BenchReporter(std::string bench_name, const BenchOptions& options
   }
 }
 
-BenchReporter::~BenchReporter() {
-  if (json_path_.empty()) return;
-  std::ofstream out(json_path_);
-  if (!out) {
-    std::cerr << "bench: cannot write --json file " << json_path_ << "\n";
-    return;
-  }
-  // The "cpu" object records the detected features and dispatched kernel
-  // tiers; regression tooling ignores unknown top-level keys, but humans
-  // comparing baselines need to know which tiers produced the numbers.
-  const crypto::KernelTiers tiers = crypto::active_kernel_tiers();
-  out << "{\n  \"bench\": " << json_quote(bench_) << ",\n  \"cpu\": {"
-      << "\"features\": " << json_quote(crypto::cpu_feature_string())
-      << ", \"aes\": " << json_quote(crypto::tier_name(tiers.aes))
-      << ", \"ghash\": " << json_quote(crypto::tier_name(tiers.ghash))
-      << ", \"chacha\": " << json_quote(crypto::tier_name(tiers.chacha))
-      << ", \"poly1305\": " << json_quote(crypto::tier_name(tiers.poly1305))
-      << "},\n  \"metrics\": [";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Row& row = rows_[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"metric\": " << json_quote(row.metric)
-        << ", \"paper\": " << json_quote(row.paper)
-        << ", \"measured\": " << json_quote(row.measured);
-    if (row.has_value) out << ", \"value\": " << row.value;
-    out << "}";
-  }
-  out << "\n  ]\n}\n";
-}
-
-void BenchReporter::record(Row row) {
-  std::cout << "  " << row.metric << "\n    paper:    " << row.paper
-            << "\n    measured: " << row.measured << "\n";
-  if (csv_) csv_->row({bench_, row.metric, row.paper, row.measured});
-  if (!json_path_.empty()) rows_.push_back(std::move(row));
-}
-
 void BenchReporter::metric(const std::string& metric, const std::string& paper,
                            const std::string& measured) {
-  record(Row{metric, paper, measured, false, 0.0});
-}
-
-void BenchReporter::metric(const std::string& metric, const std::string& paper,
-                           const std::string& measured, double value) {
-  record(Row{metric, paper, measured, true, value});
+  std::cout << "  " << metric << "\n    paper:    " << paper
+            << "\n    measured: " << measured << "\n";
+  if (csv_) csv_->row({bench_, metric, paper, measured});
 }
 
 }  // namespace gfwsim::bench

@@ -34,15 +34,13 @@ namespace gfwsim::bench {
 //   --seed S      base-seed override (decimal or 0x-hex)
 //   --days D      per-shard campaign length override, in days
 //   --csv PATH    mirror the paper-vs-measured rows to PATH as CSV
-//   --json PATH   mirror the rows to PATH as JSON (machine-readable
-//                 baseline; numeric metrics carry a "value" field for
-//                 regression tooling)
 //   --loss P      per-segment loss probability in [0,1] (default 0)
 //   --dup P       per-segment duplication probability in [0,1]
 //   --reorder P   per-segment reorder probability in [0,1]
 //   --jitter MS   uniform extra one-way latency in [0, MS) milliseconds
 //   --checkpoint PATH  journal completed shards to PATH as they finish
 //   --resume           skip shards already recorded in --checkpoint
+//                      (requires --checkpoint)
 //   --shard-retries N  retries before quarantining a failing shard
 //   --stall-timeout S  wall-clock stall watchdog deadline in seconds
 //                      (0 = watchdog off)
@@ -69,7 +67,6 @@ struct BenchOptions {
   int days = 0;            // 0 = bench default
   std::uint64_t seed = 0;  // 0 = bench default
   std::string csv;
-  std::string json;
 
   // Fault-profile knobs; all zero leaves the network ideal.
   double loss = 0.0;
@@ -101,7 +98,10 @@ struct BenchOptions {
   }
 };
 
-// Exits with usage on --help or a malformed flag. Also installs the
+// Exits with usage on --help (status 0) or a malformed command line
+// (status 2): an unknown flag, a missing value, a numeric value that is
+// not a whole number token ("2x", "two"), or a flag whose prerequisite
+// flag is absent. Also installs the
 // graceful SIGTERM/SIGINT handlers (install_interrupt_handlers below),
 // so every bench binary inherits resumable interruption for free.
 BenchOptions parse_bench_args(int argc, char** argv);
@@ -150,42 +150,23 @@ void print_run_summary(std::ostream& os, const gfw::CampaignResult& result,
 void print_run_summary(std::ostream& os, const gfw::CampaignResult& result,
                        const BenchOptions& options, double wall_seconds);
 
-// Paper-vs-measured reporting. Rows print to stdout and, when --csv or
-// --json was given, land in the mirror file as (bench, metric, paper,
-// measured) so future runs can track a perf/accuracy trajectory. The
-// numeric overload additionally records a machine-comparable "value" in
-// the JSON mirror (what tools/check_bench_regression.py consumes).
+// Paper-vs-measured reporting. Rows print to stdout and, when --csv was
+// given, land in the CSV mirror as (bench, metric, paper, measured).
 class BenchReporter {
  public:
   BenchReporter(std::string bench_name, const BenchOptions& options);
-  ~BenchReporter();
 
   BenchReporter(const BenchReporter&) = delete;
   BenchReporter& operator=(const BenchReporter&) = delete;
 
   void metric(const std::string& metric, const std::string& paper,
               const std::string& measured);
-  void metric(const std::string& metric, const std::string& paper,
-              const std::string& measured, double value);
 
   bool csv_enabled() const { return csv_ != nullptr; }
-  bool json_enabled() const { return !json_path_.empty(); }
 
  private:
-  struct Row {
-    std::string metric;
-    std::string paper;
-    std::string measured;
-    bool has_value = false;
-    double value = 0.0;
-  };
-
-  void record(Row row);
-
   std::string bench_;
   std::unique_ptr<analysis::CsvWriter> csv_;
-  std::string json_path_;
-  std::vector<Row> rows_;  // written to json_path_ on destruction
 };
 
 }  // namespace gfwsim::bench

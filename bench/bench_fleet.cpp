@@ -6,10 +6,9 @@
 // then prints the per-server reaction matrix the Figure 10 / Table 5
 // cross-implementation comparisons are made of.
 //
-// The "fleet campaign event rate" metric is the perf-smoke gate for the
-// fleet path (tools/check_bench_regression.py --only rate against
-// BENCH_fleet.json): it prices the whole stack — N drivers and servers
-// multiplexed on one event loop and one GFW.
+// The fleet's campaign-level performance is measured by the benchmark
+// suite's fleet_mixed workload (bench/suite), which runs this same grid;
+// the event rate printed here is a single-run log line, not a gate.
 #include <chrono>
 #include <map>
 #include <set>
@@ -113,11 +112,10 @@ int main(int argc, char** argv) {
   const double event_rate =
       wall > 0.0 ? static_cast<double>(result.events_processed()) / wall : 0.0;
   report.metric("fleet campaign event rate (events/sec)",
-                "engine throughput gate (no paper analogue)",
+                "single run (no paper analogue; bench/suite fleet_mixed measures it)",
                 std::to_string(static_cast<std::uint64_t>(event_rate)) +
                     " events/sec across " + std::to_string(totals.size()) +
-                    " servers",
-                event_rate);
+                    " servers");
 
   // Figure 10 / Table 5 at fleet scale: only the implementations without
   // replay protection hand the prober DATA confirmations; the fixed

@@ -56,10 +56,7 @@ int main() {
     arm.config.classifier_base_rate = 0.30;
     arm.config.client.embed_timestamp = arm.hardened_client;
 
-    gfw::World campaign(arm.config,
-                           std::make_unique<client::BrowsingTraffic>(
-                               client::BrowsingTraffic::paper_sites()),
-                           0xDEF);
+    gfw::World campaign(arm.config, 0xDEF);
     campaign.run();
 
     int data_reactions = 0;

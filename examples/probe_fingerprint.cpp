@@ -25,10 +25,7 @@ int main() {
 
   std::cout << "Running a 14-day simulated campaign (client in China -> "
             << probesim::impl_name(config.server.impl) << " abroad)...\n";
-  gfw::World campaign(config,
-                         std::make_unique<client::BrowsingTraffic>(
-                             client::BrowsingTraffic::paper_sites()),
-                         0xF1A9);
+  gfw::World campaign(config, 0xF1A9);
   campaign.run();
 
   const auto& records = campaign.log().records();

@@ -93,7 +93,7 @@ struct ShardSummary {
   // disabled) and the shard's teardown invariant scan.
   std::size_t segments_delivered = 0;
   // Data payload bytes handed to destination connections (the goodput
-  // numerator for bench_throughput).
+  // numerator of the benchmark suite's goodput_MBps).
   std::uint64_t payload_bytes_delivered = 0;
   std::size_t segments_dropped_middlebox = 0;
   std::size_t segments_dropped_loss = 0;

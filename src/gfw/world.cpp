@@ -57,15 +57,6 @@ World::World(const Scenario& scenario, std::uint64_t seed, std::uint32_t shard_i
   build();
 }
 
-World::World(Scenario scenario, std::unique_ptr<client::TrafficModel> traffic,
-             std::uint64_t seed)
-    : scenario_(std::move(scenario)),
-      compat_traffic_(std::move(traffic)),
-      seed_(seed),
-      internet_(crypto::Rng(seed ^ 0x1e7)) {
-  build();
-}
-
 std::uint64_t World::rig_seed(std::uint64_t salt, std::size_t index) const {
   const std::uint64_t base = seed_ ^ salt;
   return index == 0 ? base : shard_seed(base, static_cast<std::uint32_t>(index));
@@ -188,9 +179,7 @@ void World::build() {
     if (client_config.password.empty()) client_config.password = rig.spec.server.password;
     rig.client = std::make_unique<client::SsClient>(*rig.client_host, rig.endpoint,
                                                     client_config, rig_seed(0xc11, i));
-    if (i == 0 && compat_traffic_) {
-      rig.traffic = std::move(compat_traffic_);
-    } else if (rig.spec.traffic) {
+    if (rig.spec.traffic) {
       rig.traffic = rig.spec.traffic->build(shard_index_);
     } else {
       rig.traffic = scenario_.traffic.build(shard_index_);

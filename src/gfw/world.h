@@ -51,12 +51,6 @@ class World {
   // Builds the shard's simulation from the scenario; traffic comes from
   // scenario.traffic.build(shard_index) (or each fleet entry's override).
   World(const Scenario& scenario, std::uint64_t seed, std::uint32_t shard_index = 0);
-
-  // Compatibility constructor (the historical Campaign signature): the
-  // caller supplies a ready-made traffic model for the first server
-  // instead of a spec.
-  World(Scenario scenario, std::unique_ptr<client::TrafficModel> traffic,
-        std::uint64_t seed = 0xCA4417A16);
   ~World();
 
   World(const World&) = delete;
@@ -80,24 +74,19 @@ class World {
   std::uint32_t shard_index() const { return shard_index_; }
   std::uint64_t seed() const { return seed_; }
 
-  // Single-server accessors; in a fleet they refer to server 0.
-  defense::Brdgrd* brdgrd() { return rigs_.front()->brdgrd.get(); }
-  servers::ProxyServerBase& server() { return *rigs_.front()->server; }
-  client::TrafficModel& traffic() { return *rigs_.front()->traffic; }
-  net::Endpoint server_endpoint() const { return rigs_.front()->endpoint; }
-
-  // Fleet accessors (single-server scenarios are a fleet of one).
+  // Fleet accessors (single-server scenarios are a fleet of one, so the
+  // default server_id 0 is "the" server).
   std::size_t fleet_size() const { return rigs_.size(); }
-  servers::ProxyServerBase& server(std::size_t server_id) {
+  servers::ProxyServerBase& server(std::size_t server_id = 0) {
     return *rigs_[server_id]->server;
   }
-  defense::Brdgrd* brdgrd(std::size_t server_id) {
+  defense::Brdgrd* brdgrd(std::size_t server_id = 0) {
     return rigs_[server_id]->brdgrd.get();
   }
-  client::TrafficModel& traffic(std::size_t server_id) {
+  client::TrafficModel& traffic(std::size_t server_id = 0) {
     return *rigs_[server_id]->traffic;
   }
-  net::Endpoint server_endpoint(std::size_t server_id) const {
+  net::Endpoint server_endpoint(std::size_t server_id = 0) const {
     return rigs_[server_id]->endpoint;
   }
   std::size_t connections_launched(std::size_t server_id) const {
@@ -159,7 +148,6 @@ class World {
   void maybe_inject_failure();
 
   Scenario scenario_;
-  std::unique_ptr<client::TrafficModel> compat_traffic_;  // compat ctor only
   std::uint64_t seed_;
   std::uint32_t shard_index_ = 0;
 

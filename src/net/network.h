@@ -221,8 +221,8 @@ class Network {
   std::size_t segments_in_flight() const { return segments_in_flight_; }
   std::size_t retransmissions() const { return retransmissions_; }
   // Sum of data payload bytes handed to destination connections (each
-  // in-order delivery counted once; the goodput numerator for
-  // bench_throughput).
+  // in-order delivery counted once; the goodput numerator of the
+  // benchmark suite's goodput_MBps).
   std::uint64_t payload_bytes_delivered() const { return payload_bytes_delivered_; }
 
   // Opt-in per-endpoint payload attribution for fleet worlds: when

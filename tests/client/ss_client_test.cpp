@@ -34,10 +34,19 @@ struct ClientFixture : ::testing::Test {
   }
 };
 
-class ClientServerMatrix
-    : public ClientFixture,
-      public ::testing::WithParamInterface<std::pair<probesim::ServerSetup::Impl,
-                                                     const char*>> {};
+struct FetchCase {
+  probesim::ServerSetup::Impl impl;
+  const char* cipher;
+
+  // Names the test case by value; gtest would otherwise print the enum's raw
+  // bytes and the cipher's address, which changes with every build.
+  friend void PrintTo(const FetchCase& c, std::ostream* os) {
+    *os << probesim::impl_name(c.impl) << ", " << c.cipher;
+  }
+};
+
+class ClientServerMatrix : public ClientFixture,
+                           public ::testing::WithParamInterface<FetchCase> {};
 
 TEST_P(ClientServerMatrix, FetchRoundTrip) {
   const auto [impl, cipher] = GetParam();
@@ -55,15 +64,15 @@ TEST_P(ClientServerMatrix, FetchRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ClientServerMatrix,
     ::testing::Values(
-        std::make_pair(probesim::ServerSetup::Impl::kLibevOld, "aes-256-cfb"),
-        std::make_pair(probesim::ServerSetup::Impl::kLibevOld, "rc4-md5"),
-        std::make_pair(probesim::ServerSetup::Impl::kLibevOld, "chacha20"),
-        std::make_pair(probesim::ServerSetup::Impl::kLibevOld, "aes-128-gcm"),
-        std::make_pair(probesim::ServerSetup::Impl::kLibevNew, "aes-256-ctr"),
-        std::make_pair(probesim::ServerSetup::Impl::kLibevNew, "aes-256-gcm"),
-        std::make_pair(probesim::ServerSetup::Impl::kOutline106, "chacha20-ietf-poly1305"),
-        std::make_pair(probesim::ServerSetup::Impl::kOutline107, "chacha20-ietf-poly1305"),
-        std::make_pair(probesim::ServerSetup::Impl::kOutline110, "chacha20-ietf-poly1305")));
+        FetchCase{probesim::ServerSetup::Impl::kLibevOld, "aes-256-cfb"},
+        FetchCase{probesim::ServerSetup::Impl::kLibevOld, "rc4-md5"},
+        FetchCase{probesim::ServerSetup::Impl::kLibevOld, "chacha20"},
+        FetchCase{probesim::ServerSetup::Impl::kLibevOld, "aes-128-gcm"},
+        FetchCase{probesim::ServerSetup::Impl::kLibevNew, "aes-256-ctr"},
+        FetchCase{probesim::ServerSetup::Impl::kLibevNew, "aes-256-gcm"},
+        FetchCase{probesim::ServerSetup::Impl::kOutline106, "chacha20-ietf-poly1305"},
+        FetchCase{probesim::ServerSetup::Impl::kOutline107, "chacha20-ietf-poly1305"},
+        FetchCase{probesim::ServerSetup::Impl::kOutline110, "chacha20-ietf-poly1305"}));
 
 TEST_F(ClientFixture, WrongPasswordFailsAgainstAead) {
   install(probesim::ServerSetup::Impl::kOutline107, "chacha20-ietf-poly1305");

@@ -17,10 +17,7 @@ Scenario small_campaign() {
 }
 
 TEST(Campaign, ShadowsocksTrafficDrawsProbes) {
-  World campaign(small_campaign(),
-                    std::make_unique<client::BrowsingTraffic>(
-                        client::BrowsingTraffic::paper_sites()),
-                    0xAA01);
+  World campaign(small_campaign(), 0xAA01);
   campaign.run();
 
   EXPECT_GT(campaign.connections_launched(), 400u);
@@ -30,10 +27,7 @@ TEST(Campaign, ShadowsocksTrafficDrawsProbes) {
 }
 
 TEST(Campaign, OutlineServersGetStage2ProbeTypes) {
-  World campaign(small_campaign(),
-                    std::make_unique<client::BrowsingTraffic>(
-                        client::BrowsingTraffic::paper_sites()),
-                    0xAA02);
+  World campaign(small_campaign(), 0xAA02);
   campaign.run();
 
   // Outline <= v1.0.8 answers R1 with data -> stage 2 unlocks (this is
@@ -51,10 +45,7 @@ TEST(Campaign, LibevServersStayInStage1) {
   Scenario config = small_campaign();
   config.server.impl = probesim::ServerSetup::Impl::kLibevNew;
   config.server.cipher = "aes-256-gcm";
-  World campaign(config,
-                    std::make_unique<client::BrowsingTraffic>(
-                        client::BrowsingTraffic::paper_sites()),
-                    0xAA03);
+  World campaign(config, 0xAA03);
   campaign.run();
 
   ASSERT_GT(campaign.log().size(), 5u);
@@ -70,9 +61,8 @@ TEST(Campaign, RawRandomTrafficAlsoTriggersProbes) {
   // payloads of the right lengths draw probes to a bare TCP sink.
   Scenario config = small_campaign();
   config.raw_traffic = true;
-  World campaign(config, std::make_unique<client::RandomDataTraffic>(
-                                client::RandomDataTraffic::exp1()),
-                    0xAA04);
+  config.traffic = client::TrafficSpec::random_exp1();
+  World campaign(config, 0xAA04);
   campaign.run();
   EXPECT_GT(campaign.log().size(), 5u);
 }
@@ -82,14 +72,12 @@ TEST(Campaign, LowEntropyTrafficDrawsFewerProbes) {
   Scenario config = small_campaign();
   config.raw_traffic = true;
 
-  World high_entropy(config, std::make_unique<client::RandomDataTraffic>(
-                                    client::RandomDataTraffic::exp1()),
-                        0xAA05);
+  config.traffic = client::TrafficSpec::random_exp1();
+  World high_entropy(config, 0xAA05);
   high_entropy.run();
 
-  World low_entropy(config, std::make_unique<client::RandomDataTraffic>(
-                                   client::RandomDataTraffic::exp2()),
-                       0xAA05);
+  config.traffic = client::TrafficSpec::random_exp2();
+  World low_entropy(config, 0xAA05);
   low_entropy.run();
 
   EXPECT_GT(high_entropy.log().size(), 2 * low_entropy.log().size());
@@ -105,17 +93,11 @@ TEST(Campaign, BrdgrdSuppressesProbing) {
   // classifier sees tiny first packets and probing collapses.
   Scenario config = small_campaign();
   config.use_brdgrd = true;
-  World guarded(config,
-                   std::make_unique<client::BrowsingTraffic>(
-                       client::BrowsingTraffic::paper_sites()),
-                   0xAA06);
+  World guarded(config, 0xAA06);
   guarded.run();
 
   Scenario vanilla = small_campaign();
-  World unguarded(vanilla,
-                     std::make_unique<client::BrowsingTraffic>(
-                         client::BrowsingTraffic::paper_sites()),
-                     0xAA06);
+  World unguarded(vanilla, 0xAA06);
   unguarded.run();
 
   EXPECT_GT(guarded.brdgrd()->connections_clamped(), 100u);
@@ -126,10 +108,7 @@ TEST(Campaign, ServerInsideChinaIsProbedToo) {
   // Section 4.2: outside-to-inside connections trigger probing as well.
   Scenario config = small_campaign();
   config.server_inside_china = true;
-  World campaign(config,
-                    std::make_unique<client::BrowsingTraffic>(
-                        client::BrowsingTraffic::paper_sites()),
-                    0xAA07);
+  World campaign(config, 0xAA07);
   campaign.run();
   EXPECT_GT(campaign.log().size(), 5u);
 }

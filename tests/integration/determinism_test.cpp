@@ -17,10 +17,7 @@ std::string campaign_transcript(std::uint64_t seed) {
   config.duration = net::hours(24);
   config.connection_interval = net::seconds(60);
   config.classifier_base_rate = 0.3;
-  gfw::World campaign(config,
-                         std::make_unique<client::BrowsingTraffic>(
-                             client::BrowsingTraffic::paper_sites()),
-                         seed);
+  gfw::World campaign(config, seed);
   campaign.run();
 
   std::ostringstream out;

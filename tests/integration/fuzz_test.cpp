@@ -104,10 +104,7 @@ TEST(ResourceBounds, CampaignSessionsAndFlowsStayBounded) {
   config.duration = net::hours(48);
   config.connection_interval = net::seconds(30);
   config.classifier_base_rate = 0.3;
-  gfw::World campaign(config,
-                         std::make_unique<client::BrowsingTraffic>(
-                             client::BrowsingTraffic::paper_sites()),
-                         0xF027);
+  gfw::World campaign(config, 0xF027);
   campaign.run();
   EXPECT_GT(campaign.connections_launched(), 4000u);
   // Server sessions get reaped; a handful may be mid-flight.

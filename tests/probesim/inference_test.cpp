@@ -43,8 +43,10 @@ TEST(Inference, LibevOldStreamEightByteIv) {
   EXPECT_EQ(*profile.iv_or_salt_len, 8u);
 }
 
+// std::string rather than const char*: gtest prints a char pointer with its
+// address, which would put a per-build address into the test's name.
 class AeadSaltSweep
-    : public ::testing::TestWithParam<std::pair<const char*, std::size_t>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::size_t>> {};
 
 TEST_P(AeadSaltSweep, LibevOldAeadSaltRecovered) {
   const auto [cipher, salt] = GetParam();
@@ -57,9 +59,9 @@ TEST_P(AeadSaltSweep, LibevOldAeadSaltRecovered) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Salts, AeadSaltSweep,
-                         ::testing::Values(std::make_pair("aes-128-gcm", 16u),
-                                           std::make_pair("aes-192-gcm", 24u),
-                                           std::make_pair("aes-256-gcm", 32u)));
+                         ::testing::Values(std::make_pair(std::string("aes-128-gcm"), 16u),
+                                           std::make_pair(std::string("aes-192-gcm"), 24u),
+                                           std::make_pair(std::string("aes-256-gcm"), 32u)));
 
 TEST(Inference, Outline106Signature) {
   const auto profile =

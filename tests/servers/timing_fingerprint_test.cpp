@@ -87,6 +87,12 @@ struct MatrixCase {
   ServerSetup::Impl impl;
   const char* cipher;
   Reaction expected_at_221;
+
+  // Names the test case; without it gtest prints the raw bytes, padding and
+  // the cipher's address included, so the name would change with every build.
+  friend void PrintTo(const MatrixCase& c, std::ostream* os) {
+    *os << impl_name(c.impl) << ", " << c.cipher;
+  }
 };
 
 class VersionMatrix : public ::testing::TestWithParam<MatrixCase> {};

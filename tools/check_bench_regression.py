@@ -2,26 +2,17 @@
 """Compare a fresh bench JSON run against the committed baseline.
 
 Usage: check_bench_regression.py BASELINE.json CURRENT.json
-           [--threshold 0.30] [--only SUBSTR] [--write-baseline]
+           [--threshold 0.30] [--write-baseline]
 
-Two input formats are auto-detected per file:
+Both files are google-benchmark ``--benchmark_out`` JSON (a top-level
+``benchmarks`` list), as written by bench_crypto_micro. For every
+benchmark present in both files that reports ``bytes_per_second``, the
+current throughput must not fall more than ``threshold`` below the
+baseline. Benchmarks without a throughput counter (e.g. the fixed-size
+setup benches) are compared on real_time instead.
 
-* google-benchmark ``--benchmark_out`` JSON (a top-level ``benchmarks``
-  list). For every benchmark present in both files that reports
-  ``bytes_per_second``, the current throughput must not fall more than
-  ``threshold`` below the baseline. Benchmarks without a throughput
-  counter (e.g. the fixed-size setup benches) are compared on
-  real_time instead.
-
-* BenchReporter ``--json`` output (a top-level ``metrics`` list of
-  ``{"metric", "paper", "measured", "value"?}`` rows, as written by the
-  campaign benches like bench_throughput). Rows carrying a numeric
-  ``value`` are compared higher-is-better — e.g. the goodput rows — and
-  rows without one are skipped.
-
-``--only SUBSTR`` restricts the comparison to names containing SUBSTR
-(case-insensitive); CI uses it to gate bench_throughput on its goodput
-rows without tripping on count-style metrics.
+This is the kernel-level gate only: a campaign median blurs a kernel
+regression. Campaign-level performance is gated by tools/bench_ab.py.
 
 ``--write-baseline`` validates CURRENT and copies it over BASELINE
 instead of comparing — the supported way to refresh a baseline after an
@@ -70,34 +61,10 @@ def load_entries(path):
              f"{type(doc).__name__} (not a bench JSON file?)")
 
     out = {}
-    if "metrics" in doc:
-        # BenchReporter format: one file per bench, rows keyed by metric
-        # name; only rows that carry a machine-readable value compare.
-        rows = doc["metrics"]
-        if not isinstance(rows, list):
-            fail(f"{path}: \"metrics\" should be a list, got "
-                 f"{type(rows).__name__}")
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                fail(f"{path}: metrics[{i}] should be an object, got "
-                     f"{type(row).__name__}")
-            if "value" not in row:
-                continue
-            if "metric" not in row:
-                fail(f"{path}: metrics[{i}] has a \"value\" but no "
-                     f"\"metric\" name")
-            try:
-                value = float(row["value"])
-            except (TypeError, ValueError):
-                fail(f"{path}: metrics[{i}] (\"{row['metric']}\") has a "
-                     f"non-numeric value: {row['value']!r}")
-            out[row["metric"]] = (value, True, "value")
-        return out
-
     benches = doc.get("benchmarks")
     if benches is None:
-        fail(f"{path}: neither a \"metrics\" nor a \"benchmarks\" list — "
-             "not a BenchReporter --json or google-benchmark output file")
+        fail(f"{path}: no \"benchmarks\" list — not a google-benchmark "
+             "output file")
     if not isinstance(benches, list):
         fail(f"{path}: \"benchmarks\" should be a list, got "
              f"{type(benches).__name__}")
@@ -130,9 +97,6 @@ def main():
     parser.add_argument("current")
     parser.add_argument("--threshold", type=float, default=0.30,
                         help="allowed fractional drop vs baseline (default 0.30)")
-    parser.add_argument("--only", default="",
-                        help="compare only entries whose name contains this "
-                             "substring (case-insensitive)")
     parser.add_argument("--write-baseline", action="store_true",
                         help="validate CURRENT and copy it over BASELINE "
                              "instead of comparing")
@@ -158,10 +122,7 @@ def main():
 
     failures = []
     compared = 0
-    needle = args.only.lower()
     for name, (b, higher_is_better, metric) in sorted(baseline.items()):
-        if needle and needle not in name.lower():
-            continue
         if name not in current:
             print(f"  [skip] {name}: missing from current run")
             continue
