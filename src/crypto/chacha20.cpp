@@ -1,5 +1,7 @@
 #include "crypto/chacha20.h"
 
+#include <algorithm>
+
 #include "crypto/cpu.h"
 
 #ifdef GFWSIM_HAVE_X86_SIMD
@@ -17,58 +19,29 @@ inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c, 
   c += d; b ^= c; b = rotl32(b, 7);
 }
 
-void core(const std::array<std::uint32_t, 16>& input, std::uint8_t out[64]) {
-  std::array<std::uint32_t, 16> x = input;
+// L states interleaved as x[word][lane]: L = 1 is the reference tier's
+// single-block core; L = 4 gives the portable tier four independent
+// add/xor/rotate chains per quarter-round step (which the compiler may
+// vectorize). Counter words 12/13 are per lane; the rest is shared.
+template <int L>
+void core_lanes(const std::array<std::uint32_t, 16>& input, const std::uint32_t w12[],
+                const std::uint32_t w13[], std::uint8_t out[]) {
+  std::uint32_t in[16][L], x[16][L];
+  for (int l = 0; l < L; ++l) {
+    for (int i = 0; i < 16; ++i) in[i][l] = input[i];
+    in[12][l] = w12[l];
+    in[13][l] = w13[l];
+  }
+  std::memcpy(x, in, sizeof(x));
+#define GFWSIM_QR(a, b, c, d) \
+  for (int l = 0; l < L; ++l) quarter_round(x[a][l], x[b][l], x[c][l], x[d][l]);
   for (int round = 0; round < 10; ++round) {
-    quarter_round(x[0], x[4], x[8], x[12]);
-    quarter_round(x[1], x[5], x[9], x[13]);
-    quarter_round(x[2], x[6], x[10], x[14]);
-    quarter_round(x[3], x[7], x[11], x[15]);
-    quarter_round(x[0], x[5], x[10], x[15]);
-    quarter_round(x[1], x[6], x[11], x[12]);
-    quarter_round(x[2], x[7], x[8], x[13]);
-    quarter_round(x[3], x[4], x[9], x[14]);
+    GFWSIM_QR(0, 4, 8, 12) GFWSIM_QR(1, 5, 9, 13) GFWSIM_QR(2, 6, 10, 14) GFWSIM_QR(3, 7, 11, 15)
+    GFWSIM_QR(0, 5, 10, 15) GFWSIM_QR(1, 6, 11, 12) GFWSIM_QR(2, 7, 8, 13) GFWSIM_QR(3, 4, 9, 14)
   }
-  for (int i = 0; i < 16; ++i) store_le32(out + 4 * i, x[i] + input[i]);
-}
-
-// Portable 4-way batch: four states interleaved as x[word][lane], so the
-// per-lane loop bodies give the scalar pipeline four independent
-// add/xor/rotate chains per quarter-round step (and auto-vectorize where
-// the compiler can). Counter words 12/13 are per-lane; everything else is
-// shared.
-void core4(const std::array<std::uint32_t, 16>& input, const std::uint32_t w12[4],
-           const std::uint32_t w13[4], std::uint8_t out[256]) {
-  std::uint32_t x[16][4];
-  for (int i = 0; i < 16; ++i) {
-    for (int l = 0; l < 4; ++l) x[i][l] = input[i];
-  }
-  for (int l = 0; l < 4; ++l) {
-    x[12][l] = w12[l];
-    x[13][l] = w13[l];
-  }
-#define GFWSIM_QR4(a, b, c, d)                                  \
-  for (int l = 0; l < 4; ++l) {                                 \
-    quarter_round(x[a][l], x[b][l], x[c][l], x[d][l]);          \
-  }
-  for (int round = 0; round < 10; ++round) {
-    GFWSIM_QR4(0, 4, 8, 12)
-    GFWSIM_QR4(1, 5, 9, 13)
-    GFWSIM_QR4(2, 6, 10, 14)
-    GFWSIM_QR4(3, 7, 11, 15)
-    GFWSIM_QR4(0, 5, 10, 15)
-    GFWSIM_QR4(1, 6, 11, 12)
-    GFWSIM_QR4(2, 7, 8, 13)
-    GFWSIM_QR4(3, 4, 9, 14)
-  }
-#undef GFWSIM_QR4
-  for (int l = 0; l < 4; ++l) {
-    for (int i = 0; i < 16; ++i) {
-      std::uint32_t base = input[i];
-      if (i == 12) base = w12[l];
-      if (i == 13) base = w13[l];
-      store_le32(out + 64 * l + 4 * i, x[i][l] + base);
-    }
+#undef GFWSIM_QR
+  for (int l = 0; l < L; ++l) {
+    for (int i = 0; i < 16; ++i) store_le32(out + 64 * l + 4 * i, x[i][l] + in[i][l]);
   }
 }
 
@@ -81,122 +54,72 @@ ChaCha20::ChaCha20(ByteSpan key, ByteSpan nonce, std::uint64_t initial_counter) 
   for (int i = 0; i < 4; ++i) state_[i] = kSigma[i];
   for (int i = 0; i < 8; ++i) state_[4 + i] = load_le32(key.data() + 4 * i);
 
-  if (nonce.size() == 12) {
-    ietf_ = true;
-    state_[12] = static_cast<std::uint32_t>(initial_counter);
-    state_[13] = load_le32(nonce.data());
-    state_[14] = load_le32(nonce.data() + 4);
-    state_[15] = load_le32(nonce.data() + 8);
-  } else if (nonce.size() == 8) {
-    ietf_ = false;
-    state_[12] = static_cast<std::uint32_t>(initial_counter);
-    state_[13] = static_cast<std::uint32_t>(initial_counter >> 32);
-    state_[14] = load_le32(nonce.data());
-    state_[15] = load_le32(nonce.data() + 4);
-  } else {
+  if (nonce.size() != 12 && nonce.size() != 8) {
     throw std::invalid_argument("ChaCha20: nonce must be 8 or 12 bytes");
+  }
+  // The nonce fills the top words; the legacy 8-byte one leaves word 13
+  // to the high half of its 64-bit counter.
+  ietf_ = nonce.size() == 12;
+  state_[12] = static_cast<std::uint32_t>(initial_counter);
+  state_[13] = static_cast<std::uint32_t>(initial_counter >> 32);
+  for (std::size_t i = 0; i < nonce.size() / 4; ++i) {
+    state_[16 - nonce.size() / 4 + i] = load_le32(nonce.data() + 4 * i);
   }
 }
 
 void ChaCha20::refill() {
-  core(state_, keystream_.data());
-  if (ietf_) {
-    ++state_[12];
-  } else {
-    if (++state_[12] == 0) ++state_[13];
-  }
-  used_ = 0;
-}
-
-void ChaCha20::blocks4(std::uint8_t out[256]) {
-  // Materialize the four consecutive counter values per lane; the IETF
-  // variant wraps its 32-bit counter word, the legacy variant carries
-  // into word 13, matching four sequential refill() increments.
-  std::uint32_t w12[4], w13[4];
-  if (ietf_) {
-    for (int l = 0; l < 4; ++l) {
-      w12[l] = state_[12] + static_cast<std::uint32_t>(l);
-      w13[l] = state_[13];
-    }
-    state_[12] += 4;
-  } else {
-    const std::uint64_t c =
-        (static_cast<std::uint64_t>(state_[13]) << 32) | state_[12];
-    for (int l = 0; l < 4; ++l) {
-      const std::uint64_t cl = c + static_cast<std::uint64_t>(l);
-      w12[l] = static_cast<std::uint32_t>(cl);
-      w13[l] = static_cast<std::uint32_t>(cl >> 32);
-    }
-    state_[12] = static_cast<std::uint32_t>(c + 4);
-    state_[13] = static_cast<std::uint32_t>((c + 4) >> 32);
-  }
+  const KernelTier tier = chacha_dispatch_tier();
+  std::size_t lanes = tier == KernelTier::kReference ? 1 : 4;
 #ifdef GFWSIM_HAVE_X86_SIMD
-  if (chacha_dispatch_tier() == KernelTier::kSimd) {
-    if (cpu_features().avx2) {
-      simd::chacha20_blocks4_avx2(state_.data(), w12, w13, out);
-    } else {
-      simd::chacha20_blocks4_sse2(state_.data(), w12, w13, out);
-    }
-    return;
-  }
+  if (tier == KernelTier::kSimd && cpu_features().avx2) lanes = 8;
 #endif
-  core4(state_, w12, w13, out);
+  // Materialize the per-lane counter words; the IETF variant wraps its
+  // 32-bit counter word, the legacy variant carries into word 13,
+  // matching `lanes` sequential single-block increments.
+  std::uint32_t w12[8], w13[8];
+  const std::uint64_t c =
+      ietf_ ? state_[12] : (static_cast<std::uint64_t>(state_[13]) << 32) | state_[12];
+  for (std::size_t l = 0; l < lanes; ++l) {
+    w12[l] = static_cast<std::uint32_t>(c + l);
+    w13[l] = ietf_ ? state_[13] : static_cast<std::uint32_t>((c + l) >> 32);
+  }
+  if (lanes == 1) {
+    core_lanes<1>(state_, w12, w13, keystream_.data());
+#ifdef GFWSIM_HAVE_X86_SIMD
+  } else if (lanes == 8) {
+    simd::chacha20_blocks8_avx2(state_.data(), w12, w13, keystream_.data());
+  } else if (tier == KernelTier::kSimd) {
+    simd::chacha20_blocks4_sse2(state_.data(), w12, w13, keystream_.data());
+#endif
+  } else {
+    core_lanes<4>(state_, w12, w13, keystream_.data());
+  }
+  state_[12] = static_cast<std::uint32_t>(c + lanes);
+  if (!ietf_) state_[13] = static_cast<std::uint32_t>((c + lanes) >> 32);
+  used_ = 0;
+  avail_ = 64 * lanes;
 }
 
 void ChaCha20::transform(ByteSpan data, std::uint8_t* out) {
+  // Drain the buffered pass, refill, repeat: keystream is consumed in
+  // counter order whatever the pass length, tier or split of the input.
   std::size_t i = 0;
-  // Drain whatever is left of the current keystream block.
-  while (i < data.size() && used_ < 64) {
-    out[i] = data[i] ^ keystream_[used_++];
-    ++i;
-  }
-  // 4-block batches: 256 bytes of keystream per pass (four interleaved
-  // states on the portable/SIMD tiers), consumed in the same order the
-  // per-block path would produce. The reference tier skips this and runs
-  // the single-state core below.
-  if (chacha_dispatch_tier() != KernelTier::kReference) {
-    while (data.size() - i >= 256) {
-      std::uint8_t ks[256];
-      blocks4(ks);
-      for (int w = 0; w < 32; ++w) {
-        std::uint64_t m, k;
-        std::memcpy(&m, data.data() + i + 8 * w, 8);
-        std::memcpy(&k, ks + 8 * w, 8);
-        m ^= k;
-        std::memcpy(out + i + 8 * w, &m, 8);
-      }
-      i += 256;
-    }
-  }
-  // Whole blocks: refill then XOR 64 bytes word-wise. The memcpy in/out of
-  // the word locals compiles to plain loads/stores; keystream bytes are
-  // consumed in the exact order the per-byte loop used, so output is
-  // unchanged.
-  while (data.size() - i >= 64) {
-    refill();
-    for (int w = 0; w < 8; ++w) {
-      std::uint64_t m, k;
-      std::memcpy(&m, data.data() + i + 8 * w, 8);
-      std::memcpy(&k, keystream_.data() + 8 * w, 8);
-      m ^= k;
-      std::memcpy(out + i + 8 * w, &m, 8);
-    }
-    used_ = 64;
-    i += 64;
-  }
-  // Partial tail block.
   while (i < data.size()) {
-    if (used_ == 64) refill();
-    out[i] = data[i] ^ keystream_[used_++];
-    ++i;
+    if (used_ == avail_) refill();
+    const std::size_t take = std::min(avail_ - used_, data.size() - i);
+    const std::uint8_t* ks = keystream_.data() + used_;
+    std::size_t j = 0;
+    for (; j + 8 <= take; j += 8) {
+      std::uint64_t m, k;
+      std::memcpy(&m, data.data() + i + j, 8);
+      std::memcpy(&k, ks + j, 8);
+      m ^= k;
+      std::memcpy(out + i + j, &m, 8);
+    }
+    for (; j < take; ++j) out[i + j] = data[i + j] ^ ks[j];
+    used_ += take;
+    i += take;
   }
-}
-
-std::array<std::uint8_t, 64> ChaCha20::block(ByteSpan key, ByteSpan nonce,
-                                             std::uint64_t counter) {
-  ChaCha20 c(key, nonce, counter);
-  c.refill();
-  return c.keystream_;
 }
 
 }  // namespace gfwsim::crypto

@@ -33,21 +33,16 @@ class ChaCha20 {
     return out;
   }
 
-  // One 64-byte keystream block at an absolute counter, used to derive the
-  // Poly1305 one-time key (counter 0) in the AEAD construction.
-  static std::array<std::uint8_t, 64> block(ByteSpan key, ByteSpan nonce, std::uint64_t counter);
-
  private:
+  // Refills keystream_ with one dispatched pass of consecutive blocks (1
+  // on the reference tier, 4 on portable and SSE2, 8 on AVX2) and moves
+  // the counter past them. Only the pass length differs between tiers.
   void refill();
-  // Generates four consecutive 64-byte keystream blocks and advances the
-  // counter by four, dispatched SIMD (4 states, one word per vector
-  // lane) vs portable (4-wide scalar interleave). Both are bit-identical
-  // to four sequential refills.
-  void blocks4(std::uint8_t out[256]);
 
   std::array<std::uint32_t, 16> state_{};
-  std::array<std::uint8_t, 64> keystream_{};
-  std::size_t used_ = 64;
+  std::array<std::uint8_t, 512> keystream_{};
+  std::size_t used_ = 0;
+  std::size_t avail_ = 0;
   bool ietf_ = true;
 };
 

@@ -24,27 +24,34 @@ Poly1305::Tag compute_tag(ByteSpan poly_key, ByteSpan aad, ByteSpan ciphertext) 
   return mac.finish();
 }
 
+// Takes block 0 of the counter-0 stream as the Poly1305 key (its first 32
+// bytes) and leaves the stream at counter 1, so one pass covers both.
+ChaCha20 start_stream(ByteSpan key, ByteSpan nonce, std::uint8_t block0[64]) {
+  ChaCha20 stream(key, nonce, 0);
+  std::memset(block0, 0, 64);
+  stream.transform(ByteSpan(block0, 64), block0);
+  return stream;
+}
+
 }  // namespace
 
-ChaCha20Poly1305::ChaCha20Poly1305(ByteSpan key) : key_(key.begin(), key.end()) {
+ChaCha20Poly1305::ChaCha20Poly1305(ByteSpan key) {
   if (key.size() != kKeySize) {
     throw std::invalid_argument("ChaCha20Poly1305: key must be 32 bytes");
   }
+  std::memcpy(key_.data(), key.data(), kKeySize);
 }
 
 Bytes ChaCha20Poly1305::seal(ByteSpan nonce, ByteSpan plaintext, ByteSpan aad) const {
   if (nonce.size() != kNonceSize) {
     throw std::invalid_argument("ChaCha20Poly1305: nonce must be 12 bytes");
   }
-  // Poly1305 one-time key = first 32 bytes of the counter-0 keystream block.
-  const auto block0 = ChaCha20::block(key_, nonce, 0);
-  const ByteSpan poly_key(block0.data(), 32);
-
+  std::uint8_t block0[64];
+  ChaCha20 stream = start_stream(key_, nonce, block0);
   Bytes out(plaintext.size() + kTagSize);
-  ChaCha20 stream(key_, nonce, 1);
   stream.transform(plaintext, out.data());
 
-  const auto tag = compute_tag(poly_key, aad, ByteSpan(out.data(), plaintext.size()));
+  const auto tag = compute_tag(ByteSpan(block0, 32), aad, ByteSpan(out.data(), plaintext.size()));
   std::memcpy(out.data() + plaintext.size(), tag.data(), kTagSize);
   return out;
 }
@@ -56,13 +63,12 @@ std::optional<Bytes> ChaCha20Poly1305::open(ByteSpan nonce, ByteSpan sealed,
   const ByteSpan ciphertext = sealed.subspan(0, ct_len);
   const ByteSpan tag = sealed.subspan(ct_len);
 
-  const auto block0 = ChaCha20::block(key_, nonce, 0);
-  const ByteSpan poly_key(block0.data(), 32);
-  const auto expected = compute_tag(poly_key, aad, ciphertext);
+  std::uint8_t block0[64];
+  ChaCha20 stream = start_stream(key_, nonce, block0);
+  const auto expected = compute_tag(ByteSpan(block0, 32), aad, ciphertext);
   if (!ct_equal(ByteSpan(expected.data(), expected.size()), tag)) return std::nullopt;
 
   Bytes plaintext(ct_len);
-  ChaCha20 stream(key_, nonce, 1);
   stream.transform(ciphertext, plaintext.data());
   return plaintext;
 }

@@ -4,6 +4,7 @@
 // 32-byte key and salt) and the most common Shadowsocks AEAD method.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "crypto/bytes.h"
@@ -25,7 +26,7 @@ class ChaCha20Poly1305 {
   std::optional<Bytes> open(ByteSpan nonce, ByteSpan sealed, ByteSpan aad = {}) const;
 
  private:
-  Bytes key_;
+  std::array<std::uint8_t, kKeySize> key_{};
 };
 
 }  // namespace gfwsim::crypto

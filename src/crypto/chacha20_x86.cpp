@@ -1,10 +1,8 @@
-// 4-way ChaCha20 kernels (x86-64): four interleaved states, one state
-// word per 32-bit lane of each of sixteen vector registers ("vertical"
-// layout). The quarter-round's add/xor/rotate chains for the four
-// blocks execute in lockstep, so the serial rotate latency of one block
-// overlaps the other three. The SSE2 variant rotates with shift+or;
-// the AVX2-dispatched variant uses pshufb for the byte-aligned 16/8
-// rotations (SSSE3 is implied by AVX2).
+// Wide ChaCha20 kernels (x86-64): one state word per 32-bit lane of each
+// of sixteen vector registers, so the quarter-round chains of all blocks
+// run in lockstep. SSE2 runs four states in xmm registers, rotating with
+// shift+or; AVX2 runs eight in ymm registers, with vpshufb for the
+// byte-aligned 16/8 rotations.
 #include "crypto/simd_kernels.h"
 
 #include <immintrin.h>
@@ -13,82 +11,98 @@ namespace gfwsim::crypto::simd {
 
 namespace {
 
-#define GFWSIM_CHACHA4_BODY(ROTL16, ROTL12, ROTL8, ROTL7)                         \
-  __m128i x[16];                                                                  \
-  for (int i = 0; i < 16; ++i) x[i] = _mm_set1_epi32(static_cast<int>(state[i])); \
-  x[12] = _mm_setr_epi32(static_cast<int>(w12[0]), static_cast<int>(w12[1]),      \
-                         static_cast<int>(w12[2]), static_cast<int>(w12[3]));     \
-  x[13] = _mm_setr_epi32(static_cast<int>(w13[0]), static_cast<int>(w13[1]),      \
-                         static_cast<int>(w13[2]), static_cast<int>(w13[3]));     \
-  const __m128i in12 = x[12];                                                     \
-  const __m128i in13 = x[13];                                                     \
+// Loads the states (counter words per lane from w12/w13), runs 20 rounds
+// and adds the input back into x[16], with ADD, XOR, SET1, LOADU, ROTL,
+// ROT16 and ROT8 defined by each kernel for its vector type V.
+#define GFWSIM_CHACHA_BODY(V)                                                     \
+  V x[16];                                                                        \
+  for (int i = 0; i < 16; ++i) x[i] = SET1(static_cast<int>(state[i]));           \
+  const V in12 = x[12] = LOADU(reinterpret_cast<const V*>(w12));                 \
+  const V in13 = x[13] = LOADU(reinterpret_cast<const V*>(w13));                 \
   for (int round = 0; round < 10; ++round) {                                      \
     QR(0, 4, 8, 12) QR(1, 5, 9, 13) QR(2, 6, 10, 14) QR(3, 7, 11, 15)            \
     QR(0, 5, 10, 15) QR(1, 6, 11, 12) QR(2, 7, 8, 13) QR(3, 4, 9, 14)            \
   }                                                                               \
   for (int i = 0; i < 16; ++i) {                                                  \
-    __m128i base = _mm_set1_epi32(static_cast<int>(state[i]));                    \
-    if (i == 12) base = in12;                                                     \
-    if (i == 13) base = in13;                                                     \
-    x[i] = _mm_add_epi32(x[i], base);                                             \
-  }                                                                               \
-  /* Transpose lane-major: out block l = words x[0..15] lane l. */                \
-  for (int i = 0; i < 16; i += 4) {                                               \
-    const __m128i t0 = _mm_unpacklo_epi32(x[i], x[i + 1]);                        \
-    const __m128i t1 = _mm_unpacklo_epi32(x[i + 2], x[i + 3]);                    \
-    const __m128i t2 = _mm_unpackhi_epi32(x[i], x[i + 1]);                        \
-    const __m128i t3 = _mm_unpackhi_epi32(x[i + 2], x[i + 3]);                    \
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i * 4),                     \
-                     _mm_unpacklo_epi64(t0, t1));                                 \
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 64 + i * 4),                \
-                     _mm_unpackhi_epi64(t0, t1));                                 \
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 128 + i * 4),               \
-                     _mm_unpacklo_epi64(t2, t3));                                 \
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 192 + i * 4),               \
-                     _mm_unpackhi_epi64(t2, t3));                                 \
+    x[i] = ADD(x[i], i == 12 ? in12 : i == 13 ? in13 : SET1(static_cast<int>(state[i]))); \
   }
+#define QR(a, b, c, d)                                                \
+  x[a] = ADD(x[a], x[b]); x[d] = ROT16(XOR(x[d], x[a]));              \
+  x[c] = ADD(x[c], x[d]); x[b] = ROTL(XOR(x[b], x[c]), 12);           \
+  x[a] = ADD(x[a], x[b]); x[d] = ROT8(XOR(x[d], x[a]));               \
+  x[c] = ADD(x[c], x[d]); x[b] = ROTL(XOR(x[b], x[c]), 7);
+
+// Transposes four xmm-wide states (word i of lane l in x[i] lane l) into
+// four lane-major 64-byte blocks.
+__attribute__((target("sse2"))) inline void store_blocks4(const __m128i x[16],
+                                                          std::uint8_t out[256]) {
+  for (int i = 0; i < 16; i += 4) {
+    const __m128i t0 = _mm_unpacklo_epi32(x[i], x[i + 1]);
+    const __m128i t1 = _mm_unpacklo_epi32(x[i + 2], x[i + 3]);
+    const __m128i t2 = _mm_unpackhi_epi32(x[i], x[i + 1]);
+    const __m128i t3 = _mm_unpackhi_epi32(x[i + 2], x[i + 3]);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i * 4), _mm_unpacklo_epi64(t0, t1));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 64 + i * 4), _mm_unpackhi_epi64(t0, t1));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 128 + i * 4), _mm_unpacklo_epi64(t2, t3));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 192 + i * 4), _mm_unpackhi_epi64(t2, t3));
+  }
+}
 
 __attribute__((target("sse2"))) void blocks4_sse2(const std::uint32_t state[16],
                                                   const std::uint32_t w12[4],
                                                   const std::uint32_t w13[4],
                                                   std::uint8_t out[256]) {
+#define ADD _mm_add_epi32
+#define XOR _mm_xor_si128
+#define SET1 _mm_set1_epi32
+#define LOADU _mm_loadu_si128
 #define ROTL(v, n) _mm_or_si128(_mm_slli_epi32(v, n), _mm_srli_epi32(v, 32 - (n)))
-#define QR(a, b, c, d)                                        \
-  x[a] = _mm_add_epi32(x[a], x[b]);                           \
-  x[d] = ROTL(_mm_xor_si128(x[d], x[a]), 16);                 \
-  x[c] = _mm_add_epi32(x[c], x[d]);                           \
-  x[b] = ROTL(_mm_xor_si128(x[b], x[c]), 12);                 \
-  x[a] = _mm_add_epi32(x[a], x[b]);                           \
-  x[d] = ROTL(_mm_xor_si128(x[d], x[a]), 8);                  \
-  x[c] = _mm_add_epi32(x[c], x[d]);                           \
-  x[b] = ROTL(_mm_xor_si128(x[b], x[c]), 7);
-  GFWSIM_CHACHA4_BODY(, , , )
-#undef QR
+#define ROT16(v) ROTL(v, 16)
+#define ROT8(v) ROTL(v, 8)
+  GFWSIM_CHACHA_BODY(__m128i)
+  store_blocks4(x, out);
+#undef ADD
+#undef XOR
+#undef SET1
+#undef LOADU
 #undef ROTL
+#undef ROT16
+#undef ROT8
 }
 
-__attribute__((target("avx2"))) void blocks4_avx2(const std::uint32_t state[16],
-                                                  const std::uint32_t w12[4],
-                                                  const std::uint32_t w13[4],
-                                                  std::uint8_t out[256]) {
-  const __m128i rot16 = _mm_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
-  const __m128i rot8 = _mm_setr_epi8(3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14);
-#define ROTL(v, n) _mm_or_si128(_mm_slli_epi32(v, n), _mm_srli_epi32(v, 32 - (n)))
-#define QR(a, b, c, d)                                        \
-  x[a] = _mm_add_epi32(x[a], x[b]);                           \
-  x[d] = _mm_shuffle_epi8(_mm_xor_si128(x[d], x[a]), rot16);  \
-  x[c] = _mm_add_epi32(x[c], x[d]);                           \
-  x[b] = ROTL(_mm_xor_si128(x[b], x[c]), 12);                 \
-  x[a] = _mm_add_epi32(x[a], x[b]);                           \
-  x[d] = _mm_shuffle_epi8(_mm_xor_si128(x[d], x[a]), rot8);   \
-  x[c] = _mm_add_epi32(x[c], x[d]);                           \
-  x[b] = ROTL(_mm_xor_si128(x[b], x[c]), 7);
-  GFWSIM_CHACHA4_BODY(, , , )
-#undef QR
+__attribute__((target("avx2"))) void blocks8_avx2(const std::uint32_t state[16],
+                                                  const std::uint32_t w12[8],
+                                                  const std::uint32_t w13[8],
+                                                  std::uint8_t out[512]) {
+  const __m256i rot16 = _mm256_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13,
+                                         2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13);
+  const __m256i rot8 = _mm256_setr_epi8(3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14,
+                                        3, 0, 1, 2, 7, 4, 5, 6, 11, 8, 9, 10, 15, 12, 13, 14);
+#define ADD _mm256_add_epi32
+#define XOR _mm256_xor_si256
+#define SET1 _mm256_set1_epi32
+#define LOADU _mm256_loadu_si256
+#define ROTL(v, n) _mm256_or_si256(_mm256_slli_epi32(v, n), _mm256_srli_epi32(v, 32 - (n)))
+#define ROT16(v) _mm256_shuffle_epi8(v, rot16)
+#define ROT8(v) _mm256_shuffle_epi8(v, rot8)
+  GFWSIM_CHACHA_BODY(__m256i)
+  // Lanes 0..3 sit in the low 128-bit halves, lanes 4..7 in the high ones.
+  __m128i half[16];
+  for (int i = 0; i < 16; ++i) half[i] = _mm256_castsi256_si128(x[i]);
+  store_blocks4(half, out);
+  for (int i = 0; i < 16; ++i) half[i] = _mm256_extracti128_si256(x[i], 1);
+  store_blocks4(half, out + 256);
+#undef ADD
+#undef XOR
+#undef SET1
+#undef LOADU
 #undef ROTL
+#undef ROT16
+#undef ROT8
 }
 
-#undef GFWSIM_CHACHA4_BODY
+#undef QR
+#undef GFWSIM_CHACHA_BODY
 
 }  // namespace
 
@@ -97,9 +111,9 @@ void chacha20_blocks4_sse2(const std::uint32_t state[16], const std::uint32_t w1
   blocks4_sse2(state, w12, w13, out);
 }
 
-void chacha20_blocks4_avx2(const std::uint32_t state[16], const std::uint32_t w12[4],
-                           const std::uint32_t w13[4], std::uint8_t out[256]) {
-  blocks4_avx2(state, w12, w13, out);
+void chacha20_blocks8_avx2(const std::uint32_t state[16], const std::uint32_t w12[8],
+                           const std::uint32_t w13[8], std::uint8_t out[512]) {
+  blocks8_avx2(state, w12, w13, out);
 }
 
 }  // namespace gfwsim::crypto::simd

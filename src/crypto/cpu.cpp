@@ -64,8 +64,7 @@ KernelTier chacha_dispatch_tier() {
 }
 
 KernelTier poly1305_dispatch_tier() {
-  // The batched deferred-carry kernel is plain C++; there is no SIMD
-  // tier above it.
+  // The radix-2^44 kernel is plain C++; there is no SIMD tier above it.
   return cap_tier(KernelTier::kPortable);
 }
 

@@ -3,26 +3,22 @@
 //
 // Every hot AEAD primitive ships in up to three bit-identical tiers:
 //
-//   kReference  the retained byte-wise kernels (FIPS 197 AES rounds,
-//               bit-by-bit GF(2^128) multiply, single-block ChaCha core,
-//               per-block Poly1305) — slow, obviously-correct, always
-//               compiled in.
-//   kPortable   batched plain-C++ kernels: interleaved T-table AES,
-//               4-blocks-per-reduction GHASH on widened Shoup tables
-//               (H^1..H^4), 4-wide scalar-interleaved ChaCha20, and
-//               4-block Poly1305 with r^1..r^4 powers and deferred
-//               carries.
-//   kSimd       x86-64 kernels selected at runtime: 8-block interleaved
-//               AES-NI, PCLMUL 4-block aggregated GHASH, SSE2/AVX2
-//               4-way ChaCha20. Compiled only when the toolchain probe
-//               passes (GFWSIM_HAVE_X86_SIMD) and skipped entirely under
+//   kReference  slow, obviously-correct kernels, always compiled in:
+//               FIPS 197 AES rounds, bit-by-bit GF(2^128) multiply,
+//               single-block ChaCha core, 26-bit per-block Poly1305.
+//   kPortable   batched plain C++: interleaved T-table AES, 4-block
+//               GHASH on widened Shoup tables, 4-lane interleaved
+//               ChaCha20, radix-2^44 Poly1305 two blocks per step.
+//   kSimd       x86-64 kernels picked at runtime: 8-block AES-NI, PCLMUL
+//               4-block GHASH, 4-lane SSE2 or 8-lane AVX2 ChaCha20.
+//               Compiled only when the toolchain probe passes
+//               (GFWSIM_HAVE_X86_SIMD) and not at all under
 //               -DGFW_FORCE_REF_CRYPTO=ON.
 //
 // Each algorithm dispatches to min(best tier its features allow,
 // kernel_tier_cap()). The cap defaults to kSimd; tests and the per-tier
-// bench arms lower it to pin a specific tier, and the forced-reference
-// CI build compiles with all SIMD tiers absent so the portable tiers
-// cannot bit-rot on machines where dispatch normally hides them.
+// bench arms lower it to pin a tier, and the forced-reference CI build
+// drops the SIMD tiers so the portable ones cannot bit-rot.
 #pragma once
 
 #include <atomic>
@@ -37,8 +33,8 @@ const char* tier_name(KernelTier tier);
 struct CpuFeatures {
   bool aesni = false;   // AES + SSE2 (the 8-block AESENC kernel)
   bool pclmul = false;  // PCLMULQDQ + SSSE3 (aggregated GHASH folds)
-  bool sse2 = false;    // baseline for the 4-way ChaCha kernel
-  bool avx2 = false;    // pshufb-rotation ChaCha variant
+  bool sse2 = false;    // baseline for the 4-lane ChaCha kernel
+  bool avx2 = false;    // the 8-lane ymm ChaCha kernel
 };
 
 // Detected once at startup; all-false when the SIMD kernels were not
@@ -76,7 +72,7 @@ class ScopedKernelTierCap {
 };
 
 // The tier each algorithm would dispatch to right now (features x cap).
-// Poly1305 has no SIMD tier; its batched portable kernel is the top.
+// Poly1305 has no SIMD tier; its radix-2^44 portable kernel is the top.
 struct KernelTiers {
   KernelTier aes = KernelTier::kReference;
   KernelTier ghash = KernelTier::kReference;

@@ -53,12 +53,17 @@ Bytes hkdf(ByteSpan ikm, ByteSpan salt, ByteSpan info, std::size_t length) {
   return hkdf_expand<H>(hkdf_extract<H>(salt, ikm), info, length);
 }
 
-// The exact construction Shadowsocks AEAD uses for session subkeys.
-inline Bytes ss_subkey(ByteSpan master_key, ByteSpan salt) {
-  static constexpr char kInfo[] = "ss-subkey";
-  return hkdf<Sha1>(master_key, salt,
-                    ByteSpan(reinterpret_cast<const std::uint8_t*>(kInfo), sizeof(kInfo) - 1),
-                    master_key.size());
-}
+// The exact construction Shadowsocks AEAD uses for session subkeys. Both
+// ends of a connection, and every GFW replay of its first packet, derive
+// from the same (master, salt), so each thread keeps a fixed memo of
+// kSsSubkeyMemoSlots direct-mapped slots (about 25 KiB). A hit needs the
+// master key and salt to match byte for byte and returns HKDF's exact
+// bytes; keys or salts over 32 bytes bypass it.
+Bytes ss_subkey(ByteSpan master_key, ByteSpan salt);
+
+inline constexpr std::size_t kSsSubkeyMemoSlots = 256;
+
+// The memo slot `salt` maps to (exposed so tests can build collisions).
+std::size_t ss_subkey_memo_slot(ByteSpan salt);
 
 }  // namespace gfwsim::crypto

@@ -69,7 +69,7 @@ void Md5::process_block(const std::uint8_t* block) {
 void Md5::update(ByteSpan data) {
   total_len_ += data.size();
   std::size_t offset = 0;
-  if (buffer_len_ > 0) {
+  if (buffer_len_ > 0 && !data.empty()) {
     const std::size_t take = std::min(kBlockSize - buffer_len_, data.size());
     std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
     buffer_len_ += take;

@@ -8,49 +8,71 @@ namespace gfwsim::crypto {
 
 namespace {
 
-// out = a * b mod 2^130 - 5, both operands and the result as fully
-// carried 26-bit limbs. Same schoolbook + 5*b folding + carry chain as
-// the per-block multiply; used only to precompute the r powers.
-void mul_mod(const std::uint32_t a[5], const std::uint32_t b[5], std::uint32_t out[5]) {
-  const std::uint64_t r0 = b[0], r1 = b[1], r2 = b[2], r3 = b[3], r4 = b[4];
-  const std::uint64_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
-  const std::uint64_t h0 = a[0], h1 = a[1], h2 = a[2], h3 = a[3], h4 = a[4];
+__extension__ typedef unsigned __int128 u128;
 
-  std::uint64_t d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
-  std::uint64_t d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
-  std::uint64_t d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
-  std::uint64_t d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
-  std::uint64_t d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
+constexpr std::uint64_t kMask44 = 0xfffffffffff;  // limbs at bits 0, 44, 88
+constexpr std::uint64_t kMask42 = 0x3ffffffffff;
 
-  std::uint64_t c;
-  c = d0 >> 26; d0 &= 0x03ffffff; d1 += c;
-  c = d1 >> 26; d1 &= 0x03ffffff; d2 += c;
-  c = d2 >> 26; d2 &= 0x03ffffff; d3 += c;
-  c = d3 >> 26; d3 &= 0x03ffffff; d4 += c;
-  c = d4 >> 26; d4 &= 0x03ffffff; d0 += c * 5;
-  c = d0 >> 26; d0 &= 0x03ffffff; d1 += c;
+// Splits a 16-byte block into 44/44/42-bit limbs; hibit is the 2^128
+// pad bit at its position in the top limb.
+inline void load_block44(const std::uint8_t* m, std::uint64_t hibit, std::uint64_t out[3]) {
+  const std::uint64_t t0 = load_le64(m);
+  const std::uint64_t t1 = load_le64(m + 8);
+  out[0] = t0 & kMask44;
+  out[1] = ((t0 >> 44) | (t1 << 20)) & kMask44;
+  out[2] = ((t1 >> 24) & kMask42) | hibit;
+}
 
-  out[0] = static_cast<std::uint32_t>(d0);
-  out[1] = static_cast<std::uint32_t>(d1);
-  out[2] = static_cast<std::uint32_t>(d2);
-  out[3] = static_cast<std::uint32_t>(d3);
-  out[4] = static_cast<std::uint32_t>(d4);
+// d += a * r as uncarried column sums; products at 2^132 and up fold back
+// times 20 (2^132 = 4 * 2^130 = 4 * 5 mod p). Limbs under 2^46 keep a
+// column of two such products far inside 128 bits.
+inline void mul_add44(const std::uint64_t a[3], const std::uint64_t r[3], u128 d[3]) {
+  const std::uint64_t s1 = r[1] * 20, s2 = r[2] * 20;
+  d[0] += static_cast<u128>(a[0]) * r[0] + static_cast<u128>(a[1]) * s2 +
+          static_cast<u128>(a[2]) * s1;
+  d[1] += static_cast<u128>(a[0]) * r[1] + static_cast<u128>(a[1]) * r[0] +
+          static_cast<u128>(a[2]) * s2;
+  d[2] += static_cast<u128>(a[0]) * r[2] + static_cast<u128>(a[1]) * r[1] +
+          static_cast<u128>(a[2]) * r[0];
+}
+
+// Partial carry of column sums into limbs of 44, 44(+1) and 42 bits; the
+// top limb's overflow at 2^130 folds back times 5.
+inline void carry44(const u128 d[3], std::uint64_t h[3]) {
+  const u128 d1 = d[1] + static_cast<std::uint64_t>(d[0] >> 44);
+  const u128 d2 = d[2] + static_cast<std::uint64_t>(d1 >> 44);
+  h[0] = (static_cast<std::uint64_t>(d[0]) & kMask44) + static_cast<std::uint64_t>(d2 >> 42) * 5;
+  h[1] = (static_cast<std::uint64_t>(d1) & kMask44) + (h[0] >> 44);
+  h[2] = static_cast<std::uint64_t>(d2) & kMask42;
+  h[0] &= kMask44;
 }
 
 }  // namespace
 
 Poly1305::Poly1305(ByteSpan key) {
   if (key.size() != kKeySize) throw std::invalid_argument("Poly1305: key must be 32 bytes");
-  // Clamp r (RFC 8439 2.5.1) and split into 26-bit limbs.
-  const std::uint32_t t0 = load_le32(key.data());
-  const std::uint32_t t1 = load_le32(key.data() + 4);
-  const std::uint32_t t2 = load_le32(key.data() + 8);
-  const std::uint32_t t3 = load_le32(key.data() + 12);
-  r_[0] = t0 & 0x03ffffff;
-  r_[1] = ((t0 >> 26) | (t1 << 6)) & 0x03ffff03;
-  r_[2] = ((t1 >> 20) | (t2 << 12)) & 0x03ffc0ff;
-  r_[3] = ((t2 >> 14) | (t3 << 18)) & 0x03f03fff;
-  r_[4] = (t3 >> 8) & 0x000fffff;
+  radix44_ = poly1305_dispatch_tier() != KernelTier::kReference;
+  if (radix44_) {
+    // Clamp r (RFC 8439 2.5.1) and split into 44/44/42-bit limbs.
+    load_block44(key.data(), 0, r44_);
+    r44_[0] &= 0xffc0fffffff;
+    r44_[1] &= 0xfffffc0ffff;
+    r44_[2] &= 0x00ffffffc0f;
+    u128 d[3] = {};
+    mul_add44(r44_, r44_, d);
+    carry44(d, r2_);
+  } else {
+    // Clamp r and split into 26-bit limbs.
+    const std::uint32_t t0 = load_le32(key.data());
+    const std::uint32_t t1 = load_le32(key.data() + 4);
+    const std::uint32_t t2 = load_le32(key.data() + 8);
+    const std::uint32_t t3 = load_le32(key.data() + 12);
+    r_[0] = t0 & 0x03ffffff;
+    r_[1] = ((t0 >> 26) | (t1 << 6)) & 0x03ffff03;
+    r_[2] = ((t1 >> 20) | (t2 << 12)) & 0x03ffc0ff;
+    r_[3] = ((t2 >> 14) | (t3 << 18)) & 0x03f03fff;
+    r_[4] = (t3 >> 8) & 0x000fffff;
+  }
   std::memcpy(s_, key.data() + 16, 16);
 }
 
@@ -94,90 +116,59 @@ void Poly1305::process_block(const std::uint8_t block[16], std::uint8_t pad_bit)
   h_[4] = static_cast<std::uint32_t>(d4);
 }
 
-void Poly1305::compute_powers() {
-  mul_mod(r_, r_, r2_);
-  mul_mod(r2_, r_, r3_);
-  mul_mod(r3_, r_, r4_);
-  powers_ready_ = true;
+void Poly1305::process_blocks44(const std::uint8_t* blocks, std::size_t n,
+                                std::uint8_t pad_bit) {
+  const std::uint64_t hibit = static_cast<std::uint64_t>(pad_bit) << 40;
+  // Two blocks per step: h' = (h + m0) r^2 + m1 r. The m1 product is off
+  // the serial multiply-and-carry chain, which so advances 32 bytes at a
+  // time. Locals, not members, so the byte loads cannot alias the state.
+  const std::uint64_t r[3] = {r44_[0], r44_[1], r44_[2]};
+  const std::uint64_t r2[3] = {r2_[0], r2_[1], r2_[2]};
+  std::uint64_t h[3] = {h44_[0], h44_[1], h44_[2]};
+  for (; n >= 2; n -= 2, blocks += 32) {
+    std::uint64_t m0[3], m1[3];
+    load_block44(blocks, hibit, m0);
+    load_block44(blocks + 16, hibit, m1);
+    for (int j = 0; j < 3; ++j) m0[j] += h[j];
+    u128 d[3] = {};
+    mul_add44(m0, r2, d);
+    mul_add44(m1, r, d);
+    carry44(d, h);
+  }
+  if (n == 1) {
+    std::uint64_t m0[3];
+    load_block44(blocks, hibit, m0);
+    for (int j = 0; j < 3; ++j) m0[j] += h[j];
+    u128 d[3] = {};
+    mul_add44(m0, r, d);
+    carry44(d, h);
+  }
+  std::memcpy(h44_, h, sizeof(h));
 }
 
-void Poly1305::process_blocks4(const std::uint8_t* blocks) {
-  std::uint64_t m[4][5];
-  for (int k = 0; k < 4; ++k) {
-    const std::uint8_t* p = blocks + 16 * k;
-    const std::uint32_t t0 = load_le32(p);
-    const std::uint32_t t1 = load_le32(p + 4);
-    const std::uint32_t t2 = load_le32(p + 8);
-    const std::uint32_t t3 = load_le32(p + 12);
-    m[k][0] = t0 & 0x03ffffff;
-    m[k][1] = ((t0 >> 26) | (t1 << 6)) & 0x03ffffff;
-    m[k][2] = ((t1 >> 20) | (t2 << 12)) & 0x03ffffff;
-    m[k][3] = ((t2 >> 14) | (t3 << 18)) & 0x03ffffff;
-    m[k][4] = (t3 >> 8) | (1u << 24);
+void Poly1305::absorb(const std::uint8_t* blocks, std::size_t n, std::uint8_t pad_bit) {
+  if (radix44_) {
+    process_blocks44(blocks, n, pad_bit);
+    return;
   }
-  for (int j = 0; j < 5; ++j) m[0][j] += h_[j];
-
-  // d = (h+m0)*r^4 + m1*r^3 + m2*r^2 + m3*r with the carries of all
-  // four products deferred: each accumulator limb sums 20 terms bounded
-  // by 2^27 * (5 * 2^26) < 2^55.4, total < 2^59.8 — comfortably inside
-  // a u64 — before the one shared carry chain below.
-  std::uint64_t d0 = 0, d1 = 0, d2 = 0, d3 = 0, d4 = 0;
-  const std::uint32_t* pw[4] = {r4_, r3_, r2_, r_};
-  for (int k = 0; k < 4; ++k) {
-    const std::uint64_t r0 = pw[k][0], r1 = pw[k][1], r2 = pw[k][2], r3 = pw[k][3],
-                        r4 = pw[k][4];
-    const std::uint64_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
-    const std::uint64_t h0 = m[k][0], h1 = m[k][1], h2 = m[k][2], h3 = m[k][3],
-                        h4 = m[k][4];
-    d0 += h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
-    d1 += h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
-    d2 += h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
-    d3 += h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
-    d4 += h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
-  }
-
-  std::uint64_t c;
-  c = d0 >> 26; d0 &= 0x03ffffff; d1 += c;
-  c = d1 >> 26; d1 &= 0x03ffffff; d2 += c;
-  c = d2 >> 26; d2 &= 0x03ffffff; d3 += c;
-  c = d3 >> 26; d3 &= 0x03ffffff; d4 += c;
-  c = d4 >> 26; d4 &= 0x03ffffff; d0 += c * 5;
-  c = d0 >> 26; d0 &= 0x03ffffff; d1 += c;
-
-  h_[0] = static_cast<std::uint32_t>(d0);
-  h_[1] = static_cast<std::uint32_t>(d1);
-  h_[2] = static_cast<std::uint32_t>(d2);
-  h_[3] = static_cast<std::uint32_t>(d3);
-  h_[4] = static_cast<std::uint32_t>(d4);
+  for (; n > 0; --n, blocks += 16) process_block(blocks, pad_bit);
 }
 
 void Poly1305::update(ByteSpan data) {
   std::size_t offset = 0;
-  if (buffer_len_ > 0) {
+  if (buffer_len_ > 0 && !data.empty()) {
     const std::size_t take = std::min<std::size_t>(16 - buffer_len_, data.size());
     std::memcpy(buffer_ + buffer_len_, data.data(), take);
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 16) {
-      process_block(buffer_, 1);
+      absorb(buffer_, 1, 1);
       buffer_len_ = 0;
     }
   }
-  // Batched path: four blocks per pass whenever at least 64 aligned-to-
-  // block bytes remain. Skipped when the kernel tier is capped at
-  // reference, which forces the original per-block loop below.
-  if (data.size() - offset >= 64 &&
-      poly1305_dispatch_tier() != KernelTier::kReference) {
-    if (!powers_ready_) compute_powers();
-    while (data.size() - offset >= 64) {
-      process_blocks4(data.data() + offset);
-      offset += 64;
-    }
-  }
-  while (offset + 16 <= data.size()) {
-    process_block(data.data() + offset, 1);
-    offset += 16;
-  }
+  const std::size_t whole = (data.size() - offset) / 16;
+  absorb(data.data() + offset, whole, 1);
+  offset += 16 * whole;
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;
     std::memcpy(buffer_, data.data() + offset, buffer_len_);
@@ -190,11 +181,24 @@ Poly1305::Tag Poly1305::finish() {
     std::uint8_t block[16] = {};
     std::memcpy(block, buffer_, buffer_len_);
     block[buffer_len_] = 1;
-    process_block(block, 0);
+    absorb(block, 1, 0);
     buffer_len_ = 0;
   }
+  if (radix44_) {
+    // Hand h to the reference tier's final reduction: regroup the 44-bit
+    // limbs (the middle one may carry a bit past 44) into 26-bit ones.
+    u128 t = h44_[0] + (static_cast<u128>(h44_[1]) << 44);
+    for (int i = 0; i < 5; ++i) {
+      if (i == 2) t += static_cast<u128>(h44_[2]) << 36;  // 2^88 = 2^52 * 2^36
+      h_[i] = static_cast<std::uint32_t>(i == 4 ? t : t & 0x03ffffff);
+      t >>= 26;
+    }
+    std::memset(h44_, 0, sizeof(h44_));
+  }
+  return finish_reference();
+}
 
-  // Full carry, then compute h + -p and select.
+Poly1305::Tag Poly1305::finish_reference() {
   std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
   std::uint32_t c;
   c = h1 >> 26; h1 &= 0x03ffffff; h2 += c;

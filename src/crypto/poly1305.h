@@ -26,24 +26,24 @@ class Poly1305 {
   }
 
  private:
-  void process_block(const std::uint8_t block[16], std::uint8_t pad_bit);
-  // Four full blocks per pass: (h+m0)*r^4 + m1*r^3 + m2*r^2 + m3*r with
-  // the carries of the four products deferred into one shared carry
-  // chain (the same final reduction process_block uses). An exact
-  // regrouping of four sequential process_block calls mod 2^130 - 5.
-  void process_blocks4(const std::uint8_t* blocks);
-  // Lazily computes r^2..r^4 before the first batched pass, so short
-  // (single-block) messages never pay for the precomputation.
-  void compute_powers();
+  // Absorbs n 16-byte blocks; pad_bit is the 2^128 bit (0 for the padded tail).
+  void absorb(const std::uint8_t* blocks, std::size_t n, std::uint8_t pad_bit);
 
-  // 26-bit limb representation of the accumulator and clamped r.
+  // Reference tier, the oracle: 26-bit limbs, one block per call. Its
+  // final reduction also finishes the portable tier's accumulator.
+  void process_block(const std::uint8_t block[16], std::uint8_t pad_bit);
+  Tag finish_reference();
+  // Portable tier: 44/44/42-bit limbs with 128-bit products (9
+  // multiplies a block instead of 25), two blocks per step.
+  void process_blocks44(const std::uint8_t* blocks, std::size_t n, std::uint8_t pad_bit);
+
+  // Chosen at construction, so one message never mixes limb formats.
+  bool radix44_ = false;
   std::uint32_t r_[5]{};
   std::uint32_t h_[5]{};
-  // r^2..r^4 for the batched path (fully carried 26-bit limbs).
-  std::uint32_t r2_[5]{};
-  std::uint32_t r3_[5]{};
-  std::uint32_t r4_[5]{};
-  bool powers_ready_ = false;
+  std::uint64_t r44_[3]{};
+  std::uint64_t r2_[3]{};  // r^2
+  std::uint64_t h44_[3]{};
   std::uint8_t s_[16]{};
   std::uint8_t buffer_[16]{};
   std::size_t buffer_len_ = 0;

@@ -53,8 +53,8 @@ void ghash_fold4(std::uint64_t& yhi, std::uint64_t& ylo, const std::uint8_t bloc
 // 4 x 64 bytes of keystream, lane-major.
 void chacha20_blocks4_sse2(const std::uint32_t state[16], const std::uint32_t w12[4],
                            const std::uint32_t w13[4], std::uint8_t out[256]);
-// Same contract, pshufb rotations (dispatched when AVX2 is present).
-void chacha20_blocks4_avx2(const std::uint32_t state[16], const std::uint32_t w12[4],
-                           const std::uint32_t w13[4], std::uint8_t out[256]);
+// Same contract over eight states in ymm registers: 8 x 64 bytes.
+void chacha20_blocks8_avx2(const std::uint32_t state[16], const std::uint32_t w12[8],
+                           const std::uint32_t w13[8], std::uint8_t out[512]);
 
 }  // namespace gfwsim::crypto::simd

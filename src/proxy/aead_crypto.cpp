@@ -1,5 +1,6 @@
 #include "proxy/aead_crypto.h"
 
+#include <array>
 #include <stdexcept>
 #include <variant>
 
@@ -21,21 +22,21 @@ struct AeadSession::Impl {
   std::variant<AesGcm, ChaCha20Poly1305> aead;
   std::uint64_t counter = 0;
 
-  Bytes nonce() const {
-    Bytes n(kNonceLen, 0);
+  std::array<std::uint8_t, kNonceLen> nonce() const {
+    std::array<std::uint8_t, kNonceLen> n{};
     store_le64(n.data(), counter);
     return n;
   }
 
   Bytes seal(ByteSpan plaintext) {
-    const Bytes n = nonce();
+    const auto n = nonce();
     Bytes out = std::visit([&](const auto& a) { return a.seal(n, plaintext); }, aead);
     ++counter;
     return out;
   }
 
   std::optional<Bytes> open(ByteSpan sealed) {
-    const Bytes n = nonce();
+    const auto n = nonce();
     auto out = std::visit([&](const auto& a) { return a.open(n, sealed); }, aead);
     if (out.has_value()) ++counter;
     return out;

@@ -24,11 +24,12 @@ Bytes sequential_key() {
 
 TEST(ChaCha20, Rfc8439BlockFunction) {
   // RFC 8439 section 2.3.2: key 00..1f, nonce 000000090000004a00000000,
-  // counter 1.
+  // counter 1. XOR-ing 64 zero bytes exposes the raw keystream block.
   const Bytes key = sequential_key();
   const Bytes nonce = unhex("000000090000004a00000000");
-  const auto block = ChaCha20::block(key, nonce, 1);
-  EXPECT_EQ(hex_encode(ByteSpan(block.data(), block.size())),
+  ChaCha20 stream(key, nonce, 1);
+  const Bytes block = stream.transform(Bytes(64, 0));
+  EXPECT_EQ(hex_encode(block),
             "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
             "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e");
 }

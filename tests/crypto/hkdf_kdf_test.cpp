@@ -1,10 +1,14 @@
 // RFC 5869 HKDF vectors and EVP_BytesToKey behaviour tests.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "crypto/bytes.h"
 #include "crypto/hkdf.h"
 #include "crypto/kdf.h"
 #include "crypto/md5.h"
+#include "crypto/rng.h"
 #include "crypto/sha256.h"
 
 namespace gfwsim::crypto {
@@ -79,6 +83,89 @@ TEST(SsSubkey, DifferentSaltsGiveDifferentKeys) {
   const Bytes master(32, 0xaa);
   Bytes salt_a(32, 0x01), salt_b(32, 0x02);
   EXPECT_NE(ss_subkey(master, salt_a), ss_subkey(master, salt_b));
+}
+
+// ---- Per-thread subkey memo ----------------------------------------------
+
+Bytes reference_subkey(ByteSpan master, ByteSpan salt) {
+  return hkdf<Sha1>(master, salt, to_bytes("ss-subkey"), master.size());
+}
+
+TEST(SsSubkeyMemo, HitEqualsHkdfByteForByte) {
+  Rng rng(0x5b1e);
+  for (const std::size_t len : {16u, 24u, 32u}) {
+    const Bytes master = rng.bytes(len);
+    const Bytes salt = rng.bytes(len);
+    const Bytes expected = reference_subkey(master, salt);
+    EXPECT_EQ(ss_subkey(master, salt), expected) << "miss, len=" << len;
+    EXPECT_EQ(ss_subkey(master, salt), expected) << "hit, len=" << len;
+  }
+  // Longer than a memo slot holds: derived directly, still exact.
+  const Bytes long_master = rng.bytes(48);
+  const Bytes long_salt = rng.bytes(64);
+  EXPECT_EQ(ss_subkey(long_master, long_salt), reference_subkey(long_master, long_salt));
+  EXPECT_EQ(ss_subkey(long_master, long_salt), reference_subkey(long_master, long_salt));
+}
+
+TEST(SsSubkeyMemo, OneSaltUnderTwoMasterKeys) {
+  Rng rng(0x3a57);
+  const Bytes master_a = rng.bytes(32);
+  const Bytes master_b = rng.bytes(32);
+  const Bytes salt = rng.bytes(32);
+  const Bytes want_a = reference_subkey(master_a, salt);
+  const Bytes want_b = reference_subkey(master_b, salt);
+  ASSERT_NE(want_a, want_b);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(ss_subkey(master_a, salt), want_a) << "round " << round;
+    EXPECT_EQ(ss_subkey(master_b, salt), want_b) << "round " << round;
+  }
+  // A shorter master key that is a prefix of the cached one is its own entry.
+  const Bytes prefix(master_a.begin(), master_a.begin() + 16);
+  EXPECT_EQ(ss_subkey(prefix, salt), reference_subkey(prefix, salt));
+}
+
+TEST(SsSubkeyMemo, CollidingSaltsEvictEachOther) {
+  Rng rng(0xc011);
+  const Bytes master = rng.bytes(32);
+  const Bytes salt_a = rng.bytes(32);
+  Bytes salt_b = rng.bytes(32);
+  while (ss_subkey_memo_slot(salt_b) != ss_subkey_memo_slot(salt_a) || salt_b == salt_a) {
+    salt_b = rng.bytes(32);
+  }
+  const Bytes want_a = reference_subkey(master, salt_a);
+  const Bytes want_b = reference_subkey(master, salt_b);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(ss_subkey(master, salt_a), want_a) << "round " << round;
+    EXPECT_EQ(ss_subkey(master, salt_b), want_b) << "round " << round;
+  }
+}
+
+TEST(SsSubkeyMemo, ConcurrentThreadsAgreeWithSerial) {
+  Rng rng(0x7417);
+  const Bytes master = rng.bytes(32);
+  // Twice the slot count, so the threads also evict as they go.
+  std::vector<Bytes> salts;
+  std::vector<Bytes> expected;
+  for (std::size_t i = 0; i < 2 * kSsSubkeyMemoSlots; ++i) {
+    salts.push_back(rng.bytes(32));
+    expected.push_back(reference_subkey(master, salts.back()));
+  }
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Overlapping windows: each thread starts a quarter further in and
+      // walks every salt three times.
+      const std::size_t n = salts.size();
+      for (std::size_t k = 0; k < 3 * n; ++k) {
+        const std::size_t i = (k + static_cast<std::size_t>(t) * n / kThreads) % n;
+        if (ss_subkey(master, salts[i]) != expected[i]) ++mismatches[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 TEST(EvpBytesToKey, MatchesMd5ChainDefinition) {

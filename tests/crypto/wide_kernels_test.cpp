@@ -1,18 +1,21 @@
-// Edge-case sweeps for the batched wide kernels (PR: batched AES-NI/GCM
-// and 4-way ChaCha20/Poly1305 behind the tier-dispatch harness).
+// Edge-case sweeps for the batched wide kernels behind the tier-dispatch
+// harness: AES-NI/GCM, 4- and 8-lane ChaCha20, radix-2^44 Poly1305.
 //
 // Every test pins the kernel-tier cap (ScopedKernelTierCap) and checks
 // the portable-batched and SIMD tiers byte-for-byte against the
 // reference tier at every lane occupancy the batch loops can see
-// (1..8 AES blocks per aes_encrypt_blocks call, 1..4 ChaCha states per
-// 256-byte pass), every tail length 0..129 bytes, unaligned buffers,
-// in-place transforms, and counter wrap for both ChaCha variants. On
+// (1..8 AES blocks per aes_encrypt_blocks call, 1..8 ChaCha states per
+// 256- or 512-byte pass), every tail length 0..129 bytes, unaligned
+// buffers, in-place and split transforms, and counter wrap in every lane
+// for both ChaCha variants. On
 // hosts without the SIMD extensions the kSimd cap degrades to the
 // portable tier, so the sweeps still pass (they just cross-check
 // portable against reference twice).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "crypto/aes.h"
@@ -23,6 +26,10 @@
 #include "crypto/gcm.h"
 #include "crypto/poly1305.h"
 #include "crypto/rng.h"
+
+#ifdef GFWSIM_HAVE_X86_SIMD
+#include "crypto/simd_kernels.h"
+#endif
 
 namespace gfwsim::crypto {
 namespace {
@@ -135,9 +142,9 @@ TEST(WideKernels, AesCtrAllTailLengthsAndWrap) {
 
 // ---- ChaCha20 -------------------------------------------------------------
 
-// Lane occupancies 1..4 of the 4-way batch (256-byte passes) plus every
-// tail length 0..129, for both the IETF and legacy variants, checked
-// against the reference tier. Includes in-place operation.
+// Lane occupancies 1..8 of the 4- and 8-way passes (256 or 512 bytes)
+// plus every tail length 0..129, for both the IETF and legacy variants,
+// checked against the reference tier. Includes in-place operation.
 TEST(WideKernels, ChaChaAllLaneOccupanciesAndTails) {
   Rng rng(0xc4a0b1);
   const Bytes key = rng.bytes(32);
@@ -145,8 +152,9 @@ TEST(WideKernels, ChaChaAllLaneOccupanciesAndTails) {
     const Bytes nonce = rng.bytes(nonce_len);
     std::vector<std::size_t> lengths;
     for (std::size_t n = 0; n <= 129; ++n) lengths.push_back(n);
-    // 1..4 full states per batch pass, with and without spill.
-    for (const std::size_t n : {192u, 255u, 256u, 257u, 320u, 511u, 512u, 513u, 1024u}) {
+    // Full and partial passes of either width, with and without spill.
+    for (const std::size_t n : {192u, 255u, 256u, 257u, 320u, 511u, 512u, 513u, 1023u, 1024u,
+                                1025u, 1549u}) {
       lengths.push_back(n);
     }
     for (const std::size_t len : lengths) {
@@ -175,52 +183,131 @@ TEST(WideKernels, ChaChaAllLaneOccupanciesAndTails) {
   }
 }
 
-// Counter wrap inside a 4-block batch: the IETF variant wraps its 32-bit
-// counter word, the legacy variant carries into the high word. Start two
-// blocks before the wrap so the batch straddles it.
+// Counter wrap inside a pass: the IETF variant wraps its 32-bit counter
+// word, the legacy variant carries into the high word. Starting k blocks
+// before the wrap, k = 1..8, puts the wrap in every lane of an 8-lane
+// pass (lane k, or lane 0 of the next pass for k = 8) and in every lane
+// of a 4-lane pass.
 TEST(WideKernels, ChaChaCounterWrapInsideBatch) {
   Rng rng(0x9f113d);
   const Bytes key = rng.bytes(32);
   struct Case {
     std::size_t nonce_len;
-    std::uint64_t initial;
+    std::uint64_t wrap;  // first counter value after the wrap or carry
   };
   const Case cases[] = {
-      {12, 0xfffffffeull},            // IETF: wraps word 12 mid-batch
-      {8, 0xfffffffffffffffeull},     // legacy: carries into word 13
-      {8, 0x00000000fffffffeull},     // legacy: low-word carry only
+      {12, 0x100000000ull},  // IETF: wraps word 12
+      {8, 0},                // legacy: 64-bit counter wraps to zero
+      {8, 0x100000000ull},   // legacy: low-word carry into word 13
   };
   for (const Case& c : cases) {
     const Bytes nonce = rng.bytes(c.nonce_len);
-    const Bytes data = rng.bytes(64 * 6 + 13);
-    Bytes expected(data.size());
-    {
-      ScopedKernelTierCap pin(KernelTier::kReference);
-      ChaCha20 ref(key, nonce, c.initial);
-      ref.transform(data, expected.data());
-    }
-    for (const KernelTier cap : kCaps) {
-      ScopedKernelTierCap pin(cap);
-      ChaCha20 cc(key, nonce, c.initial);
-      EXPECT_EQ(cc.transform(data), expected)
-          << "nonce=" << c.nonce_len << " ctr=" << c.initial << " cap=" << tier_name(cap);
+    const Bytes data = rng.bytes(64 * 17 + 13);
+    for (std::uint64_t k = 1; k <= 8; ++k) {
+      const std::uint64_t initial = c.wrap - k;
+      Bytes expected(data.size());
+      {
+        ScopedKernelTierCap pin(KernelTier::kReference);
+        ChaCha20 ref(key, nonce, initial);
+        ref.transform(data, expected.data());
+      }
+      for (const KernelTier cap : kCaps) {
+        ScopedKernelTierCap pin(cap);
+        ChaCha20 cc(key, nonce, initial);
+        EXPECT_EQ(cc.transform(data), expected)
+            << "nonce=" << c.nonce_len << " ctr=" << initial << " cap=" << tier_name(cap);
+      }
     }
   }
 }
 
+// One stream fed in two pieces, cut one byte either side of every block
+// boundary (64k +- 1) and every 8-lane pass boundary (512k +- 1), so the
+// second call starts from each possible buffered-keystream offset.
+TEST(WideKernels, ChaChaSplitTransformsAtBlockAndPassBoundaries) {
+  Rng rng(0x5011c7);
+  const Bytes key = rng.bytes(32);
+  const Bytes data = rng.bytes(1549);
+  std::vector<std::size_t> cuts;
+  for (std::size_t k = 1; 64 * k + 1 <= data.size(); ++k) {
+    cuts.push_back(64 * k - 1);
+    cuts.push_back(64 * k + 1);
+  }
+  for (std::size_t k = 1; 512 * k + 1 <= data.size(); ++k) {
+    cuts.push_back(512 * k - 1);
+    cuts.push_back(512 * k + 1);
+  }
+  for (const std::size_t nonce_len : {12u, 8u}) {
+    const Bytes nonce = rng.bytes(nonce_len);
+    Bytes expected(data.size());
+    {
+      ScopedKernelTierCap pin(KernelTier::kReference);
+      ChaCha20 ref(key, nonce);
+      ref.transform(data, expected.data());
+    }
+    for (const KernelTier cap : kCaps) {
+      ScopedKernelTierCap pin(cap);
+      for (const std::size_t cut : cuts) {
+        ChaCha20 c(key, nonce);
+        Bytes out(data.size());
+        c.transform(ByteSpan(data.data(), cut), out.data());
+        c.transform(ByteSpan(data.data() + cut, data.size() - cut), out.data() + cut);
+        EXPECT_EQ(out, expected) << "nonce=" << nonce_len << " cut=" << cut
+                                 << " cap=" << tier_name(cap);
+      }
+    }
+  }
+}
+
+#ifdef GFWSIM_HAVE_X86_SIMD
+// The 4-lane SSE2 kernel, called directly: AVX2 hosts dispatch to the
+// 8-lane kernel, so no other test reaches it there. Lanes carry their own
+// counter words, including an IETF wrap and a legacy carry mid-pass.
+TEST(WideKernels, ChaChaSse2KernelMatchesReference) {
+  if (!cpu_features().sse2) GTEST_SKIP() << "no SSE2";
+  Rng rng(0x55e2);
+  const Bytes key = rng.bytes(32);
+  for (const std::size_t nonce_len : {12u, 8u}) {
+    const Bytes nonce = rng.bytes(nonce_len);
+    for (const std::uint64_t initial : {0ull, 0xfffffffeull, 0x1fffffffdull}) {
+      std::uint32_t state[16] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+      for (int i = 0; i < 8; ++i) state[4 + i] = load_le32(key.data() + 4 * i);
+      state[14] = load_le32(nonce.data() + nonce_len - 8);
+      state[15] = load_le32(nonce.data() + nonce_len - 4);
+      std::uint32_t w12[4], w13[4];
+      for (std::uint32_t l = 0; l < 4; ++l) {
+        const std::uint64_t counter = initial + l;
+        w12[l] = static_cast<std::uint32_t>(counter);
+        w13[l] = nonce_len == 12 ? load_le32(nonce.data())
+                                 : static_cast<std::uint32_t>(counter >> 32);
+      }
+      std::uint8_t out[256];
+      simd::chacha20_blocks4_sse2(state, w12, w13, out);
+      Bytes expected(256);
+      {
+        ScopedKernelTierCap pin(KernelTier::kReference);
+        ChaCha20 ref(key, nonce, initial);
+        expected = ref.transform(Bytes(256, 0));
+      }
+      EXPECT_EQ(Bytes(out, out + 256), expected)
+          << "nonce=" << nonce_len << " ctr=" << initial;
+    }
+  }
+}
+#endif
+
 // ---- Poly1305 -------------------------------------------------------------
 
-// Batched (4 blocks, deferred carries) vs per-block reference tags at
-// every length 0..129 plus multi-batch sizes, including split updates
-// that land mid-block so the batch path starts from the buffered state.
+// Radix-2^44 tags (two blocks per step against r^2) vs the 26-bit
+// per-block reference at every length 0..2048, one-shot and in three
+// updates cut mid-block, so the 2-block loop starts from every buffered
+// state and ends on every odd/even block count.
 TEST(WideKernels, Poly1305BatchAllTailLengths) {
   Rng rng(0x77ac21);
   const Bytes key = rng.bytes(32);
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 129; ++n) lengths.push_back(n);
-  for (const std::size_t n : {192u, 256u, 1024u, 1037u}) lengths.push_back(n);
-  for (const std::size_t len : lengths) {
-    const Bytes data = rng.bytes(len);
+  const Bytes all = rng.bytes(2048);
+  for (std::size_t len = 0; len <= 2048; ++len) {
+    const ByteSpan data(all.data(), len);
     Poly1305::Tag expected;
     {
       ScopedKernelTierCap pin(KernelTier::kReference);
@@ -231,10 +318,108 @@ TEST(WideKernels, Poly1305BatchAllTailLengths) {
       EXPECT_EQ(Poly1305::mac(key, data), expected)
           << "len=" << len << " cap=" << tier_name(cap);
       Poly1305 p(key);
-      const std::size_t cut = len % 37;
-      p.update(ByteSpan(data.data(), cut));
-      p.update(ByteSpan(data.data() + cut, len - cut));
+      const std::size_t cut1 = len % 37;
+      const std::size_t cut2 = cut1 + (len - cut1) / 2;
+      p.update(data.subspan(0, cut1));
+      p.update(data.subspan(cut1, cut2 - cut1));
+      p.update(data.subspan(cut2));
       EXPECT_EQ(p.finish(), expected) << "split len=" << len << " cap=" << tier_name(cap);
+    }
+  }
+}
+
+// Inputs that drive the accumulator to its limits: the largest clamped r,
+// an all-0xff s (the tag addition carries out of every byte), and
+// all-0xff or all-zero messages at every length up to 16 blocks. With
+// r = 1, two all-0xff blocks leave h = 2 * (2^129 - 1) = 2^130 - 2, in
+// [p, 2^130), so the final reduction must fold h back below p.
+TEST(WideKernels, Poly1305AdversarialAccumulator) {
+  Bytes r_one(32, 0xff);
+  r_one[0] = 0x01;
+  std::fill(r_one.begin() + 1, r_one.begin() + 16, 0x00);
+  for (const Bytes& key : {Bytes(32, 0xff), r_one}) {
+    for (const std::uint8_t fill : {0xffu, 0x00u}) {
+      for (std::size_t len = 0; len <= 256; ++len) {
+        const Bytes data(len, fill);
+        Poly1305::Tag expected;
+        {
+          ScopedKernelTierCap pin(KernelTier::kReference);
+          expected = Poly1305::mac(key, data);
+        }
+        for (const KernelTier cap : kCaps) {
+          ScopedKernelTierCap pin(cap);
+          EXPECT_EQ(Poly1305::mac(key, data), expected)
+              << "r0=" << int{key[0]} << " fill=" << int{fill} << " len=" << len
+              << " cap=" << tier_name(cap);
+        }
+      }
+    }
+  }
+  // h = 2^130 - 2 reduces to 3; plus s = 2^128 - 1 gives 2 mod 2^128.
+  for (const KernelTier cap : kCaps) {
+    ScopedKernelTierCap pin(cap);
+    const auto tag = Poly1305::mac(r_one, Bytes(32, 0xff));
+    EXPECT_EQ(hex_encode(ByteSpan(tag.data(), tag.size())), "02" + std::string(30, '0'))
+        << "cap=" << tier_name(cap);
+  }
+}
+
+// RFC 8439 Appendix A.3 vectors whose inputs are short enough to
+// transcribe exactly. Each must pass on the reference tier before it is
+// checked on the others, so a transcription slip fails loudly instead of
+// pinning a wrong tag.
+TEST(WideKernels, Poly1305Rfc8439AppendixA3) {
+  const auto unhex = [](std::string_view s) { return *hex_decode(s); };
+  const std::string ff16(32, 'f');
+  struct Vector {
+    int number;
+    std::string key, msg, tag;
+  };
+  const Vector vectors[] = {
+      {1, std::string(64, '0'), std::string(128, '0'), std::string(32, '0')},
+      {5, "02" + std::string(62, '0'), ff16, "03" + std::string(30, '0')},
+      {6, "02" + std::string(30, '0') + ff16, "02" + std::string(30, '0'),
+       "03" + std::string(30, '0')},
+      {7, "01" + std::string(62, '0'),
+       ff16 + "f0" + std::string(30, 'f') + "11" + std::string(30, '0'),
+       "05" + std::string(30, '0')},
+      {8, "01" + std::string(62, '0'),
+       ff16 + "fb" + [] {
+         std::string fe;
+         for (int i = 0; i < 15; ++i) fe += "fe";
+         return fe;
+       }() + [] {
+         std::string ones;
+         for (int i = 0; i < 16; ++i) ones += "01";
+         return ones;
+       }(),
+       std::string(32, '0')},
+      {9, "02" + std::string(62, '0'), "fd" + std::string(30, 'f'),
+       "fa" + std::string(30, 'f')},
+      {10, "0100000000000000" "0400000000000000" + std::string(32, '0'),
+       "e33594d7505e43b9" "0000000000000000" "3394d7505e4379cd" "0100000000000000"
+       + std::string(32, '0') + "01" + std::string(30, '0'),
+       "1400000000000000" "5500000000000000"},
+      {11, "0100000000000000" "0400000000000000" + std::string(32, '0'),
+       "e33594d7505e43b9" "0000000000000000" "3394d7505e4379cd" "0100000000000000"
+       + std::string(32, '0'),
+       "1300000000000000" "0000000000000000"},
+  };
+  for (const Vector& v : vectors) {
+    const Bytes key = unhex(v.key);
+    const Bytes msg = unhex(v.msg);
+    ASSERT_EQ(key.size(), 32u) << "vector " << v.number;
+    {
+      ScopedKernelTierCap pin(KernelTier::kReference);
+      const auto tag = Poly1305::mac(key, msg);
+      ASSERT_EQ(hex_encode(ByteSpan(tag.data(), tag.size())), v.tag)
+          << "reference tier, vector " << v.number;
+    }
+    for (const KernelTier cap : kCaps) {
+      ScopedKernelTierCap pin(cap);
+      const auto tag = Poly1305::mac(key, msg);
+      EXPECT_EQ(hex_encode(ByteSpan(tag.data(), tag.size())), v.tag)
+          << "vector " << v.number << " cap=" << tier_name(cap);
     }
   }
 }
@@ -297,12 +482,14 @@ TEST(WideKernels, GcmSealOpenCrossTier) {
   }
 }
 
-// ChaCha20-Poly1305 AEAD across tiers (exercises the 4-way keystream and
-// the batched Poly1305 together through the RFC 8439 construction).
+// ChaCha20-Poly1305 AEAD across tiers (exercises the wide keystream, with
+// the Poly1305 key block taken from the same pass, and the radix-2^44
+// Poly1305 together through the RFC 8439 construction).
 TEST(WideKernels, ChaChaPolySealOpenCrossTier) {
   Rng rng(0x2c6d90);
   const ChaCha20Poly1305 aead(rng.bytes(32));
-  for (const std::size_t len : {0u, 1u, 63u, 64u, 65u, 129u, 256u, 257u, 1024u}) {
+  for (const std::size_t len : {0u, 1u, 2u, 63u, 64u, 65u, 129u, 256u, 257u, 447u, 448u, 449u,
+                                1024u, 1549u}) {
     const Bytes nonce = rng.bytes(ChaCha20Poly1305::kNonceSize);
     const Bytes aad = rng.bytes(len % 13);
     const Bytes pt = rng.bytes(len);
