@@ -175,6 +175,33 @@ void BM_FirstPacketBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FirstPacketBuild);
 
+// Building one session's cipher from its subkey: AES key expansion, H
+// and its powers for GCM; a key copy for ChaCha20-Poly1305. Registered
+// per AEAD method in main() as BM_AeadSessionSetup/<method>.
+void BM_AeadSessionSetup(benchmark::State& state, const proxy::CipherSpec& spec) {
+  crypto::Rng rng(8);
+  const Bytes subkey = rng.bytes(spec.key_len);
+  for (auto _ : state) {
+    if (spec.algo == proxy::CipherAlgo::kAesGcm) {
+      crypto::AesGcm gcm(subkey);
+      benchmark::DoNotOptimize(&gcm);
+    } else {
+      crypto::ChaCha20Poly1305 aead(subkey);
+      benchmark::DoNotOptimize(&aead);
+    }
+  }
+}
+
+void register_session_setup() {
+  for (const proxy::CipherSpec* spec : proxy::all_ciphers()) {
+    if (spec->kind != proxy::CipherKind::kAead) continue;
+    const std::string name = "BM_AeadSessionSetup/" + std::string(spec->name);
+    benchmark::RegisterBenchmark(name.c_str(), [spec](benchmark::State& state) {
+      BM_AeadSessionSetup(state, *spec);
+    });
+  }
+}
+
 void BM_ShannonEntropy(benchmark::State& state) {
   crypto::Rng rng(7);
   const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
@@ -225,6 +252,7 @@ void register_all_tier_arms() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  register_session_setup();
   register_all_tier_arms();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -42,23 +42,28 @@ ChaCha20Poly1305::ChaCha20Poly1305(ByteSpan key) {
   std::memcpy(key_.data(), key.data(), kKeySize);
 }
 
-Bytes ChaCha20Poly1305::seal(ByteSpan nonce, ByteSpan plaintext, ByteSpan aad) const {
+void ChaCha20Poly1305::seal_into(ByteSpan nonce, ByteSpan plaintext, std::uint8_t* out,
+                                 ByteSpan aad) const {
   if (nonce.size() != kNonceSize) {
     throw std::invalid_argument("ChaCha20Poly1305: nonce must be 12 bytes");
   }
   std::uint8_t block0[64];
   ChaCha20 stream = start_stream(key_, nonce, block0);
-  Bytes out(plaintext.size() + kTagSize);
-  stream.transform(plaintext, out.data());
+  stream.transform(plaintext, out);
 
-  const auto tag = compute_tag(ByteSpan(block0, 32), aad, ByteSpan(out.data(), plaintext.size()));
-  std::memcpy(out.data() + plaintext.size(), tag.data(), kTagSize);
+  const auto tag = compute_tag(ByteSpan(block0, 32), aad, ByteSpan(out, plaintext.size()));
+  std::memcpy(out + plaintext.size(), tag.data(), kTagSize);
+}
+
+Bytes ChaCha20Poly1305::seal(ByteSpan nonce, ByteSpan plaintext, ByteSpan aad) const {
+  Bytes out(plaintext.size() + kTagSize);
+  seal_into(nonce, plaintext, out.data(), aad);
   return out;
 }
 
-std::optional<Bytes> ChaCha20Poly1305::open(ByteSpan nonce, ByteSpan sealed,
-                                            ByteSpan aad) const {
-  if (nonce.size() != kNonceSize || sealed.size() < kTagSize) return std::nullopt;
+bool ChaCha20Poly1305::open_into(ByteSpan nonce, ByteSpan sealed, std::uint8_t* out,
+                                 ByteSpan aad) const {
+  if (nonce.size() != kNonceSize || sealed.size() < kTagSize) return false;
   const std::size_t ct_len = sealed.size() - kTagSize;
   const ByteSpan ciphertext = sealed.subspan(0, ct_len);
   const ByteSpan tag = sealed.subspan(ct_len);
@@ -66,10 +71,17 @@ std::optional<Bytes> ChaCha20Poly1305::open(ByteSpan nonce, ByteSpan sealed,
   std::uint8_t block0[64];
   ChaCha20 stream = start_stream(key_, nonce, block0);
   const auto expected = compute_tag(ByteSpan(block0, 32), aad, ciphertext);
-  if (!ct_equal(ByteSpan(expected.data(), expected.size()), tag)) return std::nullopt;
+  if (!ct_equal(ByteSpan(expected.data(), expected.size()), tag)) return false;
 
-  Bytes plaintext(ct_len);
-  stream.transform(ciphertext, plaintext.data());
+  stream.transform(ciphertext, out);
+  return true;
+}
+
+std::optional<Bytes> ChaCha20Poly1305::open(ByteSpan nonce, ByteSpan sealed,
+                                            ByteSpan aad) const {
+  if (sealed.size() < kTagSize) return std::nullopt;
+  Bytes plaintext(sealed.size() - kTagSize);
+  if (!open_into(nonce, sealed, plaintext.data(), aad)) return std::nullopt;
   return plaintext;
 }
 

@@ -19,10 +19,17 @@ class ChaCha20Poly1305 {
 
   explicit ChaCha20Poly1305(ByteSpan key);
 
+  // Writes ciphertext || 16-byte tag to out[0, plaintext.size() + 16).
+  void seal_into(ByteSpan nonce, ByteSpan plaintext, std::uint8_t* out,
+                 ByteSpan aad = {}) const;
   // Returns ciphertext || 16-byte tag.
   Bytes seal(ByteSpan nonce, ByteSpan plaintext, ByteSpan aad = {}) const;
 
-  // Input is ciphertext || tag; nullopt on authentication failure.
+  // Input is ciphertext || tag. Writes the plaintext to
+  // out[0, sealed.size() - 16) and returns true, or returns false on
+  // authentication failure without writing to `out`.
+  bool open_into(ByteSpan nonce, ByteSpan sealed, std::uint8_t* out, ByteSpan aad = {}) const;
+  // Returns the plaintext; nullopt on authentication failure.
   std::optional<Bytes> open(ByteSpan nonce, ByteSpan sealed, ByteSpan aad = {}) const;
 
  private:

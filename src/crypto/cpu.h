@@ -7,8 +7,9 @@
 //               FIPS 197 AES rounds, bit-by-bit GF(2^128) multiply,
 //               single-block ChaCha core, 26-bit per-block Poly1305.
 //   kPortable   batched plain C++: interleaved T-table AES, 4-block
-//               GHASH on widened Shoup tables, 4-lane interleaved
-//               ChaCha20, radix-2^44 Poly1305 two blocks per step.
+//               GHASH on widened Shoup tables (the only tier that
+//               builds GHASH tables), 4-lane interleaved ChaCha20,
+//               radix-2^44 Poly1305 two blocks per step.
 //   kSimd       x86-64 kernels picked at runtime: 8-block AES-NI, PCLMUL
 //               4-block GHASH, 4-lane SSE2 or 8-lane AVX2 ChaCha20.
 //               Compiled only when the toolchain probe passes
@@ -16,9 +17,12 @@
 //               -DGFW_FORCE_REF_CRYPTO=ON.
 //
 // Each algorithm dispatches to min(best tier its features allow,
-// kernel_tier_cap()). The cap defaults to kSimd; tests and the per-tier
-// bench arms lower it to pin a tier, and the forced-reference CI build
-// drops the SIMD tiers so the portable ones cannot bit-rot.
+// kernel_tier_cap()). AES and ChaCha20 read the cap on every call;
+// GHASH and Poly1305 read it once, when the AesGcm or Poly1305 object is
+// built, and keep that tier for the object's life (an AesGcm builds only
+// its own tier's key material). The cap defaults to kSimd; tests and the
+// per-tier bench arms lower it to pin a tier, and the forced-reference
+// CI build drops the SIMD tiers so the portable ones cannot bit-rot.
 #pragma once
 
 #include <atomic>
@@ -49,9 +53,9 @@ extern std::atomic<int> g_tier_cap;
 }
 
 // Global ceiling on dispatch, for tests and per-tier bench arms. Takes
-// effect on the next transform/seal/open call (kernels re-read it per
-// call); not intended to change while crypto is running on other
-// threads.
+// effect on the next AES or ChaCha20 call and on the next AesGcm or
+// Poly1305 built; not intended to change while crypto is running on
+// other threads.
 inline KernelTier kernel_tier_cap() {
   return static_cast<KernelTier>(detail::g_tier_cap.load(std::memory_order_relaxed));
 }

@@ -33,10 +33,14 @@ double shannon_entropy(ByteSpan data) {
 }
 
 double normalized_entropy(ByteSpan data) {
-  if (data.size() <= 1) return data.empty() ? 0.0 : 1.0;
-  const double max_bits = std::log2(static_cast<double>(std::min<std::size_t>(256, data.size())));
+  return normalized_entropy(shannon_entropy(data), data.size());
+}
+
+double normalized_entropy(double bits, std::size_t len) {
+  if (len <= 1) return len == 0 ? 0.0 : 1.0;
+  const double max_bits = std::log2(static_cast<double>(std::min<std::size_t>(256, len)));
   if (max_bits <= 0.0) return 1.0;
-  return std::min(1.0, shannon_entropy(data) / max_bits);
+  return std::min(1.0, bits / max_bits);
 }
 
 double expected_uniform_entropy_reference(std::size_t len) {

@@ -22,6 +22,9 @@ double shannon_entropy(ByteSpan data);
 // log2(min(256, len)); in [0, 1]. Short uniform-random buffers score close
 // to 1 here even though their raw entropy is bounded by log2(len).
 double normalized_entropy(ByteSpan data);
+// The same from an already measured shannon_entropy() `bits` of a
+// `len`-byte buffer, bit-identical to normalized_entropy(data).
+double normalized_entropy(double bits, std::size_t len);
 
 // Expected empirical entropy of `len` i.i.d. uniform bytes. Useful as a
 // "looks like ciphertext" reference curve for classifiers. Served from a

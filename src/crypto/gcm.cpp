@@ -1,6 +1,6 @@
 #include "crypto/gcm.h"
 
-#include "crypto/cpu.h"
+#include <algorithm>
 
 #ifdef GFWSIM_HAVE_X86_SIMD
 #include "crypto/simd_kernels.h"
@@ -17,7 +17,8 @@ std::uint64_t load_lo(const std::uint8_t* p) { return load_be64(p + 8); }
 // the most significant bit and the reduction polynomial is
 // x^128 + x^7 + x^2 + x + 1 (R = 0xE1 << 120). This is the retained
 // bit-by-bit reference kernel — 128 shift/conditional-xor steps per call —
-// used only by ghash_reference() and the kernel cross-check tests.
+// behind the reference tier, ghash_reference(), and the one-off H^2..H^4
+// derivation of the faster tiers.
 void gf_mul_reference(std::uint64_t& zhi, std::uint64_t& zlo, std::uint64_t xhi,
                       std::uint64_t xlo, std::uint64_t yhi, std::uint64_t ylo) {
   std::uint64_t rhi = 0, rlo = 0;
@@ -25,14 +26,13 @@ void gf_mul_reference(std::uint64_t& zhi, std::uint64_t& zlo, std::uint64_t xhi,
   for (int half = 0; half < 2; ++half) {
     const std::uint64_t bits = half == 0 ? yhi : ylo;
     for (int i = 63; i >= 0; --i) {
-      if ((bits >> i) & 1) {
-        rhi ^= vhi;
-        rlo ^= vlo;
-      }
-      const bool carry = (vlo & 1) != 0;
+      // Masks instead of branches: the bits are key material.
+      const std::uint64_t take = 0 - ((bits >> i) & 1);
+      rhi ^= vhi & take;
+      rlo ^= vlo & take;
+      const std::uint64_t carry = 0xe100000000000000ull & (0 - (vlo & 1));
       vlo = (vlo >> 1) | (vhi << 63);
-      vhi >>= 1;
-      if (carry) vhi ^= 0xe100000000000000ull;
+      vhi = (vhi >> 1) ^ carry;
     }
   }
   zhi = rhi;
@@ -70,6 +70,14 @@ void inc32(Aes::Block& counter) {
   store_be32(counter.data() + 12, c + 1);
 }
 
+// J0 for a 96-bit IV: nonce || 0^31 || 1.
+Aes::Block initial_counter(ByteSpan nonce) {
+  Aes::Block j0{};
+  std::memcpy(j0.data(), nonce.data(), nonce.size());
+  j0[15] = 1;
+  return j0;
+}
+
 // out = a ^ b over one 16-byte block, as two 64-bit word xors.
 inline void xor_block16(std::uint8_t* out, const std::uint8_t* a, const std::uint8_t* b) {
   std::uint64_t a0, a1, b0, b1;
@@ -85,26 +93,34 @@ inline void xor_block16(std::uint8_t* out, const std::uint8_t* a, const std::uin
 
 }  // namespace
 
-AesGcm::AesGcm(ByteSpan key) : aes_(key) {
+AesGcm::AesGcm(ByteSpan key) : aes_(key), tier_(ghash_dispatch_tier()) {
   const Block zero{};
   h_ = aes_.encrypt_block(zero);
+  if (tier_ == KernelTier::kReference) return;
 
-  const U128 h{load_be64(h_.data()), load_be64(h_.data() + 8)};
-  fill_htable(htable_, h);
-  // H^2..H^4 via the table just built; their own tables power the
-  // four-blocks-per-reduction absorb loop.
-  const U128 h2 = gmult(htable_, h);
-  fill_htable(htable2_, h2);
-  const U128 h3 = gmult(htable_, h2);
-  fill_htable(htable3_, h3);
-  const U128 h4 = gmult(htable_, h3);
-  fill_htable(htable4_, h4);
-#ifdef GFWSIM_HAVE_X86_SIMD
-  if (cpu_features().pclmul) {
-    const simd::GhashU128 hpow[4] = {
-        {h4.hi, h4.lo}, {h3.hi, h3.lo}, {h2.hi, h2.lo}, {h.hi, h.lo}};
-    simd::ghash_init(hpow, ghash_key_x86_);
+  // H^1..H^4 for the four-block folds, by the reference multiply (three
+  // calls per key), so no tier builds a table just to take powers.
+  U128 hpow[4];
+  hpow[0] = {load_be64(h_.data()), load_be64(h_.data() + 8)};
+  for (int i = 1; i < 4; ++i) {
+    gf_mul_reference(hpow[i].hi, hpow[i].lo, hpow[i - 1].hi, hpow[i - 1].lo, hpow[0].hi,
+                     hpow[0].lo);
   }
+  if (tier_ == KernelTier::kPortable) {
+    auto tables = std::make_unique<HTables>();
+    fill_htable(tables->h1, hpow[0]);
+    fill_htable(tables->h2, hpow[1]);
+    fill_htable(tables->h3, hpow[2]);
+    fill_htable(tables->h4, hpow[3]);
+    tables_ = std::move(tables);
+    return;
+  }
+#ifdef GFWSIM_HAVE_X86_SIMD
+  const simd::GhashU128 key_pow[4] = {{hpow[3].hi, hpow[3].lo},
+                                      {hpow[2].hi, hpow[2].lo},
+                                      {hpow[1].hi, hpow[1].lo},
+                                      {hpow[0].hi, hpow[0].lo}};
+  simd::ghash_init(key_pow, ghash_key_x86_);
 #endif
 }
 
@@ -126,52 +142,6 @@ void AesGcm::fill_htable(HTable& table, U128 h) {
   }
 }
 
-// One GF(2^128) multiply by the table's subkey: one lookup per byte, with
-// kRem8bit folding the byte shifted out of the low end back into the top
-// on every step.
-AesGcm::U128 AesGcm::gmult(const HTable& table, U128 x) {
-  std::uint8_t xi[16];
-  store_be64(xi, x.hi);
-  store_be64(xi + 8, x.lo);
-
-  std::uint64_t zhi = table[xi[15]].hi;
-  std::uint64_t zlo = table[xi[15]].lo;
-  for (int cnt = 14; cnt >= 0; --cnt) {
-    const unsigned rem = static_cast<unsigned>(zlo) & 0xff;
-    zlo = (zhi << 56) | (zlo >> 8);
-    zhi = (zhi >> 8) ^ (static_cast<std::uint64_t>(kRem8bit.v[rem]) << 48);
-    zhi ^= table[xi[cnt]].hi;
-    zlo ^= table[xi[cnt]].lo;
-  }
-  return {zhi, zlo};
-}
-
-AesGcm::U128 AesGcm::gmult_pair(const HTable& t2, U128 a, const HTable& t1, U128 b) {
-  std::uint8_t ai[16], bi[16];
-  store_be64(ai, a.hi);
-  store_be64(ai + 8, a.lo);
-  store_be64(bi, b.hi);
-  store_be64(bi + 8, b.lo);
-
-  std::uint64_t zahi = t2[ai[15]].hi;
-  std::uint64_t zalo = t2[ai[15]].lo;
-  std::uint64_t zbhi = t1[bi[15]].hi;
-  std::uint64_t zblo = t1[bi[15]].lo;
-  for (int cnt = 14; cnt >= 0; --cnt) {
-    const unsigned rem_a = static_cast<unsigned>(zalo) & 0xff;
-    const unsigned rem_b = static_cast<unsigned>(zblo) & 0xff;
-    zalo = (zahi << 56) | (zalo >> 8);
-    zblo = (zbhi << 56) | (zblo >> 8);
-    zahi = (zahi >> 8) ^ (static_cast<std::uint64_t>(kRem8bit.v[rem_a]) << 48);
-    zbhi = (zbhi >> 8) ^ (static_cast<std::uint64_t>(kRem8bit.v[rem_b]) << 48);
-    zahi ^= t2[ai[cnt]].hi;
-    zalo ^= t2[ai[cnt]].lo;
-    zbhi ^= t1[bi[cnt]].hi;
-    zblo ^= t1[bi[cnt]].lo;
-  }
-  return {zahi ^ zbhi, zalo ^ zblo};
-}
-
 AesGcm::U128 AesGcm::gmult_quad(U128 a, U128 b, U128 c, U128 d) const {
   std::uint8_t ai[16], bi[16], ci[16], di[16];
   store_be64(ai, a.hi);
@@ -183,10 +153,11 @@ AesGcm::U128 AesGcm::gmult_quad(U128 a, U128 b, U128 c, U128 d) const {
   store_be64(di, d.hi);
   store_be64(di + 8, d.lo);
 
-  std::uint64_t zahi = htable4_[ai[15]].hi, zalo = htable4_[ai[15]].lo;
-  std::uint64_t zbhi = htable3_[bi[15]].hi, zblo = htable3_[bi[15]].lo;
-  std::uint64_t zchi = htable2_[ci[15]].hi, zclo = htable2_[ci[15]].lo;
-  std::uint64_t zdhi = htable_[di[15]].hi, zdlo = htable_[di[15]].lo;
+  const HTables& t = *tables_;
+  std::uint64_t zahi = t.h4[ai[15]].hi, zalo = t.h4[ai[15]].lo;
+  std::uint64_t zbhi = t.h3[bi[15]].hi, zblo = t.h3[bi[15]].lo;
+  std::uint64_t zchi = t.h2[ci[15]].hi, zclo = t.h2[ci[15]].lo;
+  std::uint64_t zdhi = t.h1[di[15]].hi, zdlo = t.h1[di[15]].lo;
   for (int cnt = 14; cnt >= 0; --cnt) {
     const unsigned rem_a = static_cast<unsigned>(zalo) & 0xff;
     const unsigned rem_b = static_cast<unsigned>(zblo) & 0xff;
@@ -200,21 +171,21 @@ AesGcm::U128 AesGcm::gmult_quad(U128 a, U128 b, U128 c, U128 d) const {
     zbhi = (zbhi >> 8) ^ (static_cast<std::uint64_t>(kRem8bit.v[rem_b]) << 48);
     zchi = (zchi >> 8) ^ (static_cast<std::uint64_t>(kRem8bit.v[rem_c]) << 48);
     zdhi = (zdhi >> 8) ^ (static_cast<std::uint64_t>(kRem8bit.v[rem_d]) << 48);
-    zahi ^= htable4_[ai[cnt]].hi;
-    zalo ^= htable4_[ai[cnt]].lo;
-    zbhi ^= htable3_[bi[cnt]].hi;
-    zblo ^= htable3_[bi[cnt]].lo;
-    zchi ^= htable2_[ci[cnt]].hi;
-    zclo ^= htable2_[ci[cnt]].lo;
-    zdhi ^= htable_[di[cnt]].hi;
-    zdlo ^= htable_[di[cnt]].lo;
+    zahi ^= t.h4[ai[cnt]].hi;
+    zalo ^= t.h4[ai[cnt]].lo;
+    zbhi ^= t.h3[bi[cnt]].hi;
+    zblo ^= t.h3[bi[cnt]].lo;
+    zchi ^= t.h2[ci[cnt]].hi;
+    zclo ^= t.h2[ci[cnt]].lo;
+    zdhi ^= t.h1[di[cnt]].hi;
+    zdlo ^= t.h1[di[cnt]].lo;
   }
   return {zahi ^ zbhi ^ zchi ^ zdhi, zalo ^ zblo ^ zclo ^ zdlo};
 }
 
 AesGcm::U128 AesGcm::fold4(U128 y, const std::uint8_t blocks[64]) const {
 #ifdef GFWSIM_HAVE_X86_SIMD
-  if (ghash_dispatch_tier() == KernelTier::kSimd) {
+  if (tier_ == KernelTier::kSimd) {
     simd::ghash_fold4(y.hi, y.lo, blocks, ghash_key_x86_);
     return y;
   }
@@ -228,7 +199,7 @@ AesGcm::U128 AesGcm::fold4(U128 y, const std::uint8_t blocks[64]) const {
 
 AesGcm::U128 AesGcm::absorb(U128 y, ByteSpan data) const {
   std::size_t offset = 0;
-  if (ghash_dispatch_tier() == KernelTier::kReference) {
+  if (tier_ == KernelTier::kReference) {
     const std::uint64_t hhi = load_be64(h_.data());
     const std::uint64_t hlo = load_be64(h_.data() + 8);
     while (offset < data.size()) {
@@ -251,41 +222,33 @@ AesGcm::U128 AesGcm::absorb(U128 y, ByteSpan data) const {
     y = fold4(y, data.data() + offset);
     offset += 64;
   }
-  while (data.size() - offset >= 32) {
-    const std::uint8_t* p = data.data() + offset;
-    const U128 a{y.hi ^ load_hi(p), y.lo ^ load_lo(p)};
-    const U128 b{load_hi(p + 16), load_lo(p + 16)};
-    y = gmult_pair(htable2_, a, htable_, b);
-    offset += 32;
-  }
-  while (offset < data.size()) {
-    const std::size_t take = std::min<std::size_t>(16, data.size() - offset);
-    if (take == 16) {
-      y.hi ^= load_hi(data.data() + offset);
-      y.lo ^= load_lo(data.data() + offset);
-    } else {
-      std::uint8_t block[16] = {};
-      std::memcpy(block, data.data() + offset, take);
-      y.hi ^= load_hi(block);
-      y.lo ^= load_lo(block);
-    }
-    y = gmult_table(y);
-    offset += take;
-  }
-  return y;
+  const std::size_t rem = data.size() - offset;
+  if (rem == 0) return y;
+  // The 1-3 blocks left (the last zero-padded) go right-aligned into
+  // four zero blocks with Y folded into the first real one, so the fold
+  // yields 0*H^4 ^ (Y ^ c1)*H^k ^ ... ^ ck*H: the k sequential steps,
+  // exactly, by linearity.
+  std::uint8_t blocks[64] = {};
+  std::uint8_t* first = blocks + 16 * (4 - (rem + 15) / 16);
+  std::memcpy(first, data.data() + offset, rem);
+  store_be64(first, load_hi(first) ^ y.hi);
+  store_be64(first + 8, load_lo(first) ^ y.lo);
+  return fold4({}, blocks);
 }
 
-AesGcm::Block AesGcm::ghash(ByteSpan aad, ByteSpan ciphertext) const {
-  U128 y = absorb(absorb({}, aad), ciphertext);
-
-  y.hi ^= static_cast<std::uint64_t>(aad.size()) * 8;
-  y.lo ^= static_cast<std::uint64_t>(ciphertext.size()) * 8;
-  y = gmult_table(y);
-
+AesGcm::Block AesGcm::finish(U128 y, std::size_t aad_len, std::size_t ct_len) const {
+  std::uint8_t lengths[16];
+  store_be64(lengths, static_cast<std::uint64_t>(aad_len) * 8);
+  store_be64(lengths + 8, static_cast<std::uint64_t>(ct_len) * 8);
+  y = absorb(y, ByteSpan(lengths, sizeof lengths));
   Block out{};
   store_be64(out.data(), y.hi);
   store_be64(out.data() + 8, y.lo);
   return out;
+}
+
+AesGcm::Block AesGcm::ghash(ByteSpan aad, ByteSpan ciphertext) const {
+  return finish(absorb(absorb({}, aad), ciphertext), aad.size(), ciphertext.size());
 }
 
 AesGcm::Block AesGcm::ghash_reference(ByteSpan aad, ByteSpan ciphertext) const {
@@ -346,7 +309,7 @@ AesGcm::U128 AesGcm::gctr_ghash(Block counter, ByteSpan in, std::uint8_t* out,
   // reduction chain is still retiring. With the GHASH tier capped at
   // reference this loop is skipped and the tail path below does the
   // whole buffer per-block, matching that tier's semantics.
-  const bool ref_ghash = ghash_dispatch_tier() == KernelTier::kReference;
+  const bool ref_ghash = tier_ == KernelTier::kReference;
   while (!ref_ghash && in.size() - offset >= 128) {
     std::uint8_t ctrs[128];
     for (int b = 0; b < 8; ++b) {
@@ -401,61 +364,48 @@ AesGcm::U128 AesGcm::gctr_ghash(Block counter, ByteSpan in, std::uint8_t* out,
   return y;
 }
 
-Bytes AesGcm::seal(ByteSpan nonce, ByteSpan plaintext, ByteSpan aad) const {
+void AesGcm::seal_into(ByteSpan nonce, ByteSpan plaintext, std::uint8_t* out,
+                       ByteSpan aad) const {
   if (nonce.size() != kNonceSize) {
     throw std::invalid_argument("AesGcm: nonce must be 12 bytes");
   }
-  Block j0{};
-  std::memcpy(j0.data(), nonce.data(), nonce.size());
-  j0[15] = 1;
-
-  Bytes out(plaintext.size() + kTagSize);
+  const Block j0 = initial_counter(nonce);
   Block counter = j0;
   inc32(counter);
-  U128 y = absorb({}, aad);
-  y = gctr_ghash(counter, plaintext, out.data(), /*absorb_output=*/true, y);
+  const U128 y = gctr_ghash(counter, plaintext, out, /*absorb_output=*/true, absorb({}, aad));
+  const Block s = finish(y, aad.size(), plaintext.size());
+  gctr(j0, ByteSpan(s.data(), s.size()), out + plaintext.size());
+}
 
-  y.hi ^= static_cast<std::uint64_t>(aad.size()) * 8;
-  y.lo ^= static_cast<std::uint64_t>(plaintext.size()) * 8;
-  y = gmult_table(y);
-  Block s;
-  store_be64(s.data(), y.hi);
-  store_be64(s.data() + 8, y.lo);
-
-  std::uint8_t tag[kTagSize];
-  gctr(j0, ByteSpan(s.data(), s.size()), tag);
-  std::memcpy(out.data() + plaintext.size(), tag, kTagSize);
+Bytes AesGcm::seal(ByteSpan nonce, ByteSpan plaintext, ByteSpan aad) const {
+  Bytes out(plaintext.size() + kTagSize);
+  seal_into(nonce, plaintext, out.data(), aad);
   return out;
 }
 
-std::optional<Bytes> AesGcm::open(ByteSpan nonce, ByteSpan sealed, ByteSpan aad) const {
-  if (nonce.size() != kNonceSize || sealed.size() < kTagSize) return std::nullopt;
+bool AesGcm::open_into(ByteSpan nonce, ByteSpan sealed, std::uint8_t* out,
+                       ByteSpan aad) const {
+  if (nonce.size() != kNonceSize || sealed.size() < kTagSize) return false;
   const std::size_t ct_len = sealed.size() - kTagSize;
-  const ByteSpan ciphertext = sealed.subspan(0, ct_len);
-  const ByteSpan tag = sealed.subspan(ct_len);
-
-  Block j0{};
-  std::memcpy(j0.data(), nonce.data(), nonce.size());
-  j0[15] = 1;
-
-  // Decrypt and authenticate in one fused pass; the plaintext is only
-  // released if the tag verifies.
-  Bytes plaintext(ct_len);
+  const Block j0 = initial_counter(nonce);
   Block counter = j0;
   inc32(counter);
-  U128 y = absorb({}, aad);
-  y = gctr_ghash(counter, ciphertext, plaintext.data(), /*absorb_output=*/false, y);
-
-  y.hi ^= static_cast<std::uint64_t>(aad.size()) * 8;
-  y.lo ^= static_cast<std::uint64_t>(ct_len) * 8;
-  y = gmult_table(y);
-  Block s;
-  store_be64(s.data(), y.hi);
-  store_be64(s.data() + 8, y.lo);
-
+  // Decrypt and authenticate in one fused pass; the plaintext is wiped
+  // if the tag does not verify.
+  const U128 y =
+      gctr_ghash(counter, sealed.first(ct_len), out, /*absorb_output=*/false, absorb({}, aad));
+  const Block s = finish(y, aad.size(), ct_len);
   std::uint8_t expected_tag[kTagSize];
   gctr(j0, ByteSpan(s.data(), s.size()), expected_tag);
-  if (!ct_equal(ByteSpan(expected_tag, kTagSize), tag)) return std::nullopt;
+  if (ct_equal(ByteSpan(expected_tag, kTagSize), sealed.subspan(ct_len))) return true;
+  std::fill_n(out, ct_len, std::uint8_t{0});
+  return false;
+}
+
+std::optional<Bytes> AesGcm::open(ByteSpan nonce, ByteSpan sealed, ByteSpan aad) const {
+  if (sealed.size() < kTagSize) return std::nullopt;
+  Bytes plaintext(sealed.size() - kTagSize);
+  if (!open_into(nonce, sealed, plaintext.data(), aad)) return std::nullopt;
   return plaintext;
 }
 

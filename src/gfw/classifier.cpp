@@ -53,15 +53,17 @@ double PassiveClassifier::entropy_weight(ByteSpan payload) const {
   // cannot reach 8 bits/byte empirically, so use normalized entropy to
   // avoid penalizing short ciphertext.
   const double h = crypto::shannon_entropy(payload);
-  const double h_norm = crypto::normalized_entropy(payload);
+  const double h_norm = crypto::normalized_entropy(h, payload.size());
   const double effective = std::max(h / 8.0, h_norm);
   return 0.04 + 0.96 * effective * effective;
 }
 
 double PassiveClassifier::suspicion(ByteSpan first_payload) const {
   if (first_payload.empty()) return 0.0;
-  const double w =
-      length_weight(first_payload.size()) * entropy_weight(first_payload);
+  // A zero length weight zeroes the product whatever the entropy is, so
+  // the histogram is skipped.
+  const double lw = length_weight(first_payload.size());
+  const double w = lw == 0.0 ? 0.0 : lw * entropy_weight(first_payload);
   return std::clamp(config_.base_rate * w, 0.0, 1.0);
 }
 

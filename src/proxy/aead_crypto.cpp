@@ -28,18 +28,17 @@ struct AeadSession::Impl {
     return n;
   }
 
-  Bytes seal(ByteSpan plaintext) {
+  void seal_into(ByteSpan plaintext, std::uint8_t* out) {
     const auto n = nonce();
-    Bytes out = std::visit([&](const auto& a) { return a.seal(n, plaintext); }, aead);
+    std::visit([&](const auto& a) { a.seal_into(n, plaintext, out); }, aead);
     ++counter;
-    return out;
   }
 
-  std::optional<Bytes> open(ByteSpan sealed) {
+  bool open_into(ByteSpan sealed, std::uint8_t* out) {
     const auto n = nonce();
-    auto out = std::visit([&](const auto& a) { return a.open(n, sealed); }, aead);
-    if (out.has_value()) ++counter;
-    return out;
+    const bool ok = std::visit([&](const auto& a) { return a.open_into(n, sealed, out); }, aead);
+    if (ok) ++counter;
+    return ok;
   }
 };
 
@@ -67,26 +66,45 @@ AeadSession::~AeadSession() = default;
 AeadSession::AeadSession(AeadSession&&) noexcept = default;
 AeadSession& AeadSession::operator=(AeadSession&&) noexcept = default;
 
-Bytes AeadSession::seal(ByteSpan plaintext) { return impl_->seal(plaintext); }
-std::optional<Bytes> AeadSession::open(ByteSpan sealed) { return impl_->open(sealed); }
+void AeadSession::seal_into(ByteSpan plaintext, std::uint8_t* out) {
+  impl_->seal_into(plaintext, out);
+}
+
+Bytes AeadSession::seal(ByteSpan plaintext) {
+  Bytes out(plaintext.size() + kAeadTagLen);
+  seal_into(plaintext, out.data());
+  return out;
+}
+
+bool AeadSession::open_into(ByteSpan sealed, std::uint8_t* out) {
+  return impl_->open_into(sealed, out);
+}
+
+std::optional<Bytes> AeadSession::open(ByteSpan sealed) {
+  if (sealed.size() < kAeadTagLen) return std::nullopt;
+  Bytes plaintext(sealed.size() - kAeadTagLen);
+  if (!open_into(sealed, plaintext.data())) return std::nullopt;
+  return plaintext;
+}
 std::uint64_t AeadSession::nonce_counter() const { return impl_->counter; }
 
 Bytes AeadChunkWriter::encode(ByteSpan payload) {
-  Bytes out;
   // Exact output size: per chunk, a sealed length field (2 + tag) plus the
-  // sealed chunk (payload + tag). Sizing up front keeps the multi-chunk
-  // path to a single allocation.
+  // sealed chunk (payload + tag). Both seal straight into their slots.
   const std::size_t chunks =
       payload.empty() ? 1 : (payload.size() + kAeadMaxChunkPayload - 1) / kAeadMaxChunkPayload;
-  out.reserve(payload.size() + chunks * (kAeadLenFieldLen + 2 * kAeadTagLen));
+  Bytes out(payload.size() + chunks * (kAeadLenFieldLen + 2 * kAeadTagLen));
+  std::uint8_t* dst = out.data();
   std::size_t offset = 0;
   do {
     const std::size_t take =
         std::min<std::size_t>(kAeadMaxChunkPayload, payload.size() - offset);
     std::uint8_t len_field[kAeadLenFieldLen];
     store_be16(len_field, static_cast<std::uint16_t>(take));
-    append(out, session_.seal(ByteSpan(len_field, kAeadLenFieldLen)));
-    append(out, session_.seal(payload.subspan(offset, take)));
+    session_.seal_into(ByteSpan(len_field, kAeadLenFieldLen), dst);
+    dst += kAeadLenFieldLen + kAeadTagLen;
+    session_.seal_into(payload.subspan(offset, take), dst);
+    dst += take + kAeadTagLen;
     offset += take;
   } while (offset < payload.size());
   return out;
@@ -97,40 +115,53 @@ AeadChunkReader::AeadChunkReader(const CipherSpec& spec, ByteSpan master_key)
 
 AeadChunkReader::Status AeadChunkReader::feed(ByteSpan in, Bytes& out) {
   if (failed_) return Status::kAuthError;
-  append(buffer_, in);
+  // The stream continues from the held-back partial chunk, if any;
+  // otherwise it is read straight from `in`.
+  const bool held = !buffer_.empty();
+  if (held) append(buffer_, in);
+  const ByteSpan data = held ? ByteSpan(buffer_) : in;
+  std::size_t pos = 0;
 
-  if (!session_) {
-    if (buffer_.size() < spec_.iv_len) return Status::kNeedMore;
-    salt_.assign(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(spec_.iv_len));
-    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(spec_.iv_len));
+  if (!session_ && data.size() >= spec_.iv_len) {
+    salt_.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(spec_.iv_len));
+    pos = spec_.iv_len;
     session_ = std::make_unique<AeadSession>(spec_, master_key_, salt_);
   }
 
   bool produced = false;
-  for (;;) {
+  while (session_) {
     if (!pending_payload_len_) {
       const std::size_t need = kAeadLenFieldLen + kAeadTagLen;
-      if (buffer_.size() < need) break;
-      const auto opened = session_->open(ByteSpan(buffer_.data(), need));
-      if (!opened) {
+      if (data.size() - pos < need) break;
+      std::uint8_t len_field[kAeadLenFieldLen];
+      if (!session_->open_into(data.subspan(pos, need), len_field)) {
         failed_ = true;
         return Status::kAuthError;
       }
-      const std::size_t len = load_be16(opened->data()) & kAeadMaxChunkPayload;
-      pending_payload_len_ = len;
-      buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(need));
+      pending_payload_len_ = load_be16(len_field) & kAeadMaxChunkPayload;
+      pos += need;
     }
     const std::size_t need = *pending_payload_len_ + kAeadTagLen;
-    if (buffer_.size() < need) break;
-    const auto opened = session_->open(ByteSpan(buffer_.data(), need));
-    if (!opened) {
+    if (data.size() - pos < need) break;
+    const std::size_t at = out.size();
+    out.resize(at + *pending_payload_len_);
+    if (!session_->open_into(data.subspan(pos, need), out.data() + at)) {
+      out.resize(at);
       failed_ = true;
       return Status::kAuthError;
     }
-    append(out, *opened);
     produced = true;
     pending_payload_len_.reset();
-    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(need));
+    pos += need;
+  }
+
+  // Keep only the incomplete tail, and no capacity once nothing is held.
+  if (pos == data.size()) {
+    Bytes().swap(buffer_);
+  } else if (held) {
+    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(pos));
+  } else {
+    buffer_.assign(data.begin() + static_cast<std::ptrdiff_t>(pos), data.end());
   }
   return produced ? Status::kData : Status::kNeedMore;
 }

@@ -29,11 +29,16 @@ class AeadSession {
   AeadSession(AeadSession&&) noexcept;
   AeadSession& operator=(AeadSession&&) noexcept;
 
-  // Seals `plaintext`, returns ciphertext||tag, increments the nonce.
+  // Seals `plaintext` into out[0, plaintext.size() + kAeadTagLen) as
+  // ciphertext||tag and increments the nonce.
+  void seal_into(ByteSpan plaintext, std::uint8_t* out);
   Bytes seal(ByteSpan plaintext);
 
-  // Opens ciphertext||tag. On success increments the nonce; on failure
-  // the nonce is left unchanged (so a retry with more data is possible).
+  // Opens ciphertext||tag into out[0, sealed.size() - kAeadTagLen). On
+  // success increments the nonce; on failure returns false, releases no
+  // plaintext, and leaves the nonce unchanged (so a retry with more data
+  // is possible). `out` must not overlap `sealed`.
+  bool open_into(ByteSpan sealed, std::uint8_t* out);
   std::optional<Bytes> open(ByteSpan sealed);
 
   std::uint64_t nonce_counter() const;
@@ -58,6 +63,9 @@ class AeadChunkWriter {
 
 // Receiver-side framing: incremental chunk decoder.
 //
+// Chunks are opened straight from the fed bytes; only a trailing partial
+// chunk is copied aside, and that buffer is released once it drains.
+//
 // This is the *spec-compliant* reader (used by clients and the hardened
 // server). The version-specific server models implement their own buffering
 // policies directly on AeadSession, because their divergent wait thresholds
@@ -72,11 +80,12 @@ class AeadChunkReader {
     kAuthError,  // tag verification failed; stream is dead
   };
 
-  // Appends `in` to the internal buffer and decodes as many complete
-  // chunks as possible into `out` (appended).
+  // Decodes as many complete chunks as the buffered bytes plus `in` hold
+  // into `out` (appended), and buffers the incomplete remainder.
   Status feed(ByteSpan in, Bytes& out);
 
   bool salt_received() const { return session_ != nullptr; }
+  // Bytes held back for an incomplete salt or chunk; 0 at a chunk boundary.
   std::size_t buffered() const { return buffer_.size(); }
   // Salt observed on the wire (empty until received); replay filters key
   // on this value.

@@ -2,7 +2,9 @@
 
 #include "crypto/kdf.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace gfwsim::proxy {
 
@@ -57,17 +59,18 @@ Decryptor::Status Decryptor::feed(ByteSpan in, Bytes& out) {
     }
   }
 
-  // Stream construction: strip the IV, then decrypt continuously.
-  append(buffer_, in);
+  // Stream construction: collect the IV, then decrypt straight from `in`.
   if (!stream_) {
-    if (buffer_.size() < spec_.iv_len) return Status::kNeedMore;
-    iv_.assign(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(spec_.iv_len));
-    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(spec_.iv_len));
+    const std::size_t take = std::min(spec_.iv_len - iv_buffer_.size(), in.size());
+    iv_buffer_.insert(iv_buffer_.end(), in.begin(),
+                      in.begin() + static_cast<std::ptrdiff_t>(take));
+    in = in.subspan(take);
+    if (iv_buffer_.size() < spec_.iv_len) return Status::kNeedMore;
+    iv_ = std::exchange(iv_buffer_, Bytes());
     stream_.emplace(spec_, key_, iv_, StreamSession::Direction::kDecrypt);
   }
-  if (buffer_.empty()) return Status::kNeedMore;
-  append(out, stream_->process(buffer_));
-  buffer_.clear();
+  if (in.empty()) return Status::kNeedMore;
+  append(out, stream_->process(in));
   return Status::kData;
 }
 

@@ -58,7 +58,7 @@ class Decryptor {
   const CipherSpec& spec_;
   Bytes key_;
   Bytes iv_;
-  Bytes buffer_;
+  Bytes iv_buffer_;  // stream IV bytes seen so far, until it is complete
   std::optional<StreamSession> stream_;
   std::optional<AeadChunkReader> aead_;
 };

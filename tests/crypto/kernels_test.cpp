@@ -5,13 +5,14 @@
 // vectors: NIST / McGrew-Viega AES-GCM test cases for all three key
 // sizes, and the RFC 8439 ChaCha20-Poly1305 vector. The randomized
 // sections hammer the fast paths against the reference kernels across
-// lengths that exercise the two-blocks-per-round loop, the single-block
-// tail, and partial final blocks.
+// lengths that exercise the four-block folds, the zero-prefixed 1-3
+// block tails, and partial final blocks.
 #include <gtest/gtest.h>
 
 #include "crypto/aes.h"
 #include "crypto/bytes.h"
 #include "crypto/chacha20_poly1305.h"
+#include "crypto/cpu.h"
 #include "crypto/gcm.h"
 #include "crypto/rng.h"
 
@@ -139,10 +140,15 @@ TEST(KernelCrossCheck, AesBlockFastVsReference) {
 
 TEST(KernelCrossCheck, GhashTableVsReference) {
   Rng rng(0x6ba54);
-  const AesGcm gcm(rng.bytes(32));
-  // Sweep every length 0..64 plus larger odd sizes: covers the paired
-  // two-block loop, the lone-block tail, and partial blocks in both the
-  // AAD and ciphertext sections.
+  // Built under the portable cap: the only tier that keeps Shoup tables.
+  const AesGcm gcm = [&] {
+    ScopedKernelTierCap pin(KernelTier::kPortable);
+    return AesGcm(rng.bytes(32));
+  }();
+  ASSERT_EQ(gcm.ghash_tier(), KernelTier::kPortable);
+  // Sweep every length 0..64 plus larger odd sizes: covers the
+  // zero-prefixed 1-3 block tails and partial blocks in both the AAD
+  // and ciphertext sections.
   for (std::size_t ct_len = 0; ct_len <= 64; ++ct_len) {
     const Bytes aad = rng.bytes(ct_len % 23);
     const Bytes ct = rng.bytes(ct_len);

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -428,30 +429,56 @@ TEST(WideKernels, Poly1305Rfc8439AppendixA3) {
 
 // ghash() (quad-fold table / PCLMUL tiers) against ghash_reference()
 // (bit-by-bit multiply) at every aad/ct length combination that crosses
-// the 64-, 32-, and 16-byte chunk paths.
+// the 64-, 32-, and 16-byte chunk paths. The tier is fixed when the
+// object is built, so each cap gets its own object.
 TEST(WideKernels, GhashAllChunkPaths) {
   Rng rng(0x5eef3a);
-  const AesGcm gcm(rng.bytes(32));
-  for (std::size_t ct_len = 0; ct_len <= 129; ++ct_len) {
-    const Bytes aad = rng.bytes(ct_len % 23);
-    const Bytes ct = rng.bytes(ct_len);
-    const auto expected = gcm.ghash_reference(aad, ct);
-    for (const KernelTier cap : kCaps) {
-      ScopedKernelTierCap pin(cap);
-      EXPECT_EQ(gcm.ghash(aad, ct), expected)
+  const Bytes key = rng.bytes(32);
+  for (const KernelTier cap : kCaps) {
+    ScopedKernelTierCap pin(cap);
+    const AesGcm gcm(key);
+    ASSERT_EQ(gcm.ghash_tier(), ghash_dispatch_tier());
+    for (std::size_t ct_len = 0; ct_len <= 129; ++ct_len) {
+      const Bytes aad = rng.bytes(ct_len % 23);
+      const Bytes ct = rng.bytes(ct_len);
+      EXPECT_EQ(gcm.ghash(aad, ct), gcm.ghash_reference(aad, ct))
           << "ct_len=" << ct_len << " cap=" << tier_name(cap);
     }
   }
 }
 
-// Full seal/open across tiers: seal under each cap must produce the
-// reference tier's exact bytes, and open must round-trip and reject a
-// corrupted tag. Lengths cross the 128-byte fused loop, its 8-block CTR
+// The SIMD tier folds 1-3 block tails (and the length block) as
+// zero-prefixed four-block folds: every aad and ciphertext length pair
+// 0..129 lands each tail size in both sections. Lowering the cap after
+// construction must not move the object off its tier.
+TEST(WideKernels, GhashSimdTailsEveryLength) {
+  Rng rng(0x7a11);
+  std::optional<AesGcm> gcm;
+  {
+    ScopedKernelTierCap pin(KernelTier::kSimd);
+    gcm.emplace(rng.bytes(16));
+  }
+  ScopedKernelTierCap pin(KernelTier::kReference);
+  EXPECT_EQ(gcm->ghash_tier(), cpu_features().pclmul ? KernelTier::kSimd : KernelTier::kPortable);
+  const Bytes data = rng.bytes(2 * 129);
+  for (std::size_t aad_len = 0; aad_len <= 129; ++aad_len) {
+    for (std::size_t ct_len = 0; ct_len <= 129; ++ct_len) {
+      const ByteSpan aad(data.data(), aad_len);
+      const ByteSpan ct(data.data() + 129, ct_len);
+      ASSERT_EQ(gcm->ghash(aad, ct), gcm->ghash_reference(aad, ct))
+          << "aad_len=" << aad_len << " ct_len=" << ct_len;
+    }
+  }
+}
+
+// Full seal/open across tiers: an object built under each cap must seal
+// the reference tier's exact bytes, and open must round-trip and reject
+// a corrupted tag. Lengths cross the 128-byte fused loop, its 8-block CTR
 // tail, and partial final blocks.
 TEST(WideKernels, GcmSealOpenCrossTier) {
   Rng rng(0x81d2c7);
   for (const std::size_t key_len : {16u, 32u}) {
-    const AesGcm gcm(rng.bytes(key_len));
+    const Bytes key = rng.bytes(key_len);
     std::vector<std::size_t> lengths;
     for (std::size_t n = 0; n <= 129; ++n) lengths.push_back(n);
     for (const std::size_t n : {255u, 256u, 257u, 1024u, 1339u}) lengths.push_back(n);
@@ -462,10 +489,11 @@ TEST(WideKernels, GcmSealOpenCrossTier) {
       Bytes expected;
       {
         ScopedKernelTierCap pin(KernelTier::kReference);
-        expected = gcm.seal(nonce, pt, aad);
+        expected = AesGcm(key).seal(nonce, pt, aad);
       }
       for (const KernelTier cap : kCaps) {
         ScopedKernelTierCap pin(cap);
+        const AesGcm gcm(key);
         const Bytes sealed = gcm.seal(nonce, pt, aad);
         ASSERT_EQ(sealed, expected) << "len=" << len << " key=" << key_len
                                     << " cap=" << tier_name(cap);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "crypto/entropy.h"
 #include "gfw/classifier.h"
 
@@ -23,6 +26,41 @@ TEST(Classifier, MidBandHighEntropyIsTheSweetSpot) {
   const Bytes too_short = rng.bytes(40);
   EXPECT_GT(classifier.suspicion(in_band), classifier.suspicion(too_long));
   EXPECT_GT(classifier.suspicion(in_band), classifier.suspicion(too_short));
+}
+
+// The two-histogram formula suspicion() used before it measured the
+// entropy once: shannon_entropy() for the raw term and a second
+// histogram inside normalized_entropy(), spelled out here.
+double two_histogram_suspicion(const PassiveClassifier& c, ByteSpan payload) {
+  if (payload.empty()) return 0.0;
+  double entropy_weight = 1.0;
+  if (c.config().use_entropy_feature) {
+    const double h = crypto::shannon_entropy(payload);
+    double h_norm = 1.0;
+    if (payload.size() > 1) {
+      const double max_bits =
+          std::log2(static_cast<double>(std::min<std::size_t>(256, payload.size())));
+      h_norm = std::min(1.0, crypto::shannon_entropy(payload) / max_bits);
+    }
+    const double effective = std::max(h / 8.0, h_norm);
+    entropy_weight = 0.04 + 0.96 * effective * effective;
+  }
+  const double w = c.length_weight(payload.size()) * entropy_weight;
+  return std::clamp(c.config().base_rate * w, 0.0, 1.0);
+}
+
+TEST(Classifier, SuspicionMatchesTwoHistogramFormulaExactly) {
+  crypto::Rng rng(9);
+  ClassifierConfig no_length;
+  no_length.use_length_feature = false;
+  const PassiveClassifier classifiers[] = {PassiveClassifier{}, PassiveClassifier{no_length}};
+  for (std::size_t len = 1; len <= 2048; ++len) {
+    const crypto::EntropySource source(rng.uniform_real(0.0, 8.0), rng);
+    const Bytes payload = source.generate(len, rng);
+    for (const PassiveClassifier& c : classifiers) {
+      EXPECT_EQ(c.suspicion(payload), two_histogram_suspicion(c, payload)) << "len=" << len;
+    }
+  }
 }
 
 TEST(Classifier, StairStepRemainderPreference) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "crypto/hkdf.h"
 #include "crypto/rng.h"
 #include "proxy/aead_crypto.h"
@@ -76,6 +79,117 @@ TEST_P(AeadCipherSweep, ChunkWriterReaderRoundTrip) {
   EXPECT_EQ(reader.feed(wire, out), AeadChunkReader::Status::kData);
   EXPECT_EQ(out, msg);
   EXPECT_EQ(reader.salt(), salt);
+}
+
+// A reader's stream: the salt, then one encode() per payload. `boundaries`
+// holds the offset at which the salt and every sealed length or payload
+// chunk ends.
+struct ChunkedWire {
+  Bytes wire;
+  Bytes plain;
+  std::vector<std::size_t> boundaries;
+};
+
+ChunkedWire chunked_wire(const CipherSpec& spec, ByteSpan key, crypto::Rng& rng,
+                         const std::vector<std::size_t>& payload_sizes) {
+  ChunkedWire w;
+  w.wire = rng.bytes(spec.iv_len);
+  w.boundaries.push_back(w.wire.size());
+  AeadChunkWriter writer(spec, key, w.wire);
+  for (const std::size_t size : payload_sizes) {
+    const Bytes payload = rng.bytes(size);
+    append(w.wire, writer.encode(payload));
+    append(w.plain, payload);
+    std::size_t offset = 0;
+    do {
+      const std::size_t take = std::min(kAeadMaxChunkPayload, size - offset);
+      w.boundaries.push_back(w.boundaries.back() + kAeadLenFieldLen + kAeadTagLen);
+      w.boundaries.push_back(w.boundaries.back() + take + kAeadTagLen);
+      offset += take;
+    } while (offset < size);
+  }
+  EXPECT_EQ(w.boundaries.back(), w.wire.size());
+  return w;
+}
+
+// Payload sizes crossing the 0x3fff chunk limit, plus an empty chunk.
+const std::vector<std::size_t> kSplitSizes = {37, 0, kAeadMaxChunkPayload,
+                                              kAeadMaxChunkPayload + 1, 40000};
+
+TEST_P(AeadCipherSweep, ReaderSplitFeedsMatchOneShot) {
+  const auto* spec = find_cipher(GetParam());
+  crypto::Rng rng(210);
+  const Bytes key = aead_master_key(*spec, "password");
+  const ChunkedWire w = chunked_wire(*spec, key, rng, kSplitSizes);
+  {
+    AeadChunkReader reader(*spec, key);
+    Bytes out;
+    ASSERT_EQ(reader.feed(w.wire, out), AeadChunkReader::Status::kData);
+    ASSERT_EQ(out, w.plain);
+    EXPECT_EQ(reader.buffered(), 0u);
+  }
+  // Two feeds split at, one before and one after every chunk boundary.
+  for (const std::size_t boundary : w.boundaries) {
+    for (const std::size_t split : {boundary - 1, boundary, boundary + 1}) {
+      if (split > w.wire.size()) continue;
+      AeadChunkReader reader(*spec, key);
+      Bytes out;
+      const ByteSpan wire(w.wire);
+      EXPECT_NE(reader.feed(wire.first(split), out), AeadChunkReader::Status::kAuthError);
+      EXPECT_NE(reader.feed(wire.subspan(split), out), AeadChunkReader::Status::kAuthError);
+      ASSERT_EQ(out, w.plain) << "split=" << split;
+      EXPECT_EQ(reader.buffered(), 0u);
+    }
+  }
+  // Random multi-piece splits.
+  for (int trial = 0; trial < 16; ++trial) {
+    AeadChunkReader reader(*spec, key);
+    Bytes out;
+    std::size_t offset = 0;
+    while (offset < w.wire.size()) {
+      const std::size_t take =
+          std::min<std::size_t>(rng.uniform(1, 3000), w.wire.size() - offset);
+      ASSERT_NE(reader.feed(ByteSpan(w.wire).subspan(offset, take), out),
+                AeadChunkReader::Status::kAuthError);
+      offset += take;
+    }
+    ASSERT_EQ(out, w.plain) << "trial=" << trial;
+    EXPECT_EQ(reader.buffered(), 0u);
+  }
+}
+
+TEST_P(AeadCipherSweep, ReaderHoldsOnlyThePartialChunk) {
+  const auto* spec = find_cipher(GetParam());
+  crypto::Rng rng(211);
+  const Bytes key = aead_master_key(*spec, "password");
+  const ChunkedWire w = chunked_wire(*spec, key, rng, kSplitSizes);
+
+  AeadChunkReader reader(*spec, key);
+  Bytes out;
+  std::size_t start = 0;
+  for (const std::size_t end : w.boundaries) {
+    const std::size_t half = (end - start) / 2;
+    reader.feed(ByteSpan(w.wire).subspan(start, half), out);
+    EXPECT_EQ(reader.buffered(), half) << "chunk ending at " << end;
+    reader.feed(ByteSpan(w.wire).subspan(start + half, end - start - half), out);
+    EXPECT_EQ(reader.buffered(), 0u) << "chunk ending at " << end;
+    start = end;
+  }
+  EXPECT_EQ(out, w.plain);
+}
+
+TEST_P(AeadCipherSweep, ReaderFlippedByteAnywhereIsAuthError) {
+  const auto* spec = find_cipher(GetParam());
+  crypto::Rng rng(212);
+  const Bytes key = aead_master_key(*spec, "password");
+  const ChunkedWire w = chunked_wire(*spec, key, rng, {20, 45});
+  for (std::size_t pos = 0; pos < w.wire.size(); ++pos) {
+    Bytes tampered = w.wire;
+    tampered[pos] ^= 0x20;
+    AeadChunkReader reader(*spec, key);
+    Bytes out;
+    EXPECT_EQ(reader.feed(tampered, out), AeadChunkReader::Status::kAuthError) << "pos=" << pos;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAeadCiphers, AeadCipherSweep,

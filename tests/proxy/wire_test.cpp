@@ -51,6 +51,32 @@ TEST_P(WireSweep, FirstPacketRoundTripsThroughDecryptor) {
   }
 }
 
+// Splitting the stream anywhere in or just past the IV/salt, or feeding
+// it a byte at a time, decodes the same bytes as one feed.
+TEST_P(WireSweep, SplitFeedsMatchOneShot) {
+  const auto* spec = find_cipher(GetParam());
+  crypto::Rng rng(303);
+  const Bytes key = master_key(*spec, "hunter2");
+  Encryptor enc(*spec, key, rng);
+  const Bytes msg = rng.bytes(120);
+  const Bytes wire = enc.encrypt(msg);
+
+  for (std::size_t split = 0; split <= spec->iv_len + 60; ++split) {
+    Decryptor dec(*spec, key);
+    Bytes out;
+    dec.feed(ByteSpan(wire).first(split), out);
+    EXPECT_EQ(dec.header_received(), split >= spec->iv_len) << "split=" << split;
+    EXPECT_EQ(dec.iv_or_salt().empty(), split < spec->iv_len) << "split=" << split;
+    EXPECT_NE(dec.feed(ByteSpan(wire).subspan(split), out), Decryptor::Status::kAuthError);
+    EXPECT_EQ(out, msg) << "split=" << split;
+    EXPECT_EQ(dec.iv_or_salt(), enc.iv_or_salt());
+  }
+  Decryptor dec(*spec, key);
+  Bytes out;
+  for (std::size_t i = 0; i < wire.size(); ++i) dec.feed(ByteSpan(wire).subspan(i, 1), out);
+  EXPECT_EQ(out, msg);
+}
+
 INSTANTIATE_TEST_SUITE_P(Methods, WireSweep,
                          ::testing::Values("aes-256-cfb", "aes-128-ctr", "rc4-md5",
                                            "chacha20", "chacha20-ietf", "aes-128-gcm",
