@@ -3,13 +3,15 @@
 //
 // The BM_* benches below run whatever kernel tier the host dispatches
 // to (the production configuration). The custom main() additionally
-// registers BM_*Tier/<tier> arms for each AEAD kernel with the
+// registers BM_*Tier/<tier> arms for each AEAD kernel and SHA-1 with the
 // kernel-tier cap pinned, so one run compares the reference,
 // portable-batched, and SIMD-batched tiers side by side; arms whose
 // tier would silently degrade (e.g. "simd" on a host without AES-NI)
 // are skipped rather than reported twice.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "crypto/hkdf.h"
 #include "crypto/kdf.h"
 #include "crypto/md5.h"
+#include "crypto/poly1305.h"
 #include "crypto/rng.h"
 #include "crypto/sha1.h"
 #include "proxy/wire.h"
@@ -48,6 +51,31 @@ void BM_Sha1(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Sha1)->Arg(64)->Arg(1500)->Arg(16384);
+
+// Hashes whose input starts with the previous digest: each compression
+// waits on the one before, as HKDF's short HMACs do, so this measures
+// per-block latency rather than throughput. Registered per tier in main().
+void BM_Sha1Chain(benchmark::State& state) {
+  crypto::Rng rng(2);
+  Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const auto digest = crypto::Sha1::hash(data);
+    std::memcpy(data.data(), digest.data(), digest.size());
+  }
+  benchmark::DoNotOptimize(data.data());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+
+// A one-shot Poly1305 MAC; registered per tier in main().
+void BM_Poly1305(benchmark::State& state) {
+  crypto::Rng rng(9);
+  const Bytes key = rng.bytes(32);
+  const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::Poly1305::mac(key, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
 
 void BM_AesGcmSeal(benchmark::State& state) {
   crypto::Rng rng(3);
@@ -222,21 +250,20 @@ bool tier_is_real(crypto::KernelTier cap, crypto::KernelTier (*dispatch)()) {
 }
 
 template <typename Body>
-void register_tier_arms(const char* name, crypto::KernelTier (*dispatch)(),
-                        Body body) {
+void register_tier_arms(const char* name, crypto::KernelTier (*dispatch)(), Body body,
+                        std::initializer_list<std::int64_t> sizes = {1500, 16384}) {
   for (const crypto::KernelTier tier :
        {crypto::KernelTier::kReference, crypto::KernelTier::kPortable,
         crypto::KernelTier::kSimd}) {
     if (!tier_is_real(tier, dispatch)) continue;
     const std::string bench_name =
         std::string(name) + "Tier/" + crypto::tier_name(tier);
-    benchmark::RegisterBenchmark(bench_name.c_str(),
-                                 [tier, body](benchmark::State& state) {
-                                   crypto::ScopedKernelTierCap pin(tier);
-                                   body(state);
-                                 })
-        ->Arg(1500)
-        ->Arg(16384);
+    auto* bench = benchmark::RegisterBenchmark(bench_name.c_str(),
+                                               [tier, body](benchmark::State& state) {
+                                                 crypto::ScopedKernelTierCap pin(tier);
+                                                 body(state);
+                                               });
+    for (const std::int64_t size : sizes) bench->Arg(size);
   }
 }
 
@@ -247,6 +274,9 @@ void register_all_tier_arms() {
   register_tier_arms("BM_Ghash", crypto::ghash_dispatch_tier, BM_Ghash);
   register_tier_arms("BM_ChaChaPolySeal", crypto::chacha_dispatch_tier,
                      BM_ChaChaPolySeal);
+  register_tier_arms("BM_Poly1305", crypto::poly1305_dispatch_tier, BM_Poly1305,
+                     {64, 1500, 16384});
+  register_tier_arms("BM_Sha1", crypto::sha1_dispatch_tier, BM_Sha1Chain, {64});
 }
 
 }  // namespace
@@ -264,7 +294,8 @@ int main(int argc, char** argv) {
         std::string("aes=") + crypto::tier_name(tiers.aes) +
             " ghash=" + crypto::tier_name(tiers.ghash) +
             " chacha=" + crypto::tier_name(tiers.chacha) +
-            " poly1305=" + crypto::tier_name(tiers.poly1305));
+            " poly1305=" + crypto::tier_name(tiers.poly1305) +
+            " sha1=" + crypto::tier_name(tiers.sha1));
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

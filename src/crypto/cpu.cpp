@@ -21,11 +21,13 @@ const CpuFeatures& cpu_features() {
 #ifdef GFWSIM_HAVE_X86_SIMD
     // The compound gates match what the kernels are compiled with:
     // the AES kernel needs SSE2 loads/stores around AESENC, and the
-    // PCLMUL GHASH uses SSSE3 pshufb for its bit reflection.
+    // PCLMUL GHASH uses SSSE3 pshufb for its bit reflection, and the
+    // SHA-NI kernel byte-swaps with pshufb and reads E with pextrd.
     f.sse2 = __builtin_cpu_supports("sse2");
     f.aesni = __builtin_cpu_supports("aes") && f.sse2;
     f.pclmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("ssse3");
     f.avx2 = __builtin_cpu_supports("avx2");
+    f.sha = __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
 #endif
     return f;
   }();
@@ -44,6 +46,7 @@ std::string cpu_feature_string() {
   add(f.pclmul, "pclmul");
   add(f.sse2, "sse2");
   add(f.avx2, "avx2");
+  add(f.sha, "sha");
   return out.empty() ? "none" : out;
 }
 
@@ -64,8 +67,11 @@ KernelTier chacha_dispatch_tier() {
 }
 
 KernelTier poly1305_dispatch_tier() {
-  // The radix-2^44 kernel is plain C++; there is no SIMD tier above it.
-  return cap_tier(KernelTier::kPortable);
+  return cap_tier(cpu_features().avx2 ? KernelTier::kSimd : KernelTier::kPortable);
+}
+
+KernelTier sha1_dispatch_tier() {
+  return cap_tier(cpu_features().sha ? KernelTier::kSimd : KernelTier::kPortable);
 }
 
 KernelTiers active_kernel_tiers() {
@@ -74,6 +80,7 @@ KernelTiers active_kernel_tiers() {
   t.ghash = ghash_dispatch_tier();
   t.chacha = chacha_dispatch_tier();
   t.poly1305 = poly1305_dispatch_tier();
+  t.sha1 = sha1_dispatch_tier();
   return t;
 }
 

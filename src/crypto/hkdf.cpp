@@ -29,22 +29,22 @@ std::size_t ss_subkey_memo_slot(ByteSpan salt) {
 
 Bytes ss_subkey(ByteSpan master_key, ByteSpan salt) {
   static constexpr char kInfo[] = "ss-subkey";
-  const auto derive = [&] {
-    return hkdf<Sha1>(master_key, salt,
-                      ByteSpan(reinterpret_cast<const std::uint8_t*>(kInfo), sizeof(kInfo) - 1),
-                      master_key.size());
-  };
-  if (master_key.size() > kMemoMaxLen || salt.size() > kMemoMaxLen) return derive();
+  const ByteSpan info(reinterpret_cast<const std::uint8_t*>(kInfo), sizeof(kInfo) - 1);
+  if (master_key.size() > kMemoMaxLen || salt.size() > kMemoMaxLen) {
+    return hkdf<Sha1>(master_key, salt, info, master_key.size());
+  }
   SubkeyMemoSlot& slot = t_subkey_memo[ss_subkey_memo_slot(salt)];
   const bool hit = slot.filled && slot.master_len == master_key.size() &&
                    slot.salt_len == salt.size() &&
                    std::equal(master_key.begin(), master_key.end(), slot.master.begin()) &&
                    std::equal(salt.begin(), salt.end(), slot.salt.begin());
   if (!hit) {
-    const Bytes subkey = derive();
+    // A miss derives straight into the slot: the PRK and the expansion
+    // blocks live on the stack, so only the returned copy allocates.
+    hkdf_expand_into<Sha1>(hkdf_prk<Sha1>(salt, master_key), info, slot.subkey.data(),
+                           master_key.size());
     std::copy(master_key.begin(), master_key.end(), slot.master.begin());
     std::copy(salt.begin(), salt.end(), slot.salt.begin());
-    std::copy(subkey.begin(), subkey.end(), slot.subkey.begin());
     slot.master_len = static_cast<std::uint8_t>(master_key.size());
     slot.salt_len = static_cast<std::uint8_t>(salt.size());
     slot.filled = true;

@@ -5,6 +5,8 @@
 // with output length equal to the master key length.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "crypto/bytes.h"
@@ -13,13 +15,39 @@
 
 namespace gfwsim::crypto {
 
+// HKDF-Extract. Per RFC 5869, an absent salt is a string of kDigestSize
+// zero bytes.
+template <typename H>
+typename H::Digest hkdf_prk(ByteSpan salt, ByteSpan ikm) {
+  static constexpr std::array<std::uint8_t, H::kDigestSize> kZeroSalt{};
+  return Hmac<H>::mac(salt.empty() ? ByteSpan(kZeroSalt) : salt, ikm);
+}
+
 template <typename H>
 Bytes hkdf_extract(ByteSpan salt, ByteSpan ikm) {
-  // Per RFC 5869, an absent salt is a string of kDigestSize zero bytes.
-  Bytes zero_salt(H::kDigestSize, 0);
-  const ByteSpan effective_salt = salt.empty() ? ByteSpan(zero_salt) : salt;
-  const auto prk = Hmac<H>::mac(effective_salt, ikm);
+  const auto prk = hkdf_prk<H>(salt, ikm);
   return Bytes(prk.begin(), prk.end());
+}
+
+// HKDF-Expand into `length` bytes at `out`, with no heap allocation.
+template <typename H>
+void hkdf_expand_into(ByteSpan prk, ByteSpan info, std::uint8_t* out, std::size_t length) {
+  if (length > 255 * H::kDigestSize) {
+    throw std::invalid_argument("hkdf_expand: requested length too large");
+  }
+  typename H::Digest block{};
+  std::uint8_t counter = 1;
+  // One keyed instance for the whole expansion: finish() rewinds to the
+  // precomputed ipad state, so later blocks skip the keying compressions
+  // entirely (per-connection ss_subkey derivation runs this loop twice).
+  Hmac<H> mac(prk);
+  for (std::size_t done = 0; done < length; done += block.size(), ++counter) {
+    if (done > 0) mac.update(block);
+    mac.update(info);
+    mac.update(ByteSpan(&counter, 1));
+    block = mac.finish();
+    std::memcpy(out + done, block.data(), std::min(block.size(), length - done));
+  }
 }
 
 template <typename H>
@@ -27,30 +55,14 @@ Bytes hkdf_expand(ByteSpan prk, ByteSpan info, std::size_t length) {
   if (length > 255 * H::kDigestSize) {
     throw std::invalid_argument("hkdf_expand: requested length too large");
   }
-  Bytes okm;
-  okm.reserve(length);
-  Bytes previous;
-  std::uint8_t counter = 1;
-  // One keyed instance for the whole expansion: finish() rewinds to the
-  // precomputed ipad state, so later blocks skip the keying compressions
-  // entirely (per-connection ss_subkey derivation runs this loop twice).
-  Hmac<H> mac(prk);
-  while (okm.size() < length) {
-    mac.update(previous);
-    mac.update(info);
-    mac.update(ByteSpan(&counter, 1));
-    const auto block = mac.finish();
-    previous.assign(block.begin(), block.end());
-    const std::size_t take = std::min(previous.size(), length - okm.size());
-    okm.insert(okm.end(), previous.begin(), previous.begin() + take);
-    ++counter;
-  }
+  Bytes okm(length);
+  hkdf_expand_into<H>(prk, info, okm.data(), length);
   return okm;
 }
 
 template <typename H>
 Bytes hkdf(ByteSpan ikm, ByteSpan salt, ByteSpan info, std::size_t length) {
-  return hkdf_expand<H>(hkdf_extract<H>(salt, ikm), info, length);
+  return hkdf_expand<H>(hkdf_prk<H>(salt, ikm), info, length);
 }
 
 // The exact construction Shadowsocks AEAD uses for session subkeys. Both

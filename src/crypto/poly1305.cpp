@@ -2,7 +2,9 @@
 
 #include <stdexcept>
 
-#include "crypto/cpu.h"
+#ifdef GFWSIM_HAVE_X86_SIMD
+#include "crypto/simd_kernels.h"
+#endif
 
 namespace gfwsim::crypto {
 
@@ -47,31 +49,58 @@ inline void carry44(const u128 d[3], std::uint64_t h[3]) {
   h[0] &= kMask44;
 }
 
+// Regroups 44/44/42-bit limbs (the middle one may carry a bit past 44)
+// into 26-bit ones, exactly; the top limb takes whatever is left.
+inline void limbs44_to_26(const std::uint64_t in[3], std::uint32_t out[5]) {
+  u128 t = in[0] + (static_cast<u128>(in[1]) << 44);
+  for (int i = 0; i < 5; ++i) {
+    if (i == 2) t += static_cast<u128>(in[2]) << 36;  // 2^88 = 2^52 * 2^36
+    out[i] = static_cast<std::uint32_t>(i == 4 ? t : t & 0x03ffffff);
+    t >>= 26;
+  }
+}
+
+// The way back, for 26-bit limbs up to a bit over: what lies past 2^130
+// folds back times 5, so the limbs end as carry44 leaves them.
+inline void limbs26_to_44(const std::uint32_t in[5], std::uint64_t out[3]) {
+  const std::uint64_t t0 = in[0] + (static_cast<std::uint64_t>(in[1]) << 26);
+  const std::uint64_t t1 = (t0 >> 44) + (static_cast<std::uint64_t>(in[2]) << 8) +
+                           (static_cast<std::uint64_t>(in[3]) << 34);
+  const std::uint64_t t2 = (t1 >> 44) + (static_cast<std::uint64_t>(in[4]) << 16);
+  out[0] = (t0 & kMask44) + (t2 >> 42) * 5;
+  out[1] = (t1 & kMask44) + (out[0] >> 44);
+  out[2] = t2 & kMask42;
+  out[0] &= kMask44;
+}
+
+// The simd tier hands a run to the vector kernel from this many whole
+// blocks up; the 2-byte length-chunk MACs and other short runs stay on
+// radix 2^44 and never build r^2..r^4.
+constexpr std::size_t kSimdMinBlocks = 16;
+
 }  // namespace
 
 Poly1305::Poly1305(ByteSpan key) {
   if (key.size() != kKeySize) throw std::invalid_argument("Poly1305: key must be 32 bytes");
-  radix44_ = poly1305_dispatch_tier() != KernelTier::kReference;
-  if (radix44_) {
+  tier_ = poly1305_dispatch_tier();
+  if (tier_ != KernelTier::kReference) {
     // Clamp r (RFC 8439 2.5.1) and split into 44/44/42-bit limbs.
     load_block44(key.data(), 0, r44_);
     r44_[0] &= 0xffc0fffffff;
     r44_[1] &= 0xfffffc0ffff;
     r44_[2] &= 0x00ffffffc0f;
-    u128 d[3] = {};
-    mul_add44(r44_, r44_, d);
-    carry44(d, r2_);
   } else {
     // Clamp r and split into 26-bit limbs.
     const std::uint32_t t0 = load_le32(key.data());
     const std::uint32_t t1 = load_le32(key.data() + 4);
     const std::uint32_t t2 = load_le32(key.data() + 8);
     const std::uint32_t t3 = load_le32(key.data() + 12);
-    r_[0] = t0 & 0x03ffffff;
-    r_[1] = ((t0 >> 26) | (t1 << 6)) & 0x03ffff03;
-    r_[2] = ((t1 >> 20) | (t2 << 12)) & 0x03ffc0ff;
-    r_[3] = ((t2 >> 14) | (t3 << 18)) & 0x03f03fff;
-    r_[4] = (t3 >> 8) & 0x000fffff;
+    std::uint32_t* r = r26_[0];
+    r[0] = t0 & 0x03ffffff;
+    r[1] = ((t0 >> 26) | (t1 << 6)) & 0x03ffff03;
+    r[2] = ((t1 >> 20) | (t2 << 12)) & 0x03ffc0ff;
+    r[3] = ((t2 >> 14) | (t3 << 18)) & 0x03f03fff;
+    r[4] = (t3 >> 8) & 0x000fffff;
   }
   std::memcpy(s_, key.data() + 16, 16);
 }
@@ -90,7 +119,8 @@ void Poly1305::process_block(const std::uint8_t block[16], std::uint8_t pad_bit)
   h_[4] += (t3 >> 8) | (static_cast<std::uint32_t>(pad_bit) << 24);
 
   // h *= r (mod 2^130 - 5), schoolbook with 5*r folding.
-  const std::uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2], r3 = r_[3], r4 = r_[4];
+  const std::uint32_t* r = r26_[0];
+  const std::uint64_t r0 = r[0], r1 = r[1], r2 = r[2], r3 = r[3], r4 = r[4];
   const std::uint64_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
   const std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
 
@@ -116,6 +146,16 @@ void Poly1305::process_block(const std::uint8_t block[16], std::uint8_t pad_bit)
   h_[4] = static_cast<std::uint32_t>(d4);
 }
 
+const std::uint64_t* Poly1305::square44() {
+  if (!r2_ready_) {
+    u128 d[3] = {};
+    mul_add44(r44_, r44_, d);
+    carry44(d, r2_);
+    r2_ready_ = true;
+  }
+  return r2_;
+}
+
 void Poly1305::process_blocks44(const std::uint8_t* blocks, std::size_t n,
                                 std::uint8_t pad_bit) {
   const std::uint64_t hibit = static_cast<std::uint64_t>(pad_bit) << 40;
@@ -123,7 +163,8 @@ void Poly1305::process_blocks44(const std::uint8_t* blocks, std::size_t n,
   // the serial multiply-and-carry chain, which so advances 32 bytes at a
   // time. Locals, not members, so the byte loads cannot alias the state.
   const std::uint64_t r[3] = {r44_[0], r44_[1], r44_[2]};
-  const std::uint64_t r2[3] = {r2_[0], r2_[1], r2_[2]};
+  std::uint64_t r2[3];
+  if (n >= 2) std::memcpy(r2, square44(), sizeof(r2));
   std::uint64_t h[3] = {h44_[0], h44_[1], h44_[2]};
   for (; n >= 2; n -= 2, blocks += 32) {
     std::uint64_t m0[3], m1[3];
@@ -146,12 +187,47 @@ void Poly1305::process_blocks44(const std::uint8_t* blocks, std::size_t n,
   std::memcpy(h44_, h, sizeof(h));
 }
 
+#ifdef GFWSIM_HAVE_X86_SIMD
+void Poly1305::process_blocks_simd(const std::uint8_t* blocks, std::size_t n) {
+  if (!rpow_ready_) {
+    // r^3 and r^4 from the radix-2^44 r and r^2 (9 multiplies each).
+    square44();
+    std::uint64_t r3[3], r4[3];
+    u128 d[3] = {};
+    mul_add44(r2_, r44_, d);
+    carry44(d, r3);
+    std::memset(d, 0, sizeof(d));
+    mul_add44(r2_, r2_, d);
+    carry44(d, r4);
+    limbs44_to_26(r44_, r26_[0]);
+    limbs44_to_26(r2_, r26_[1]);
+    limbs44_to_26(r3, r26_[2]);
+    limbs44_to_26(r4, r26_[3]);
+    rpow_ready_ = true;
+  }
+  std::uint32_t h[5];
+  limbs44_to_26(h44_, h);
+  simd::poly1305_blocks_avx2(h, r26_, blocks, n);
+  limbs26_to_44(h, h44_);
+}
+#endif
+
 void Poly1305::absorb(const std::uint8_t* blocks, std::size_t n, std::uint8_t pad_bit) {
-  if (radix44_) {
-    process_blocks44(blocks, n, pad_bit);
+  if (tier_ == KernelTier::kReference) {
+    for (; n > 0; --n, blocks += 16) process_block(blocks, pad_bit);
     return;
   }
-  for (; n > 0; --n, blocks += 16) process_block(blocks, pad_bit);
+#ifdef GFWSIM_HAVE_X86_SIMD
+  if (tier_ == KernelTier::kSimd && n >= kSimdMinBlocks) {
+    // Only update() brings runs this long, so every block has pad_bit 1;
+    // the last n % 4 blocks stay on radix 2^44.
+    const std::size_t vec = n & ~std::size_t{3};
+    process_blocks_simd(blocks, vec);
+    blocks += 16 * vec;
+    n -= vec;
+  }
+#endif
+  process_blocks44(blocks, n, pad_bit);
 }
 
 void Poly1305::update(ByteSpan data) {
@@ -184,15 +260,9 @@ Poly1305::Tag Poly1305::finish() {
     absorb(block, 1, 0);
     buffer_len_ = 0;
   }
-  if (radix44_) {
-    // Hand h to the reference tier's final reduction: regroup the 44-bit
-    // limbs (the middle one may carry a bit past 44) into 26-bit ones.
-    u128 t = h44_[0] + (static_cast<u128>(h44_[1]) << 44);
-    for (int i = 0; i < 5; ++i) {
-      if (i == 2) t += static_cast<u128>(h44_[2]) << 36;  // 2^88 = 2^52 * 2^36
-      h_[i] = static_cast<std::uint32_t>(i == 4 ? t : t & 0x03ffffff);
-      t >>= 26;
-    }
+  if (tier_ != KernelTier::kReference) {
+    // Hand h to the reference tier's final reduction.
+    limbs44_to_26(h44_, h_);
     std::memset(h44_, 0, sizeof(h44_));
   }
   return finish_reference();

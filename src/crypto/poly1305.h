@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "crypto/bytes.h"
+#include "crypto/cpu.h"
 
 namespace gfwsim::crypto {
 
@@ -30,19 +31,33 @@ class Poly1305 {
   void absorb(const std::uint8_t* blocks, std::size_t n, std::uint8_t pad_bit);
 
   // Reference tier, the oracle: 26-bit limbs, one block per call. Its
-  // final reduction also finishes the portable tier's accumulator.
+  // final reduction also finishes the other tiers' accumulators.
   void process_block(const std::uint8_t block[16], std::uint8_t pad_bit);
   Tag finish_reference();
-  // Portable tier: 44/44/42-bit limbs with 128-bit products (9
-  // multiplies a block instead of 25), two blocks per step.
+  // Portable tier, and the simd tier's short runs: 44/44/42-bit limbs
+  // with 128-bit products (9 multiplies a block instead of 25), two
+  // blocks per step.
   void process_blocks44(const std::uint8_t* blocks, std::size_t n, std::uint8_t pad_bit);
+  // r^2 in radix 2^44, computed on the first run of two blocks or more:
+  // the one-block absorbs of a 2-byte length chunk's MAC never need it.
+  const std::uint64_t* square44();
+  // Simd tier: whole groups of four blocks through the 4-way AVX2
+  // kernel, h converted exactly to 26-bit limbs and back around it.
+  void process_blocks_simd(const std::uint8_t* blocks, std::size_t n);
 
-  // Chosen at construction, so one message never mixes limb formats.
-  bool radix44_ = false;
-  std::uint32_t r_[5]{};
+  // Chosen at construction, so one message never mixes limb formats
+  // except across the exact conversions above.
+  KernelTier tier_ = KernelTier::kReference;
+  // r^1..r^4 in 26-bit limbs. The reference tier sets r26_[0] at
+  // construction; the simd tier fills all four on its first vector run
+  // (rpow_ready_). Left uninitialized until then: a 2-byte length chunk
+  // never reads them.
+  std::uint32_t r26_[4][5];
+  bool rpow_ready_ = false;
   std::uint32_t h_[5]{};
   std::uint64_t r44_[3]{};
-  std::uint64_t r2_[3]{};  // r^2
+  std::uint64_t r2_[3];  // r^2, once r2_ready_
+  bool r2_ready_ = false;
   std::uint64_t h44_[3]{};
   std::uint8_t s_[16]{};
   std::uint8_t buffer_[16]{};

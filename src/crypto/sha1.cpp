@@ -1,5 +1,11 @@
 #include "crypto/sha1.h"
 
+#include "crypto/cpu.h"
+
+#ifdef GFWSIM_HAVE_X86_SIMD
+#include "crypto/simd_kernels.h"
+#endif
+
 namespace gfwsim::crypto {
 
 void Sha1::reset() {
@@ -45,6 +51,16 @@ void Sha1::process_block(const std::uint8_t* block) {
   state_[4] += e;
 }
 
+void Sha1::process_blocks(const std::uint8_t* blocks, std::size_t n) {
+#ifdef GFWSIM_HAVE_X86_SIMD
+  if (n > 0 && sha1_dispatch_tier() == KernelTier::kSimd) {
+    simd::sha1_blocks(state_.data(), blocks, n);
+    return;
+  }
+#endif
+  for (; n > 0; --n, blocks += kBlockSize) process_block(blocks);
+}
+
 void Sha1::update(ByteSpan data) {
   total_len_ += data.size();
   std::size_t offset = 0;
@@ -54,14 +70,13 @@ void Sha1::update(ByteSpan data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
+      process_blocks(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
-  }
+  const std::size_t whole = (data.size() - offset) / kBlockSize;
+  process_blocks(data.data() + offset, whole);
+  offset += whole * kBlockSize;
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;
     std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
@@ -76,12 +91,12 @@ Sha1::Digest Sha1::finish() {
   buffer_[buffer_len_++] = 0x80;
   if (buffer_len_ > 56) {
     std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
-    process_block(buffer_.data());
+    process_blocks(buffer_.data(), 1);
     buffer_len_ = 0;
   }
   std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   store_be64(buffer_.data() + 56, bit_len);
-  process_block(buffer_.data());
+  process_blocks(buffer_.data(), 1);
 
   Digest out{};
   for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, state_[i]);

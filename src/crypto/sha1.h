@@ -2,6 +2,10 @@
 //
 // Shadowsocks AEAD session keys are derived with HKDF-SHA1 (the protocol
 // whitepaper fixes the hash), so SHA-1 is required for wire compatibility.
+//
+// Whole blocks go to the SHA-NI kernel when sha1_dispatch_tier() is kSimd
+// (crypto/cpu.h) and to the scalar compression otherwise; both give the
+// same digest.
 #pragma once
 
 #include <array>
@@ -30,6 +34,9 @@ class Sha1 {
   }
 
  private:
+  // Compresses n whole blocks with the dispatched kernel.
+  void process_blocks(const std::uint8_t* blocks, std::size_t n);
+  // The scalar compression: the reference and portable tiers.
   void process_block(const std::uint8_t* block);
 
   std::array<std::uint32_t, 5> state_{};

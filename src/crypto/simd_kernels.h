@@ -1,7 +1,7 @@
 // Internal declarations of the x86-64 SIMD crypto kernels.
 //
-// The definitions live in aes_x86.cpp / gcm_x86.cpp / chacha20_x86.cpp,
-// which CMake adds to ss_crypto only when the toolchain probe passes
+// The definitions live in aes_x86.cpp / gcm_x86.cpp / chacha20_x86.cpp /
+// poly1305_x86.cpp / sha1_x86.cpp, which CMake adds to ss_crypto only when the toolchain probe passes
 // (GFWSIM_HAVE_X86_SIMD) and GFW_FORCE_REF_CRYPTO is off. Call sites in
 // the generic kernels are guarded by the same macro, and reachable only
 // when the matching cpu_features() bit is set, so every function here
@@ -56,5 +56,23 @@ void chacha20_blocks4_sse2(const std::uint32_t state[16], const std::uint32_t w1
 // Same contract over eight states in ymm registers: 8 x 64 bytes.
 void chacha20_blocks8_avx2(const std::uint32_t state[16], const std::uint32_t w12[8],
                            const std::uint32_t w13[8], std::uint8_t out[512]);
+
+// ---- Poly1305 ------------------------------------------------------------
+
+// Absorbs n 16-byte blocks (n a positive multiple of 4), each with the
+// 2^128 pad bit, into the accumulator h (26-bit limbs, limbs 1 and 4 may
+// run a few bits over): h = (...((h + m0) r + m1) r ... + m(n-1)) r mod
+// 2^130 - 5. rpow holds r^1..r^4 as 26-bit limbs. Four AVX2 lanes each
+// run every fourth block against r^4; the last group folds the lanes
+// with r^4..r^1.
+void poly1305_blocks_avx2(std::uint32_t h[5], const std::uint32_t rpow[4][5],
+                          const std::uint8_t* blocks, std::size_t n);
+
+// ---- SHA-1 ----------------------------------------------------------------
+
+// Compresses n 64-byte blocks into state (FIPS 180-4 word order) with the
+// SHA extensions: SHA1RNDS4 four rounds at a time, SHA1MSG1/SHA1MSG2 for
+// the message schedule.
+void sha1_blocks(std::uint32_t state[5], const std::uint8_t* blocks, std::size_t n);
 
 }  // namespace gfwsim::crypto::simd

@@ -1,5 +1,6 @@
 #include "proxy/stream_crypto.h"
 
+#include <memory>
 #include <stdexcept>
 #include <variant>
 
@@ -19,7 +20,9 @@ using crypto::Rc4;
 }  // namespace
 
 struct StreamSession::Impl {
-  std::variant<AesCtr, AesCfb, Rc4, ChaCha20> cipher;
+  // ChaCha20 carries a whole pass of keystream (512 bytes), so it sits
+  // behind a pointer rather than sizing every AES and RC4 session to it.
+  std::variant<AesCtr, AesCfb, Rc4, std::unique_ptr<ChaCha20>> cipher;
   Direction direction;
 
   Bytes process(ByteSpan data) {
@@ -33,6 +36,8 @@ struct StreamSession::Impl {
             } else {
               c.decrypt(data, out.data());
             }
+          } else if constexpr (std::is_same_v<T, std::unique_ptr<ChaCha20>>) {
+            c->transform(data, out.data());
           } else {
             c.transform(data, out.data());
           }
@@ -64,7 +69,7 @@ StreamSession::StreamSession(const CipherSpec& spec, ByteSpan key, ByteSpan iv,
       }
       case CipherAlgo::kChaCha20:
       case CipherAlgo::kChaCha20Ietf:
-        return Impl{ChaCha20(key, iv), direction};
+        return Impl{std::make_unique<ChaCha20>(key, iv), direction};
       default:
         throw std::invalid_argument("StreamSession: AEAD algo in stream construction");
     }

@@ -1,6 +1,9 @@
 // RFC 5869 HKDF vectors and EVP_BytesToKey behaviour tests.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -10,6 +13,26 @@
 #include "crypto/md5.h"
 #include "crypto/rng.h"
 #include "crypto/sha256.h"
+
+namespace gfwsim::crypto {
+namespace {
+
+// Heap allocations made through operator new (replaced below), so a test
+// can check what one call allocates.
+std::atomic<std::size_t> g_allocations{0};
+
+}  // namespace
+}  // namespace gfwsim::crypto
+
+// Out of line, so GCC does not pair the inlined malloc/free with the
+// new/delete expressions of their callers (-Wmismatched-new-delete).
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  gfwsim::crypto::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace gfwsim::crypto {
 namespace {
@@ -105,6 +128,23 @@ TEST(SsSubkeyMemo, HitEqualsHkdfByteForByte) {
   const Bytes long_salt = rng.bytes(64);
   EXPECT_EQ(ss_subkey(long_master, long_salt), reference_subkey(long_master, long_salt));
   EXPECT_EQ(ss_subkey(long_master, long_salt), reference_subkey(long_master, long_salt));
+}
+
+// A miss derives into the memo slot on the stack; like a hit, it
+// allocates only the Bytes it returns.
+TEST(SsSubkeyMemo, MissAllocatesOnlyTheResult) {
+  Rng rng(0xa110c);
+  const Bytes master = rng.bytes(32);
+  for (int round = 0; round < 3; ++round) {
+    const Bytes salt = rng.bytes(32);
+    const Bytes expected = reference_subkey(master, salt);
+    for (const char* kind : {"miss", "hit"}) {
+      const std::size_t before = g_allocations.load();
+      const Bytes subkey = ss_subkey(master, salt);
+      EXPECT_EQ(g_allocations.load() - before, 1u) << kind << ", round " << round;
+      EXPECT_EQ(subkey, expected) << kind << ", round " << round;
+    }
+  }
 }
 
 TEST(SsSubkeyMemo, OneSaltUnderTwoMasterKeys) {

@@ -1,5 +1,6 @@
 // Edge-case sweeps for the batched wide kernels behind the tier-dispatch
-// harness: AES-NI/GCM, 4- and 8-lane ChaCha20, radix-2^44 Poly1305.
+// harness: AES-NI/GCM, 4- and 8-lane ChaCha20, radix-2^44 and 4-way AVX2
+// Poly1305, SHA-NI SHA-1.
 //
 // Every test pins the kernel-tier cap (ScopedKernelTierCap) and checks
 // the portable-batched and SIMD tiers byte-for-byte against the
@@ -10,12 +11,15 @@
 // for both ChaCha variants. On
 // hosts without the SIMD extensions the kSimd cap degrades to the
 // portable tier, so the sweeps still pass (they just cross-check
-// portable against reference twice).
+// portable against reference twice). The per-tier SHA-1 and Poly1305
+// suites at the end pin one tier each instead, and skip the simd tier on
+// a host without the feature it needs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,14 +29,21 @@
 #include "crypto/chacha20_poly1305.h"
 #include "crypto/cpu.h"
 #include "crypto/gcm.h"
+#include "crypto/hkdf.h"
+#include "crypto/hmac.h"
 #include "crypto/poly1305.h"
 #include "crypto/rng.h"
+#include "crypto/sha1.h"
 
 #ifdef GFWSIM_HAVE_X86_SIMD
 #include "crypto/simd_kernels.h"
 #endif
 
 namespace gfwsim::crypto {
+
+// Names a tier in test output (ctest lists each AllTiers/* case with it).
+void PrintTo(KernelTier tier, std::ostream* os) { *os << tier_name(tier); }
+
 namespace {
 
 constexpr KernelTier kCaps[] = {KernelTier::kReference, KernelTier::kPortable,
@@ -46,6 +57,7 @@ TEST(WideKernels, DispatchRespectsCap) {
     EXPECT_LE(static_cast<int>(t.ghash), static_cast<int>(cap));
     EXPECT_LE(static_cast<int>(t.chacha), static_cast<int>(cap));
     EXPECT_LE(static_cast<int>(t.poly1305), static_cast<int>(cap));
+    EXPECT_LE(static_cast<int>(t.sha1), static_cast<int>(cap));
   }
   EXPECT_FALSE(cpu_feature_string().empty());
   EXPECT_STREQ(tier_name(KernelTier::kReference), "reference");
@@ -331,7 +343,8 @@ TEST(WideKernels, Poly1305BatchAllTailLengths) {
 
 // Inputs that drive the accumulator to its limits: the largest clamped r,
 // an all-0xff s (the tag addition carries out of every byte), and
-// all-0xff or all-zero messages at every length up to 16 blocks. With
+// all-0xff or all-zero messages at every length up to 32 blocks (runs of
+// 16 blocks and more take the simd tier's vector kernel). With
 // r = 1, two all-0xff blocks leave h = 2 * (2^129 - 1) = 2^130 - 2, in
 // [p, 2^130), so the final reduction must fold h back below p.
 TEST(WideKernels, Poly1305AdversarialAccumulator) {
@@ -340,7 +353,7 @@ TEST(WideKernels, Poly1305AdversarialAccumulator) {
   std::fill(r_one.begin() + 1, r_one.begin() + 16, 0x00);
   for (const Bytes& key : {Bytes(32, 0xff), r_one}) {
     for (const std::uint8_t fill : {0xffu, 0x00u}) {
-      for (std::size_t len = 0; len <= 256; ++len) {
+      for (std::size_t len = 0; len <= 512; ++len) {
         const Bytes data(len, fill);
         Poly1305::Tag expected;
         {
@@ -533,6 +546,175 @@ TEST(WideKernels, ChaChaPolySealOpenCrossTier) {
       const auto opened = aead.open(nonce, sealed, aad);
       ASSERT_TRUE(opened.has_value());
       EXPECT_EQ(*opened, pt);
+    }
+  }
+}
+
+// ---- Per-tier SHA-1 and Poly1305 -------------------------------------------
+
+std::string tier_param_name(const ::testing::TestParamInfo<KernelTier>& info) {
+  return tier_name(info.param);
+}
+
+// Pins the parameter's tier for the whole test. The simd instance skips,
+// naming the feature, where the host or build lacks the kernel: capping
+// at kSimd there would quietly re-test the portable tier.
+class PinnedTier : public ::testing::TestWithParam<KernelTier> {
+ protected:
+  void pin(KernelTier (*dispatch)(), bool have_simd, const char* feature) {
+    if (GetParam() == KernelTier::kSimd && !have_simd) {
+      GTEST_SKIP() << "no " << feature << " on this host or build";
+    }
+    pin_.emplace(GetParam());
+    ASSERT_EQ(dispatch(), GetParam());
+  }
+
+ private:
+  std::optional<ScopedKernelTierCap> pin_;
+};
+
+class Sha1Tier : public PinnedTier {
+ protected:
+  void SetUp() override { pin(sha1_dispatch_tier, cpu_features().sha, "sha (SHA-NI)"); }
+};
+
+class Poly1305Tier : public PinnedTier {
+ protected:
+  void SetUp() override { pin(poly1305_dispatch_tier, cpu_features().avx2, "avx2"); }
+};
+
+INSTANTIATE_TEST_SUITE_P(AllTiers, Sha1Tier,
+                         ::testing::Values(KernelTier::kReference, KernelTier::kPortable,
+                                           KernelTier::kSimd),
+                         tier_param_name);
+INSTANTIATE_TEST_SUITE_P(AllTiers, Poly1305Tier,
+                         ::testing::Values(KernelTier::kReference, KernelTier::kPortable,
+                                           KernelTier::kSimd),
+                         tier_param_name);
+
+std::string sha1_hex(ByteSpan data) { return hex_encode(sha1(data)); }
+
+TEST_P(Sha1Tier, Fips180VectorsAndMillionA) {
+  EXPECT_EQ(sha1_hex(to_bytes("")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(sha1_hex(to_bytes("abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(sha1_hex(to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  Sha1 h;
+  const std::string chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) h.update(to_bytes(chunk));
+  EXPECT_EQ(hex_encode(h.finish()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+}
+
+// Every length 0..1024 against the scalar kernel, one-shot and split in
+// two: at every cut for messages up to 200 bytes, at random cuts (and a
+// three-way split) beyond. Messages from 128 bytes up hand the kernel
+// runs of two and more whole blocks in one call.
+TEST_P(Sha1Tier, EveryLengthOneShotAndSplit) {
+  Rng rng(0x5ba1c7);
+  const Bytes all = rng.bytes(1024);
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    const ByteSpan data(all.data(), len);
+    Sha1::Digest expected;
+    {
+      ScopedKernelTierCap scalar(KernelTier::kPortable);
+      expected = Sha1::hash(data);
+    }
+    ASSERT_EQ(Sha1::hash(data), expected) << "len=" << len;
+    const auto split = [&](std::size_t cut1, std::size_t cut2) {
+      Sha1 h;
+      h.update(data.subspan(0, cut1));
+      h.update(data.subspan(cut1, cut2 - cut1));
+      h.update(data.subspan(cut2));
+      return h.finish();
+    };
+    if (len <= 200) {
+      for (std::size_t cut = 0; cut <= len; ++cut) {
+        ASSERT_EQ(split(cut, cut), expected) << "len=" << len << " cut=" << cut;
+      }
+    } else {
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::size_t cut1 = rng.next_u64() % (len + 1);
+        const std::size_t cut2 = cut1 + rng.next_u64() % (len - cut1 + 1);
+        ASSERT_EQ(split(cut1, cut1), expected) << "len=" << len << " cut=" << cut1;
+        ASSERT_EQ(split(cut1, cut2), expected)
+            << "len=" << len << " cuts=" << cut1 << "," << cut2;
+      }
+    }
+  }
+}
+
+TEST_P(Sha1Tier, HmacRfc2202AndHkdfRfc5869Case4) {
+  const auto hex = [](const auto& d) { return hex_encode(ByteSpan(d.data(), d.size())); };
+  EXPECT_EQ(hex(Hmac<Sha1>::mac(Bytes(20, 0x0b), to_bytes("Hi There"))),
+            "b617318655057264e28bc0b6fb378c8ef146be00");
+  EXPECT_EQ(hex(Hmac<Sha1>::mac(to_bytes("Jefe"), to_bytes("what do ya want for nothing?"))),
+            "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79");
+  // Case 6: an 80-byte key, hashed first.
+  EXPECT_EQ(hex(Hmac<Sha1>::mac(Bytes(80, 0xaa),
+                                to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"))),
+            "aa4ae5e15272d00e95705637ce8a3b55ed402112");
+
+  const Bytes ikm(11, 0x0b);
+  const Bytes salt = *hex_decode("000102030405060708090a0b0c");
+  const Bytes info = *hex_decode("f0f1f2f3f4f5f6f7f8f9");
+  EXPECT_EQ(hex_encode(hkdf_extract<Sha1>(salt, ikm)), "9b6c18c432a7bf8f0e71c8eb88f4b30baa2ba243");
+  EXPECT_EQ(hex_encode(hkdf<Sha1>(ikm, salt, info, 42)),
+            "085a01ea1b10f36933068b56efa5ad81a4f14b822f5b091568a9cdd4f155fda2"
+            "c22e422478d305f3f896");
+}
+
+// The reference tier's tag for `data` under `key`.
+Poly1305::Tag reference_tag(ByteSpan key, ByteSpan data) {
+  ScopedKernelTierCap pin(KernelTier::kReference);
+  return Poly1305::mac(key, data);
+}
+
+// Lengths on both sides of the 16-block run where the simd tier switches
+// to the vector kernel, and of 4 KiB, one-shot.
+TEST_P(Poly1305Tier, LengthsAroundTheVectorThreshold) {
+  Rng rng(0x9017e5);
+  const Bytes key = rng.bytes(32);
+  const Bytes all = rng.bytes(4097);
+  std::vector<std::size_t> lengths = {4095, 4096, 4097};
+  for (const std::size_t blocks : {15u, 16u, 17u, 18u, 19u, 20u}) {
+    for (const std::size_t extra : {0u, 1u, 15u}) lengths.push_back(16 * blocks + extra);
+    lengths.push_back(16 * blocks - 1);
+  }
+  for (const std::size_t len : lengths) {
+    const ByteSpan data(all.data(), len);
+    EXPECT_EQ(Poly1305::mac(key, data), reference_tag(key, data)) << "len=" << len;
+  }
+}
+
+// A 40-block message (plus a partial block) in two updates cut at every
+// block offset, and 5 bytes past it: each cut ends one run and starts the
+// next at a different point of the four-lane grouping, and both runs may
+// be long enough for the vector kernel (the second reuses r^2..r^4).
+TEST_P(Poly1305Tier, RunBoundaryAtEveryBlockOffset) {
+  Rng rng(0x3b0c11);
+  const Bytes key = rng.bytes(32);
+  const Bytes data = rng.bytes(40 * 16 + 7);
+  const Poly1305::Tag expected = reference_tag(key, data);
+  for (std::size_t block = 0; block <= 40; ++block) {
+    for (const std::size_t skew : {0u, 5u}) {
+      const std::size_t cut = 16 * block + skew;
+      Poly1305 p(key);
+      p.update(ByteSpan(data).subspan(0, cut));
+      p.update(ByteSpan(data).subspan(cut));
+      EXPECT_EQ(p.finish(), expected) << "cut=" << cut;
+    }
+  }
+}
+
+// The largest clamped r (every limb at its clamp ceiling) drives the
+// lazily carried 26-bit lanes closest to their 64-bit headroom; all-0xff
+// messages keep every message limb full too.
+TEST_P(Poly1305Tier, AllOnesClampedR) {
+  Rng rng(0x0ff1ce);
+  const Bytes key(32, 0xff);
+  for (const std::size_t len : {255u, 256u, 257u, 511u, 1024u, 1500u, 4096u}) {
+    for (const Bytes& data : {Bytes(len, 0xff), rng.bytes(len)}) {
+      EXPECT_EQ(Poly1305::mac(key, data), reference_tag(key, data)) << "len=" << len;
     }
   }
 }
