@@ -7,7 +7,10 @@
 // kernel-tier cap pinned, so one run compares the reference,
 // portable-batched, and SIMD-batched tiers side by side; arms whose
 // tier would silently degrade (e.g. "simd" on a host without AES-NI)
-// are skipped rather than reported twice.
+// are skipped rather than reported twice. BM_ChaCha20Pass/<kernel> and
+// BM_Poly1305Kernel/<kernel> call each compiled ChaCha20 pass kernel and
+// Poly1305 vector kernel directly, skipping those the host lacks, since
+// a host's dispatch reaches only some of them.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -27,6 +30,10 @@
 #include "crypto/rng.h"
 #include "crypto/sha1.h"
 #include "proxy/wire.h"
+
+#ifdef GFWSIM_HAVE_X86_SIMD
+#include "crypto/simd_kernels.h"
+#endif
 
 namespace {
 
@@ -267,6 +274,67 @@ void register_tier_arms(const char* name, crypto::KernelTier (*dispatch)(), Body
   }
 }
 
+#ifdef GFWSIM_HAVE_X86_SIMD
+// One pass of each compiled ChaCha20 kernel the host can run.
+void register_chacha_pass_kernels() {
+  for (const crypto::simd::ChaChaPassKernel& kernel : crypto::simd::kChaChaPassKernels) {
+    if (!(crypto::cpu_features().*kernel.have)) continue;
+    const std::string name = std::string("BM_ChaCha20Pass/") + kernel.name;
+    benchmark::RegisterBenchmark(name.c_str(), [kernel](benchmark::State& state) {
+      std::uint32_t st[16], w12[16], w13[16];
+      for (std::uint32_t i = 0; i < 16; ++i) {
+        st[i] = 0x9e3779b9u * (i + 1);
+        w12[i] = i;
+        w13[i] = 0;
+      }
+      alignas(64) std::uint8_t out[1024];
+      for (auto _ : state) {
+        kernel.pass(st, w12, w13, out);
+        benchmark::DoNotOptimize(out);
+        benchmark::ClobberMemory();
+      }
+      state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * 64 * kernel.lanes));
+    });
+  }
+}
+
+// The two Poly1305 vector kernels on whole runs, with stand-in powers of
+// r (the kernels' cost does not depend on the values): 1536 bytes is a
+// 1500-byte message rounded up to both kernels' block groups.
+void register_poly1305_kernels() {
+  using crypto::simd::poly1305_blocks_avx2;
+  using crypto::simd::poly1305_blocks_ifma;
+  const auto add = [](const char* name, auto body) {
+    benchmark::RegisterBenchmark(name, [body](benchmark::State& state) {
+      crypto::Rng rng(9);
+      const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+      for (auto _ : state) body(data);
+      state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+    })->Arg(1536)->Arg(16384);
+  };
+  if (crypto::cpu_features().avx2) {
+    add("BM_Poly1305Kernel/avx2", [](const Bytes& data) {
+      std::uint32_t h[5] = {}, r[4][5];
+      for (int k = 0; k < 4; ++k) {
+        for (int i = 0; i < 5; ++i) r[k][i] = 0x0123456u + 7u * (5u * k + i);
+      }
+      poly1305_blocks_avx2(h, r, data.data(), data.size() / 16);
+      benchmark::DoNotOptimize(h);
+    });
+  }
+  if (crypto::cpu_features().ifma) {
+    add("BM_Poly1305Kernel/ifma", [](const Bytes& data) {
+      std::uint64_t h[3] = {}, r[8][3];
+      for (int k = 0; k < 8; ++k) {
+        for (int i = 0; i < 3; ++i) r[k][i] = 0x0123456789au + 7u * (3u * k + i);
+      }
+      poly1305_blocks_ifma(h, r, data.data(), data.size() / 16);
+      benchmark::DoNotOptimize(h);
+    });
+  }
+}
+#endif
+
 void register_all_tier_arms() {
   register_tier_arms("BM_AesGcmSeal", crypto::aes_dispatch_tier, BM_AesGcmSeal);
   register_tier_arms("BM_AesGcmOpen", crypto::aes_dispatch_tier, BM_AesGcmOpen);
@@ -284,6 +352,10 @@ void register_all_tier_arms() {
 int main(int argc, char** argv) {
   register_session_setup();
   register_all_tier_arms();
+#ifdef GFWSIM_HAVE_X86_SIMD
+  register_chacha_pass_kernels();
+  register_poly1305_kernels();
+#endif
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("cpu_features", crypto::cpu_feature_string());

@@ -67,16 +67,33 @@ ChaCha20::ChaCha20(ByteSpan key, ByteSpan nonce, std::uint64_t initial_counter) 
   }
 }
 
-void ChaCha20::refill() {
+void ChaCha20::refill(std::size_t want) {
   const KernelTier tier = chacha_dispatch_tier();
   std::size_t lanes = tier == KernelTier::kReference ? 1 : 4;
 #ifdef GFWSIM_HAVE_X86_SIMD
-  if (tier == KernelTier::kSimd && cpu_features().avx2) lanes = 8;
+  simd::ChaChaPassFn pass = nullptr;
+  if (tier == KernelTier::kSimd) {
+    const CpuFeatures& f = cpu_features();
+    if (f.avx512) {
+      const std::size_t blocks = (want + 63) / 64;
+      lanes = blocks <= 4 ? 4 : blocks <= 8 ? 8 : 16;
+      pass = lanes == 4   ? simd::chacha20_blocks4_avx512
+             : lanes == 8 ? simd::chacha20_blocks8_avx512
+                          : simd::chacha20_blocks16_avx512;
+    } else if (f.avx2) {
+      lanes = 8;
+      pass = simd::chacha20_blocks8_avx2;
+    } else {
+      pass = simd::chacha20_blocks4_sse2;
+    }
+  }
+#else
+  (void)want;
 #endif
   // Materialize the per-lane counter words; the IETF variant wraps its
   // 32-bit counter word, the legacy variant carries into word 13,
   // matching `lanes` sequential single-block increments.
-  std::uint32_t w12[8], w13[8];
+  std::uint32_t w12[16], w13[16];
   const std::uint64_t c =
       ietf_ ? state_[12] : (static_cast<std::uint64_t>(state_[13]) << 32) | state_[12];
   for (std::size_t l = 0; l < lanes; ++l) {
@@ -86,10 +103,8 @@ void ChaCha20::refill() {
   if (lanes == 1) {
     core_lanes<1>(state_, w12, w13, keystream_.data());
 #ifdef GFWSIM_HAVE_X86_SIMD
-  } else if (lanes == 8) {
-    simd::chacha20_blocks8_avx2(state_.data(), w12, w13, keystream_.data());
-  } else if (tier == KernelTier::kSimd) {
-    simd::chacha20_blocks4_sse2(state_.data(), w12, w13, keystream_.data());
+  } else if (pass != nullptr) {
+    pass(state_.data(), w12, w13, keystream_.data());
 #endif
   } else {
     core_lanes<4>(state_, w12, w13, keystream_.data());
@@ -105,7 +120,7 @@ void ChaCha20::transform(ByteSpan data, std::uint8_t* out) {
   // counter order whatever the pass length, tier or split of the input.
   std::size_t i = 0;
   while (i < data.size()) {
-    if (used_ == avail_) refill();
+    if (used_ == avail_) refill(std::max(data.size() - i, expected_));
     const std::size_t take = std::min(avail_ - used_, data.size() - i);
     const std::uint8_t* ks = keystream_.data() + used_;
     std::size_t j = 0;
@@ -119,6 +134,7 @@ void ChaCha20::transform(ByteSpan data, std::uint8_t* out) {
     for (; j < take; ++j) out[i + j] = data[i + j] ^ ks[j];
     used_ += take;
     i += take;
+    expected_ -= std::min(expected_, take);
   }
 }
 

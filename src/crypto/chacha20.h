@@ -27,6 +27,11 @@ class ChaCha20 {
   // XOR keystream into data; stateful across calls.
   void transform(ByteSpan data, std::uint8_t* out);
 
+  // Announces that the next `bytes` of keystream will be used, over
+  // however many transform calls, so a refill can size its pass to all of
+  // it rather than to the call at hand. Output does not depend on it.
+  void expect(std::size_t bytes) { expected_ = bytes; }
+
   Bytes transform(ByteSpan data) {
     Bytes out(data.size());
     transform(data, out.data());
@@ -34,15 +39,20 @@ class ChaCha20 {
   }
 
  private:
-  // Refills keystream_ with one dispatched pass of consecutive blocks (1
-  // on the reference tier, 4 on portable and SSE2, 8 on AVX2) and moves
-  // the counter past them. Only the pass length differs between tiers.
-  void refill();
+  // Refills keystream_ with one dispatched pass of consecutive blocks and
+  // moves the counter past them: 1 on the reference tier, 4 on portable
+  // and SSE2, 8 on AVX2, and on AVX-512 the narrowest of 4, 8 or 16 that
+  // covers the `want` bytes still to come. Only the pass length differs
+  // between tiers.
+  void refill(std::size_t want);
 
   std::array<std::uint32_t, 16> state_{};
-  std::array<std::uint8_t, 512> keystream_{};
+  // Written by refill() before any read, so left uninitialized: zeroing
+  // 1 KiB would cost every AEAD op, length chunks included.
+  std::array<std::uint8_t, 1024> keystream_;
   std::size_t used_ = 0;
   std::size_t avail_ = 0;
+  std::size_t expected_ = 0;  // bytes announced by expect() and not yet used
   bool ietf_ = true;
 };
 

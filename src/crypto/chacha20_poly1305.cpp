@@ -25,9 +25,12 @@ Poly1305::Tag compute_tag(ByteSpan poly_key, ByteSpan aad, ByteSpan ciphertext) 
 }
 
 // Takes block 0 of the counter-0 stream as the Poly1305 key (its first 32
-// bytes) and leaves the stream at counter 1, so one pass covers both.
-ChaCha20 start_stream(ByteSpan key, ByteSpan nonce, std::uint8_t block0[64]) {
+// bytes) and leaves the stream at counter 1. The stream is told the op's
+// whole keystream up front, so one pass sized to it covers both.
+ChaCha20 start_stream(ByteSpan key, ByteSpan nonce, std::size_t message_len,
+                      std::uint8_t block0[64]) {
   ChaCha20 stream(key, nonce, 0);
+  stream.expect(64 + message_len);
   std::memset(block0, 0, 64);
   stream.transform(ByteSpan(block0, 64), block0);
   return stream;
@@ -48,7 +51,7 @@ void ChaCha20Poly1305::seal_into(ByteSpan nonce, ByteSpan plaintext, std::uint8_
     throw std::invalid_argument("ChaCha20Poly1305: nonce must be 12 bytes");
   }
   std::uint8_t block0[64];
-  ChaCha20 stream = start_stream(key_, nonce, block0);
+  ChaCha20 stream = start_stream(key_, nonce, plaintext.size(), block0);
   stream.transform(plaintext, out);
 
   const auto tag = compute_tag(ByteSpan(block0, 32), aad, ByteSpan(out, plaintext.size()));
@@ -69,7 +72,7 @@ bool ChaCha20Poly1305::open_into(ByteSpan nonce, ByteSpan sealed, std::uint8_t* 
   const ByteSpan tag = sealed.subspan(ct_len);
 
   std::uint8_t block0[64];
-  ChaCha20 stream = start_stream(key_, nonce, block0);
+  ChaCha20 stream = start_stream(key_, nonce, ct_len, block0);
   const auto expected = compute_tag(ByteSpan(block0, 32), aad, ciphertext);
   if (!ct_equal(ByteSpan(expected.data(), expected.size()), tag)) return false;
 

@@ -23,11 +23,15 @@ const CpuFeatures& cpu_features() {
     // the AES kernel needs SSE2 loads/stores around AESENC, and the
     // PCLMUL GHASH uses SSSE3 pshufb for its bit reflection, and the
     // SHA-NI kernel byte-swaps with pshufb and reads E with pextrd.
+    // The AVX-512 ChaCha kernels run xmm and ymm widths too (VL), and
+    // the IFMA kernel is an AVX-512 one.
     f.sse2 = __builtin_cpu_supports("sse2");
     f.aesni = __builtin_cpu_supports("aes") && f.sse2;
     f.pclmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("ssse3");
     f.avx2 = __builtin_cpu_supports("avx2");
     f.sha = __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+    f.avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl");
+    f.ifma = __builtin_cpu_supports("avx512ifma") && f.avx512;
 #endif
     return f;
   }();
@@ -47,6 +51,8 @@ std::string cpu_feature_string() {
   add(f.sse2, "sse2");
   add(f.avx2, "avx2");
   add(f.sha, "sha");
+  add(f.avx512, "avx512");
+  add(f.ifma, "ifma");
   return out.empty() ? "none" : out;
 }
 
@@ -67,7 +73,8 @@ KernelTier chacha_dispatch_tier() {
 }
 
 KernelTier poly1305_dispatch_tier() {
-  return cap_tier(cpu_features().avx2 ? KernelTier::kSimd : KernelTier::kPortable);
+  const CpuFeatures& f = cpu_features();
+  return cap_tier(f.avx2 || f.ifma ? KernelTier::kSimd : KernelTier::kPortable);
 }
 
 KernelTier sha1_dispatch_tier() {

@@ -13,9 +13,12 @@
 //               radix-2^44 Poly1305 two blocks per step. SHA-1 has one
 //               scalar kernel, which serves this tier and the reference.
 //   kSimd       x86-64 kernels picked at runtime: 8-block AES-NI, PCLMUL
-//               4-block GHASH, 4-lane SSE2 or 8-lane AVX2 ChaCha20,
-//               4-way AVX2 Poly1305 in radix 2^26 (runs of 16 blocks or
-//               more; shorter runs stay on radix 2^44), SHA-NI SHA-1.
+//               4-block GHASH; ChaCha20 in 4-, 8- or 16-lane AVX-512
+//               passes sized to what the op still wants (vprold), else
+//               8-lane AVX2 or 4-lane SSE2 passes; Poly1305 8-way
+//               AVX-512 IFMA in radix 2^44, else 4-way AVX2 in radix
+//               2^26 (runs of 16 blocks or more; shorter runs stay on
+//               radix 2^44); SHA-NI SHA-1.
 //               Compiled only when the toolchain probe passes
 //               (GFWSIM_HAVE_X86_SIMD) and not at all under
 //               -DGFW_FORCE_REF_CRYPTO=ON.
@@ -44,13 +47,15 @@ struct CpuFeatures {
   bool sse2 = false;    // baseline for the 4-lane ChaCha kernel
   bool avx2 = false;    // the 8-lane ymm ChaCha and 4-way Poly1305 kernels
   bool sha = false;     // SHA extensions + SSE4.1 (the SHA-NI SHA-1 kernel)
+  bool avx512 = false;  // AVX-512F + VL (the 4/8/16-lane vprold ChaCha kernels)
+  bool ifma = false;    // AVX-512 IFMA + avx512 (the 8-way radix-2^44 Poly1305)
 };
 
 // Detected once at startup; all-false when the SIMD kernels were not
 // compiled (non-x86 hosts or a forced-reference build).
 const CpuFeatures& cpu_features();
 
-// "aesni+pclmul+sse2+avx2+sha", or "none". For bench summaries / JSON.
+// "aesni+pclmul+sse2+avx2+sha+avx512+ifma", or "none". For bench summaries / JSON.
 std::string cpu_feature_string();
 
 namespace detail {

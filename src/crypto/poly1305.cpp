@@ -1,5 +1,6 @@
 #include "crypto/poly1305.h"
 
+#include <bit>
 #include <stdexcept>
 
 #ifdef GFWSIM_HAVE_X86_SIMD
@@ -73,9 +74,9 @@ inline void limbs26_to_44(const std::uint32_t in[5], std::uint64_t out[3]) {
   out[0] &= kMask44;
 }
 
-// The simd tier hands a run to the vector kernel from this many whole
+// The simd tier hands a run to a vector kernel from this many whole
 // blocks up; the 2-byte length-chunk MACs and other short runs stay on
-// radix 2^44 and never build r^2..r^4.
+// radix 2^44 and never build r^2 and up.
 constexpr std::size_t kSimdMinBlocks = 16;
 
 }  // namespace
@@ -85,10 +86,12 @@ Poly1305::Poly1305(ByteSpan key) {
   tier_ = poly1305_dispatch_tier();
   if (tier_ != KernelTier::kReference) {
     // Clamp r (RFC 8439 2.5.1) and split into 44/44/42-bit limbs.
-    load_block44(key.data(), 0, r44_);
-    r44_[0] &= 0xffc0fffffff;
-    r44_[1] &= 0xfffffc0ffff;
-    r44_[2] &= 0x00ffffffc0f;
+    std::uint64_t* r = r44_[0];
+    load_block44(key.data(), 0, r);
+    r[0] &= 0xffc0fffffff;
+    r[1] &= 0xfffffc0ffff;
+    r[2] &= 0x00ffffffc0f;
+    powers44_ = 1;
   } else {
     // Clamp r and split into 26-bit limbs.
     const std::uint32_t t0 = load_le32(key.data());
@@ -146,14 +149,17 @@ void Poly1305::process_block(const std::uint8_t block[16], std::uint8_t pad_bit)
   h_[4] = static_cast<std::uint32_t>(d4);
 }
 
-const std::uint64_t* Poly1305::square44() {
-  if (!r2_ready_) {
+const std::uint64_t (*Poly1305::powers44(std::size_t k))[3] {
+  // r^p = r^a * r^(p - a) with a the largest power of two below p, so
+  // r^5..r^8 all wait on r^4 alone: three multiplies deep for all eight.
+  for (; powers44_ < k; ++powers44_) {
+    const std::size_t p = powers44_ + 1;
+    const std::size_t a = std::bit_floor(p - 1);
     u128 d[3] = {};
-    mul_add44(r44_, r44_, d);
-    carry44(d, r2_);
-    r2_ready_ = true;
+    mul_add44(r44_[a - 1], r44_[p - a - 1], d);
+    carry44(d, r44_[p - 1]);
   }
-  return r2_;
+  return r44_;
 }
 
 void Poly1305::process_blocks44(const std::uint8_t* blocks, std::size_t n,
@@ -162,9 +168,9 @@ void Poly1305::process_blocks44(const std::uint8_t* blocks, std::size_t n,
   // Two blocks per step: h' = (h + m0) r^2 + m1 r. The m1 product is off
   // the serial multiply-and-carry chain, which so advances 32 bytes at a
   // time. Locals, not members, so the byte loads cannot alias the state.
-  const std::uint64_t r[3] = {r44_[0], r44_[1], r44_[2]};
+  const std::uint64_t r[3] = {r44_[0][0], r44_[0][1], r44_[0][2]};
   std::uint64_t r2[3];
-  if (n >= 2) std::memcpy(r2, square44(), sizeof(r2));
+  if (n >= 2) std::memcpy(r2, powers44(2)[1], sizeof(r2));
   std::uint64_t h[3] = {h44_[0], h44_[1], h44_[2]};
   for (; n >= 2; n -= 2, blocks += 32) {
     std::uint64_t m0[3], m1[3];
@@ -188,21 +194,10 @@ void Poly1305::process_blocks44(const std::uint8_t* blocks, std::size_t n,
 }
 
 #ifdef GFWSIM_HAVE_X86_SIMD
-void Poly1305::process_blocks_simd(const std::uint8_t* blocks, std::size_t n) {
+void Poly1305::process_blocks_avx2(const std::uint8_t* blocks, std::size_t n) {
   if (!rpow_ready_) {
-    // r^3 and r^4 from the radix-2^44 r and r^2 (9 multiplies each).
-    square44();
-    std::uint64_t r3[3], r4[3];
-    u128 d[3] = {};
-    mul_add44(r2_, r44_, d);
-    carry44(d, r3);
-    std::memset(d, 0, sizeof(d));
-    mul_add44(r2_, r2_, d);
-    carry44(d, r4);
-    limbs44_to_26(r44_, r26_[0]);
-    limbs44_to_26(r2_, r26_[1]);
-    limbs44_to_26(r3, r26_[2]);
-    limbs44_to_26(r4, r26_[3]);
+    const std::uint64_t(*r)[3] = powers44(4);
+    for (int i = 0; i < 4; ++i) limbs44_to_26(r[i], r26_[i]);
     rpow_ready_ = true;
   }
   std::uint32_t h[5];
@@ -220,9 +215,15 @@ void Poly1305::absorb(const std::uint8_t* blocks, std::size_t n, std::uint8_t pa
 #ifdef GFWSIM_HAVE_X86_SIMD
   if (tier_ == KernelTier::kSimd && n >= kSimdMinBlocks) {
     // Only update() brings runs this long, so every block has pad_bit 1;
-    // the last n % 4 blocks stay on radix 2^44.
-    const std::size_t vec = n & ~std::size_t{3};
-    process_blocks_simd(blocks, vec);
+    // the last n % 8 (IFMA) or n % 4 (AVX2) blocks stay on radix 2^44.
+    std::size_t vec;
+    if (cpu_features().ifma) {
+      vec = n & ~std::size_t{7};
+      simd::poly1305_blocks_ifma(h44_, powers44(8), blocks, vec);
+    } else {
+      vec = n & ~std::size_t{3};
+      process_blocks_avx2(blocks, vec);
+    }
     blocks += 16 * vec;
     n -= vec;
   }

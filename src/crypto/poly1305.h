@@ -38,26 +38,29 @@ class Poly1305 {
   // with 128-bit products (9 multiplies a block instead of 25), two
   // blocks per step.
   void process_blocks44(const std::uint8_t* blocks, std::size_t n, std::uint8_t pad_bit);
-  // r^2 in radix 2^44, computed on the first run of two blocks or more:
-  // the one-block absorbs of a 2-byte length chunk's MAC never need it.
-  const std::uint64_t* square44();
+  // Makes r^1..r^k (k <= 8) ready in radix 2^44 and returns them. r^2 is
+  // built on the first run of two blocks or more (the one-block absorbs
+  // of a 2-byte length chunk's MAC never need it), r^3.. on the first
+  // vector run.
+  const std::uint64_t (*powers44(std::size_t k))[3];
   // Simd tier: whole groups of four blocks through the 4-way AVX2
   // kernel, h converted exactly to 26-bit limbs and back around it.
-  void process_blocks_simd(const std::uint8_t* blocks, std::size_t n);
+  void process_blocks_avx2(const std::uint8_t* blocks, std::size_t n);
 
   // Chosen at construction, so one message never mixes limb formats
   // except across the exact conversions above.
   KernelTier tier_ = KernelTier::kReference;
   // r^1..r^4 in 26-bit limbs. The reference tier sets r26_[0] at
-  // construction; the simd tier fills all four on its first vector run
+  // construction; the AVX2 kernel's first run fills all four
   // (rpow_ready_). Left uninitialized until then: a 2-byte length chunk
   // never reads them.
   std::uint32_t r26_[4][5];
   bool rpow_ready_ = false;
   std::uint32_t h_[5]{};
-  std::uint64_t r44_[3]{};
-  std::uint64_t r2_[3];  // r^2, once r2_ready_
-  bool r2_ready_ = false;
+  // r^1..r^8 in radix 2^44; the first powers44_ are ready, the rest
+  // uninitialized.
+  std::uint64_t r44_[8][3];
+  std::size_t powers44_ = 0;
   std::uint64_t h44_[3]{};
   std::uint8_t s_[16]{};
   std::uint8_t buffer_[16]{};

@@ -9,11 +9,14 @@
 //
 // All kernels are bit-identical to the reference tier by construction;
 // tests/crypto/wide_kernels_test.cpp cross-checks them at every lane
-// occupancy and tail length.
+// occupancy and tail length, and calls each ChaCha20 and Poly1305 vector
+// kernel directly.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+
+#include "crypto/cpu.h"
 
 namespace gfwsim::crypto::simd {
 
@@ -47,15 +50,44 @@ void ghash_fold4(std::uint64_t& yhi, std::uint64_t& ylo, const std::uint8_t bloc
 
 // ---- ChaCha20 -------------------------------------------------------------
 
-// Four interleaved ChaCha20 states sharing words 0..11 and 14..15 of
-// `state`; per-lane counter words 12/13 come in via w12/w13 (the caller
-// materializes the 32-bit-wrap IETF vs 64-bit legacy increment). Writes
-// 4 x 64 bytes of keystream, lane-major.
-void chacha20_blocks4_sse2(const std::uint32_t state[16], const std::uint32_t w12[4],
-                           const std::uint32_t w13[4], std::uint8_t out[256]);
-// Same contract over eight states in ymm registers: 8 x 64 bytes.
-void chacha20_blocks8_avx2(const std::uint32_t state[16], const std::uint32_t w12[8],
-                           const std::uint32_t w13[8], std::uint8_t out[512]);
+// One pass of `lanes` interleaved ChaCha20 states sharing words 0..11 and
+// 14..15 of `state`; per-lane counter words 12/13 come in via w12/w13
+// (the caller materializes the 32-bit-wrap IETF vs 64-bit legacy
+// increment). Writes lanes x 64 bytes of keystream, lane-major.
+using ChaChaPassFn = void (*)(const std::uint32_t state[16], const std::uint32_t w12[],
+                              const std::uint32_t w13[], std::uint8_t out[]);
+
+// 4 lanes in xmm, rotating with shift+or.
+void chacha20_blocks4_sse2(const std::uint32_t state[16], const std::uint32_t w12[],
+                           const std::uint32_t w13[], std::uint8_t out[]);
+// 8 lanes in ymm, vpshufb for the 16/8-bit rotations.
+void chacha20_blocks8_avx2(const std::uint32_t state[16], const std::uint32_t w12[],
+                           const std::uint32_t w13[], std::uint8_t out[]);
+// 4, 8 or 16 lanes in xmm, ymm or zmm with vprold (AVX-512F+VL).
+void chacha20_blocks4_avx512(const std::uint32_t state[16], const std::uint32_t w12[],
+                             const std::uint32_t w13[], std::uint8_t out[]);
+void chacha20_blocks8_avx512(const std::uint32_t state[16], const std::uint32_t w12[],
+                             const std::uint32_t w13[], std::uint8_t out[]);
+void chacha20_blocks16_avx512(const std::uint32_t state[16], const std::uint32_t w12[],
+                              const std::uint32_t w13[], std::uint8_t out[]);
+
+// Every compiled pass kernel with the CpuFeatures bit it needs (and that
+// bit's name), for the tests and microbenchmarks that call each one
+// directly: a host dispatches to only some of them.
+struct ChaChaPassKernel {
+  const char* name;
+  std::size_t lanes;
+  bool CpuFeatures::*have;
+  const char* feature;
+  ChaChaPassFn pass;
+};
+inline constexpr ChaChaPassKernel kChaChaPassKernels[] = {
+    {"sse2x4", 4, &CpuFeatures::sse2, "sse2", chacha20_blocks4_sse2},
+    {"avx2x8", 8, &CpuFeatures::avx2, "avx2", chacha20_blocks8_avx2},
+    {"avx512x4", 4, &CpuFeatures::avx512, "avx512", chacha20_blocks4_avx512},
+    {"avx512x8", 8, &CpuFeatures::avx512, "avx512", chacha20_blocks8_avx512},
+    {"avx512x16", 16, &CpuFeatures::avx512, "avx512", chacha20_blocks16_avx512},
+};
 
 // ---- Poly1305 ------------------------------------------------------------
 
@@ -66,6 +98,15 @@ void chacha20_blocks8_avx2(const std::uint32_t state[16], const std::uint32_t w1
 // run every fourth block against r^4; the last group folds the lanes
 // with r^4..r^1.
 void poly1305_blocks_avx2(std::uint32_t h[5], const std::uint32_t rpow[4][5],
+                          const std::uint8_t* blocks, std::size_t n);
+
+// The same on radix-2^44 limbs (44/44/42 bits, as the portable tier
+// keeps them; the middle limb may carry a bit over) with n a positive
+// multiple of 8 and rpow holding r^1..r^8: eight zmm lanes each run
+// every eighth block against r^8 with AVX-512 IFMA (vpmadd52luq/huq:
+// nine products per block, each in a low and a high 52-bit half), and
+// the last group folds the lanes with r^8..r^1.
+void poly1305_blocks_ifma(std::uint64_t h[3], const std::uint64_t rpow[8][3],
                           const std::uint8_t* blocks, std::size_t n);
 
 // ---- SHA-1 ----------------------------------------------------------------

@@ -20,7 +20,7 @@ using crypto::Rc4;
 }  // namespace
 
 struct StreamSession::Impl {
-  // ChaCha20 carries a whole pass of keystream (512 bytes), so it sits
+  // ChaCha20 carries a whole pass of keystream (up to 1 KiB), so it sits
   // behind a pointer rather than sizing every AES and RC4 session to it.
   std::variant<AesCtr, AesCfb, Rc4, std::unique_ptr<ChaCha20>> cipher;
   Direction direction;

@@ -1,22 +1,25 @@
 // Edge-case sweeps for the batched wide kernels behind the tier-dispatch
-// harness: AES-NI/GCM, 4- and 8-lane ChaCha20, radix-2^44 and 4-way AVX2
-// Poly1305, SHA-NI SHA-1.
+// harness: AES-NI/GCM, 4-, 8- and 16-lane ChaCha20, radix-2^44, 4-way
+// AVX2 and 8-way IFMA Poly1305, SHA-NI SHA-1.
 //
 // Every test pins the kernel-tier cap (ScopedKernelTierCap) and checks
 // the portable-batched and SIMD tiers byte-for-byte against the
 // reference tier at every lane occupancy the batch loops can see
-// (1..8 AES blocks per aes_encrypt_blocks call, 1..8 ChaCha states per
-// 256- or 512-byte pass), every tail length 0..129 bytes, unaligned
-// buffers, in-place and split transforms, and counter wrap in every lane
-// for both ChaCha variants. On
+// (1..8 AES blocks per aes_encrypt_blocks call, 1..16 ChaCha states per
+// 256-, 512- or 1024-byte pass), every tail length 0..129 bytes,
+// unaligned buffers, in-place and split transforms, and counter wrap in
+// every lane for both ChaCha variants. On
 // hosts without the SIMD extensions the kSimd cap degrades to the
 // portable tier, so the sweeps still pass (they just cross-check
 // portable against reference twice). The per-tier SHA-1 and Poly1305
-// suites at the end pin one tier each instead, and skip the simd tier on
-// a host without the feature it needs.
+// suites pin one tier each instead, and skip the simd tier on a host
+// without the feature it needs; the per-kernel ChaCha20 and Poly1305
+// suites call every compiled vector kernel directly, since a host
+// dispatches to only some of them, and skip those the host lacks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <optional>
 #include <ostream>
@@ -43,6 +46,13 @@ namespace gfwsim::crypto {
 
 // Names a tier in test output (ctest lists each AllTiers/* case with it).
 void PrintTo(KernelTier tier, std::ostream* os) { *os << tier_name(tier); }
+
+#ifdef GFWSIM_HAVE_X86_SIMD
+namespace simd {
+// Names a pass kernel the same way (AllPassKernels/*).
+void PrintTo(const ChaChaPassKernel& kernel, std::ostream* os) { *os << kernel.name; }
+}  // namespace simd
+#endif
 
 namespace {
 
@@ -198,9 +208,9 @@ TEST(WideKernels, ChaChaAllLaneOccupanciesAndTails) {
 
 // Counter wrap inside a pass: the IETF variant wraps its 32-bit counter
 // word, the legacy variant carries into the high word. Starting k blocks
-// before the wrap, k = 1..8, puts the wrap in every lane of an 8-lane
-// pass (lane k, or lane 0 of the next pass for k = 8) and in every lane
-// of a 4-lane pass.
+// before the wrap, k = 1..16, puts the wrap in every lane of a 16-lane
+// pass (lane k, or lane 0 of the next pass for k = 16) and in every lane
+// of an 8- or 4-lane pass.
 TEST(WideKernels, ChaChaCounterWrapInsideBatch) {
   Rng rng(0x9f113d);
   const Bytes key = rng.bytes(32);
@@ -216,7 +226,7 @@ TEST(WideKernels, ChaChaCounterWrapInsideBatch) {
   for (const Case& c : cases) {
     const Bytes nonce = rng.bytes(c.nonce_len);
     const Bytes data = rng.bytes(64 * 17 + 13);
-    for (std::uint64_t k = 1; k <= 8; ++k) {
+    for (std::uint64_t k = 1; k <= 16; ++k) {
       const std::uint64_t initial = c.wrap - k;
       Bytes expected(data.size());
       {
@@ -235,8 +245,9 @@ TEST(WideKernels, ChaChaCounterWrapInsideBatch) {
 }
 
 // One stream fed in two pieces, cut one byte either side of every block
-// boundary (64k +- 1) and every 8-lane pass boundary (512k +- 1), so the
-// second call starts from each possible buffered-keystream offset.
+// boundary (64k +- 1) and every 4-, 8- and 16-lane pass boundary (256k,
+// 512k, 1024k +- 1), so the second call starts from each possible
+// buffered-keystream offset.
 TEST(WideKernels, ChaChaSplitTransformsAtBlockAndPassBoundaries) {
   Rng rng(0x5011c7);
   const Bytes key = rng.bytes(32);
@@ -246,9 +257,11 @@ TEST(WideKernels, ChaChaSplitTransformsAtBlockAndPassBoundaries) {
     cuts.push_back(64 * k - 1);
     cuts.push_back(64 * k + 1);
   }
-  for (std::size_t k = 1; 512 * k + 1 <= data.size(); ++k) {
-    cuts.push_back(512 * k - 1);
-    cuts.push_back(512 * k + 1);
+  for (const std::size_t pass : {256u, 512u, 1024u}) {
+    for (std::size_t k = 1; pass * k + 1 <= data.size(); ++k) {
+      cuts.push_back(pass * k - 1);
+      cuts.push_back(pass * k + 1);
+    }
   }
   for (const std::size_t nonce_len : {12u, 8u}) {
     const Bytes nonce = rng.bytes(nonce_len);
@@ -273,40 +286,54 @@ TEST(WideKernels, ChaChaSplitTransformsAtBlockAndPassBoundaries) {
 }
 
 #ifdef GFWSIM_HAVE_X86_SIMD
-// The 4-lane SSE2 kernel, called directly: AVX2 hosts dispatch to the
-// 8-lane kernel, so no other test reaches it there. Lanes carry their own
-// counter words, including an IETF wrap and a legacy carry mid-pass.
-TEST(WideKernels, ChaChaSse2KernelMatchesReference) {
-  if (!cpu_features().sse2) GTEST_SKIP() << "no SSE2";
+// Every compiled pass kernel, called directly: a host dispatches to only
+// some of them (an AVX-512 host to none of the SSE2 and AVX2 ones), so no
+// other test reaches the rest there. Lanes carry their own counter
+// words; the starting counters put an IETF wrap and a legacy carry
+// mid-pass at every width. A kernel whose feature the host lacks skips,
+// naming it.
+class ChaChaPassKernelTest : public ::testing::TestWithParam<simd::ChaChaPassKernel> {};
+
+TEST_P(ChaChaPassKernelTest, MatchesReference) {
+  const simd::ChaChaPassKernel& kernel = GetParam();
+  if (!(cpu_features().*kernel.have)) GTEST_SKIP() << "no " << kernel.feature;
+  const std::size_t bytes = 64 * kernel.lanes;
   Rng rng(0x55e2);
   const Bytes key = rng.bytes(32);
   for (const std::size_t nonce_len : {12u, 8u}) {
     const Bytes nonce = rng.bytes(nonce_len);
-    for (const std::uint64_t initial : {0ull, 0xfffffffeull, 0x1fffffffdull}) {
+    for (const std::uint64_t initial : {0ull, 0xfffffffeull, 0x1fffffffdull, 0xfffffff1ull}) {
       std::uint32_t state[16] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
       for (int i = 0; i < 8; ++i) state[4 + i] = load_le32(key.data() + 4 * i);
       state[14] = load_le32(nonce.data() + nonce_len - 8);
       state[15] = load_le32(nonce.data() + nonce_len - 4);
-      std::uint32_t w12[4], w13[4];
-      for (std::uint32_t l = 0; l < 4; ++l) {
+      std::uint32_t w12[16], w13[16];
+      for (std::uint32_t l = 0; l < kernel.lanes; ++l) {
         const std::uint64_t counter = initial + l;
         w12[l] = static_cast<std::uint32_t>(counter);
         w13[l] = nonce_len == 12 ? load_le32(nonce.data())
                                  : static_cast<std::uint32_t>(counter >> 32);
       }
-      std::uint8_t out[256];
-      simd::chacha20_blocks4_sse2(state, w12, w13, out);
-      Bytes expected(256);
+      std::vector<std::uint8_t> out(bytes + 1, 0xa5);
+      kernel.pass(state, w12, w13, out.data());
+      EXPECT_EQ(out[bytes], 0xa5) << "wrote past " << bytes << " bytes";
+      out.pop_back();
+      Bytes expected;
       {
         ScopedKernelTierCap pin(KernelTier::kReference);
         ChaCha20 ref(key, nonce, initial);
-        expected = ref.transform(Bytes(256, 0));
+        expected = ref.transform(Bytes(bytes, 0));
       }
-      EXPECT_EQ(Bytes(out, out + 256), expected)
-          << "nonce=" << nonce_len << " ctr=" << initial;
+      EXPECT_EQ(out, expected) << "nonce=" << nonce_len << " ctr=" << initial;
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllPassKernels, ChaChaPassKernelTest,
+                         ::testing::ValuesIn(simd::kChaChaPassKernels),
+                         [](const ::testing::TestParamInfo<simd::ChaChaPassKernel>& info) {
+                           return std::string(info.param.name);
+                         });
 #endif
 
 // ---- Poly1305 -------------------------------------------------------------
@@ -550,6 +577,42 @@ TEST(WideKernels, ChaChaPolySealOpenCrossTier) {
   }
 }
 
+// Seal and open at every plaintext length 0..1100 against the reference
+// tier. A seal's keystream is 64 + length bytes, so on AVX-512 the first
+// pass widens from 4 to 8 to 16 lanes past lengths 192, 448 and 960, and
+// a second pass follows past 960. At each of those changes a flipped tag
+// bit and a flipped ciphertext bit must fail to open, without writing.
+TEST(WideKernels, ChaChaPolyEveryLengthAcrossPassWidths) {
+  Rng rng(0x6e77a1);
+  const ChaCha20Poly1305 aead(rng.bytes(32));
+  const Bytes all = rng.bytes(1100);
+  const std::vector<std::size_t> widths = {192, 193, 448, 449, 960, 961};
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    const Bytes nonce = rng.bytes(ChaCha20Poly1305::kNonceSize);
+    const Bytes aad = rng.bytes(len % 13);
+    const ByteSpan pt(all.data(), len);
+    Bytes expected;
+    {
+      ScopedKernelTierCap pin(KernelTier::kReference);
+      expected = aead.seal(nonce, pt, aad);
+    }
+    ScopedKernelTierCap pin(KernelTier::kSimd);
+    const Bytes sealed = aead.seal(nonce, pt, aad);
+    ASSERT_EQ(sealed, expected) << "len=" << len;
+    const auto opened = aead.open(nonce, sealed, aad);
+    ASSERT_TRUE(opened.has_value()) << "len=" << len;
+    ASSERT_EQ(*opened, Bytes(pt.begin(), pt.end())) << "len=" << len;
+    if (std::find(widths.begin(), widths.end(), len) == widths.end()) continue;
+    for (const std::size_t at : {sealed.size() - 1, std::size_t{0}}) {
+      Bytes bad = sealed;
+      bad[at] ^= 0x01;
+      Bytes out(len, 0x5a);
+      EXPECT_FALSE(aead.open_into(nonce, bad, out.data(), aad)) << "len=" << len << " at=" << at;
+      EXPECT_EQ(out, Bytes(len, 0x5a)) << "len=" << len << " at=" << at;
+    }
+  }
+}
+
 // ---- Per-tier SHA-1 and Poly1305 -------------------------------------------
 
 std::string tier_param_name(const ::testing::TestParamInfo<KernelTier>& info) {
@@ -718,6 +781,185 @@ TEST_P(Poly1305Tier, AllOnesClampedR) {
     }
   }
 }
+
+#ifdef GFWSIM_HAVE_X86_SIMD
+// ---- Poly1305 vector kernels, called directly -------------------------------
+
+// A value mod p = 2^130 - 5 in 26-bit limbs, with the arithmetic of the
+// per-block reference: the oracle the vector kernels are checked against.
+using Limbs26 = std::array<std::uint64_t, 5>;
+constexpr std::uint64_t kM26 = 0x3ffffff;
+
+// Carries and subtracts p, leaving the unique value below p.
+Limbs26 canonical(Limbs26 a) {
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int i = 0; i < 4; ++i) {
+      a[i + 1] += a[i] >> 26;
+      a[i] &= kM26;
+    }
+    a[0] += (a[4] >> 26) * 5;
+    a[4] &= kM26;
+  }
+  Limbs26 g = a;
+  g[0] += 5;
+  for (int i = 0; i < 4; ++i) {
+    g[i + 1] += g[i] >> 26;
+    g[i] &= kM26;
+  }
+  if (g[4] >> 26) {  // a + 5 >= 2^130, so a >= p: take a - p
+    g[4] &= kM26;
+    return g;
+  }
+  return a;
+}
+
+Limbs26 mul_mod(const Limbs26& a, const Limbs26& b) {
+  Limbs26 d{};
+  for (int i = 0; i < 5; ++i) {
+    for (int j = 0; j < 5; ++j) {
+      const std::uint64_t p = a[i] * b[j];
+      if (i + j < 5) {
+        d[i + j] += p;
+      } else {
+        d[i + j - 5] += 5 * p;  // 2^130 = 5 mod p
+      }
+    }
+  }
+  return canonical(d);  // columns stay under 25 * 5 * 2^52
+}
+
+// h = (h + block with the 2^128 pad bit) * r, one block at a time.
+Limbs26 horner(Limbs26 h, const Limbs26& r, const std::uint8_t* blocks, std::size_t n) {
+  for (std::size_t b = 0; b < n; ++b, blocks += 16) {
+    const std::uint64_t lo = load_le64(blocks), hi = load_le64(blocks + 8);
+    h[0] += lo & kM26;
+    h[1] += (lo >> 26) & kM26;
+    h[2] += ((lo >> 52) | (hi << 12)) & kM26;
+    h[3] += (hi >> 14) & kM26;
+    h[4] += (hi >> 40) | (1u << 24);
+    h = mul_mod(h, r);
+  }
+  return h;
+}
+
+// Canonical value <-> radix 2^44 (44/44/42 bits); the way back accepts
+// the kernel's partly carried limbs.
+std::array<std::uint64_t, 3> to44(const Limbs26& c) {
+  __extension__ typedef unsigned __int128 u128;
+  u128 v = 0;
+  for (int i = 4; i >= 0; --i) v = (v << 26) | c[i];  // drops bits 128, 129
+  return {static_cast<std::uint64_t>(v) & 0xfffffffffff,
+          static_cast<std::uint64_t>(v >> 44) & 0xfffffffffff,
+          static_cast<std::uint64_t>(v >> 88) | (c[4] >> 24 << 40)};
+}
+Limbs26 from44(const std::uint64_t h[3]) {
+  Limbs26 out{};
+  for (int limb = 0; limb < 3; ++limb) {
+    for (int at = 0; at < 64; ++at) {
+      if (!(h[limb] >> at & 1)) continue;
+      int bit = 44 * limb + at;
+      std::uint64_t weight = 1;
+      if (bit >= 130) {  // 2^130 = 5 mod p
+        bit -= 130;
+        weight = 5;
+      }
+      out[bit / 26] += weight << (bit % 26);
+    }
+  }
+  return canonical(out);
+}
+
+// One vector kernel behind a common interface: absorbs n blocks into the
+// canonical h with r^1..r^8 (canonical) and returns h canonicalized.
+struct Poly1305Kernel {
+  const char* name;
+  std::size_t lanes;  // n must be a multiple of this
+  bool CpuFeatures::*have;
+  const char* feature;
+  Limbs26 (*run)(const Limbs26& h, const std::array<Limbs26, 8>& rpow,
+                 const std::uint8_t* blocks, std::size_t n);
+};
+
+Limbs26 run_avx2(const Limbs26& h, const std::array<Limbs26, 8>& rpow,
+                 const std::uint8_t* blocks, std::size_t n) {
+  std::uint32_t h26[5], r26[4][5];
+  for (int i = 0; i < 5; ++i) {
+    h26[i] = static_cast<std::uint32_t>(h[i]);
+    for (int k = 0; k < 4; ++k) r26[k][i] = static_cast<std::uint32_t>(rpow[k][i]);
+  }
+  simd::poly1305_blocks_avx2(h26, r26, blocks, n);
+  return canonical({h26[0], h26[1], h26[2], h26[3], h26[4]});
+}
+
+Limbs26 run_ifma(const Limbs26& h, const std::array<Limbs26, 8>& rpow,
+                 const std::uint8_t* blocks, std::size_t n) {
+  std::uint64_t h44[3], r44[8][3];
+  const auto hv = to44(h);
+  std::copy(hv.begin(), hv.end(), h44);
+  for (int k = 0; k < 8; ++k) {
+    const auto rv = to44(rpow[k]);
+    std::copy(rv.begin(), rv.end(), r44[k]);
+  }
+  simd::poly1305_blocks_ifma(h44, r44, blocks, n);
+  return from44(h44);
+}
+
+constexpr Poly1305Kernel kPoly1305Kernels[] = {
+    {"avx2", 4, &CpuFeatures::avx2, "avx2", run_avx2},
+    {"ifma", 8, &CpuFeatures::ifma, "ifma (AVX-512 IFMA)", run_ifma},
+};
+
+void PrintTo(const Poly1305Kernel& kernel, std::ostream* os) { *os << kernel.name; }
+
+class Poly1305KernelTest : public ::testing::TestWithParam<Poly1305Kernel> {};
+
+// Every run length the kernel takes from 16 to 300 blocks, under a random
+// r and the all-ones clamped r, with random and all-0xff blocks, starting
+// from h = 0, a random h, and h at and just below p - 1 (the largest
+// canonical accumulators), against the per-block 26-bit Horner loop.
+TEST_P(Poly1305KernelTest, MatchesPerBlockReference) {
+  const Poly1305Kernel& kernel = GetParam();
+  if (!(cpu_features().*kernel.have)) GTEST_SKIP() << "no " << kernel.feature;
+  Rng rng(0x1f3a);
+  const auto clamp = [](const Bytes& key) {
+    std::uint8_t k[16];
+    std::memcpy(k, key.data(), 16);
+    for (const int i : {3, 7, 11, 15}) k[i] &= 0x0f;
+    for (const int i : {4, 8, 12}) k[i] &= 0xfc;
+    const std::uint64_t lo = load_le64(k), hi = load_le64(k + 8);
+    return Limbs26{lo & kM26, (lo >> 26) & kM26, ((lo >> 52) | (hi << 12)) & kM26,
+                   (hi >> 14) & kM26, hi >> 40};
+  };
+  const Limbs26 p_minus_1 = {kM26 - 5, kM26, kM26, kM26, kM26};
+  const Limbs26 p_minus_2_26 = {kM26 - 5, kM26 - 1, kM26, kM26, kM26};
+  const Bytes random_blocks = rng.bytes(16 * 300);
+  const Bytes ones(16 * 300, 0xff);
+  for (const Bytes& key : {rng.bytes(32), Bytes(32, 0xff)}) {
+    std::array<Limbs26, 8> rpow;
+    rpow[0] = clamp(key);
+    for (int k = 1; k < 8; ++k) rpow[k] = mul_mod(rpow[k - 1], rpow[0]);
+    const Limbs26 random_h = canonical(
+        {rng.next_u64() & kM26, rng.next_u64() & kM26, rng.next_u64() & kM26,
+         rng.next_u64() & kM26, rng.next_u64() & kM26});
+    for (const Limbs26& h : {Limbs26{}, random_h, p_minus_1, p_minus_2_26}) {
+      for (const Bytes* blocks : {&random_blocks, &ones}) {
+        for (std::size_t n = 16; n <= 300; n += kernel.lanes) {
+          ASSERT_EQ(kernel.run(h, rpow, blocks->data(), n),
+                    horner(h, rpow[0], blocks->data(), n))
+              << "r0=" << int{key[0]} << " h0=" << h[0] << " ones=" << (blocks == &ones)
+              << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllVectorKernels, Poly1305KernelTest,
+                         ::testing::ValuesIn(kPoly1305Kernels),
+                         [](const ::testing::TestParamInfo<Poly1305Kernel>& info) {
+                           return std::string(info.param.name);
+                         });
+#endif
 
 }  // namespace
 }  // namespace gfwsim::crypto
