@@ -213,95 +213,108 @@ void Gfw::launch_probe(net::Endpoint server, probesim::ProbeType type,
   // until the GFW's own timeout, then close with FIN/ACK. Under path
   // faults a failed connection attempt is relaunched with backoff inside
   // the same probe window (start_probe_connection).
-  auto attempt = std::make_shared<ProbeAttempt>();
-  attempt->server = server;
-  attempt->identity = pool_.acquire();
-  attempt->payload = std::move(payload);
-  attempt->record = record;
-  attempt->deadline = loop.now() + config_.probe_timeout;
+  const ProbeId id = probes_.emplace();
+  ProbeAttempt& attempt = *probes_.get(id);
+  attempt.server = server;
+  attempt.identity = pool_.acquire();
+  attempt.payload = std::move(payload);
+  attempt.record = std::move(record);
+  attempt.deadline = loop.now() + config_.probe_timeout;
   ++in_flight_;
 
-  start_probe_connection(attempt);
-  loop.schedule_after(config_.probe_timeout,
-                      [this, attempt] { finalize_probe(attempt); });
+  start_probe_connection(id);
+  loop.schedule_after(config_.probe_timeout, [this, id] { finalize_probe(id); });
 }
 
-void Gfw::start_probe_connection(const std::shared_ptr<ProbeAttempt>& attempt) {
+void Gfw::start_probe_connection(ProbeId id) {
   auto& loop = net_.loop();
-  net::Host& prober_host = pool_.host_for(attempt->identity);
-  net::ConnectOptions options = pool_.connect_options(attempt->identity, rng_);
+  ProbeAttempt& attempt = *probes_.get(id);
+  net::Host& prober_host = pool_.host_for(attempt.identity);
+  net::ConnectOptions options = pool_.connect_options(attempt.identity, rng_);
   options.arq = config_.probe_arq;
-  if (attempt->attempts == 1) {
+  if (attempt.attempts == 1) {
     // The logged fingerprint is the first attempt's (what the server-side
     // pcap attributes the probe to); retries re-draw ephemeral ports.
-    attempt->record.src_ip = attempt->identity.ip;
-    attempt->record.asn = attempt->identity.asn;
-    attempt->record.src_port = options.src_port;
-    attempt->record.ttl = options.header->ttl;
-    attempt->record.tsval_process = attempt->identity.tsval_process;
-    attempt->record.tsval = pool_.tsval_at(attempt->identity.tsval_process, loop.now());
-    attempt->record.sent_at = loop.now();
+    attempt.record.src_ip = attempt.identity.ip;
+    attempt.record.asn = attempt.identity.asn;
+    attempt.record.src_port = options.src_port;
+    attempt.record.ttl = options.header->ttl;
+    attempt.record.tsval_process = attempt.identity.tsval_process;
+    attempt.record.tsval = pool_.tsval_at(attempt.identity.tsval_process, loop.now());
+    attempt.record.sent_at = loop.now();
   }
 
+  // Callbacks and timers hold only the probe's id: one that arrives after
+  // the slot was freed (and possibly reused) finds nothing and does
+  // nothing.
   net::ConnectionCallbacks cb;
-  cb.on_connected = [attempt] { attempt->conn->send(attempt->payload); };
-  cb.on_data = [attempt](ByteSpan data) { attempt->data_bytes += data.size(); };
-  cb.on_rst = [attempt] {
-    attempt->rst = true;
-    if (attempt->finalized) attempt->conn.reset();
+  cb.on_connected = [this, id] {
+    if (ProbeAttempt* a = probes_.get(id)) a->conn->send(a->payload);
   };
-  cb.on_fin = [attempt] {
-    attempt->fin = true;
-    // Close handshake completed after finalize: release the connection
-    // (breaking the attempt<->connection ownership cycle).
-    if (attempt->finalized) attempt->conn.reset();
+  cb.on_data = [this, id](ByteSpan data) {
+    if (ProbeAttempt* a = probes_.get(id)) a->data_bytes += data.size();
   };
-  cb.on_timeout = [this, attempt] {
+  cb.on_rst = [this, id] {
+    if (ProbeAttempt* a = probes_.get(id)) a->rst = true;
+    release_if_finalized(id);
+  };
+  cb.on_fin = [this, id] {
+    if (ProbeAttempt* a = probes_.get(id)) a->fin = true;
+    release_if_finalized(id);
+  };
+  cb.on_timeout = [this, id] {
     // ARQ gave up on this connection attempt (SYN retries or data
     // retransmissions exhausted). Relaunch while the window allows.
-    if (attempt->finalized) {
-      attempt->conn.reset();
-      return;
-    }
-    attempt->conn.reset();
-    if (attempt->attempts > config_.probe_connect_retries) return;
-    const net::Duration backoff =
-        config_.probe_retry_backoff * (1ll << (attempt->attempts - 1));
-    if (net_.loop().now() + backoff >= attempt->deadline) return;
-    ++attempt->attempts;
+    release_if_finalized(id);
+    ProbeAttempt* a = probes_.get(id);
+    if (a == nullptr) return;
+    a->conn.reset();
+    if (a->attempts > config_.probe_connect_retries) return;
+    const net::Duration backoff = config_.probe_retry_backoff * (1ll << (a->attempts - 1));
+    if (net_.loop().now() + backoff >= a->deadline) return;
+    ++a->attempts;
     ++probe_connect_retries_;
-    net_.loop().schedule_after(backoff, [this, attempt] {
-      if (!attempt->finalized) start_probe_connection(attempt);
+    net_.loop().schedule_after(backoff, [this, id] {
+      if (probes_.get(id) != nullptr) start_probe_connection(id);
     });
   };
 
-  attempt->conn = prober_host.connect(attempt->server, std::move(cb), std::move(options));
+  attempt.conn = prober_host.connect(attempt.server, std::move(cb), std::move(options));
 }
 
-void Gfw::finalize_probe(const std::shared_ptr<ProbeAttempt>& attempt) {
-  if (attempt->finalized) return;
-  attempt->finalized = true;
+void Gfw::release_if_finalized(ProbeId id) {
+  const ProbeAttempt* attempt = probes_.get(id);
+  if (attempt != nullptr && attempt->finalized) probes_.erase(id);
+}
+
+void Gfw::finalize_probe(ProbeId id) {
+  // Runs once per attempt, from the timer launch_probe set; the slot is
+  // live until then.
+  ProbeAttempt& attempt = *probes_.get(id);
+  attempt.finalized = true;
   --in_flight_;
-  ProbeRecord final_record = attempt->record;
-  final_record.connect_retries = attempt->attempts - 1;
-  if (attempt->data_bytes > 0) {
+  ProbeRecord final_record = std::move(attempt.record);
+  final_record.connect_retries = attempt.attempts - 1;
+  if (attempt.data_bytes > 0) {
     final_record.reaction = probesim::Reaction::kData;
-  } else if (attempt->rst) {
+  } else if (attempt.rst) {
     final_record.reaction = probesim::Reaction::kRst;
-  } else if (attempt->fin) {
+  } else if (attempt.fin) {
     final_record.reaction = probesim::Reaction::kFinAck;
   } else {
     final_record.reaction = probesim::Reaction::kTimeout;
   }
-  if (attempt->conn) {
-    attempt->conn->close();
-    const auto state = attempt->conn->state();
-    if (state == net::Connection::State::kClosed ||
-        state == net::Connection::State::kReset) {
-      attempt->conn.reset();
-    }
+  const net::Endpoint server = attempt.server;
+  if (attempt.conn) attempt.conn->close();
+  if (attempt.conn && attempt.conn->state() == net::Connection::State::kFinSent) {
+    // The FIN is still unanswered: keep only the connection, registered
+    // (and counted half-closed by the teardown report) until it sees
+    // FIN, RST or timeout.
+    attempt.payload = Bytes{};
+  } else {
+    probes_.erase(id);
   }
-  handle_probe_result(attempt->server, final_record);
+  handle_probe_result(server, final_record);
   // Probe-log records accumulate for the whole shard, so each one is
   // metered (and never released) against the governor's budget.
   if (governor_ != nullptr) {

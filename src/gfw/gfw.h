@@ -32,6 +32,7 @@
 #include "gfw/delay_model.h"
 #include "gfw/probe_log.h"
 #include "gfw/prober_pool.h"
+#include "gfw/slot_table.h"
 #include "net/network.h"
 #include "probesim/probesim.h"
 
@@ -128,6 +129,9 @@ class Gfw : public net::Middlebox {
   std::size_t flows_inspected() const { return flows_inspected_; }
   std::size_t flows_flagged() const { return flows_flagged_; }
   std::size_t probes_in_flight() const { return in_flight_; }
+  // Probe attempts still owned: the ones in flight plus finalized probes
+  // whose connection lingers half-closed (FIN sent, unanswered).
+  std::size_t probe_slots() const { return probes_.size(); }
   // Probe connections relaunched after a connect failure (faults only).
   std::size_t probe_connect_retries() const { return probe_connect_retries_; }
   std::size_t servers_in_stage2() const;
@@ -167,7 +171,8 @@ class Gfw : public net::Middlebox {
   };
 
   // One flagged-probe exchange, possibly spanning several connection
-  // attempts when the path is faulty.
+  // attempts when the path is faulty. Owned by probes_; connection
+  // callbacks and timers refer to it by ProbeId only.
   struct ProbeAttempt {
     net::Endpoint server;
     ProberPool::Identity identity;
@@ -210,8 +215,12 @@ class Gfw : public net::Middlebox {
   // Re-launches queued probes while in-flight capacity allows (FIFO, so
   // the drain order is a pure function of the shard's event sequence).
   void drain_admission_queue();
-  void start_probe_connection(const std::shared_ptr<ProbeAttempt>& attempt);
-  void finalize_probe(const std::shared_ptr<ProbeAttempt>& attempt);
+  using ProbeId = SlotTable<ProbeAttempt>::Id;
+  void start_probe_connection(ProbeId id);
+  void finalize_probe(ProbeId id);
+  // The probe's connection finished closing or failed: a finalized
+  // attempt has nothing left to wait for and frees its slot.
+  void release_if_finalized(ProbeId id);
   void enter_stage2(net::Endpoint server);
   void stage2_tick(net::Endpoint server);
   void handle_probe_result(net::Endpoint server, const ProbeRecord& record);
@@ -233,6 +242,11 @@ class Gfw : public net::Middlebox {
   std::size_t flows_flagged_ = 0;
   std::size_t in_flight_ = 0;
   std::size_t probe_connect_retries_ = 0;
+
+  // Every probe attempt, from launch until finalize, or past finalize
+  // until its half-closed connection sees FIN, RST or timeout; ~Gfw
+  // releases whatever is left.
+  SlotTable<ProbeAttempt> probes_;
 
   // Resource governance (inert while governor_ is null and
   // probe_queue_cap is 0).

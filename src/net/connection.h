@@ -16,6 +16,7 @@
 // the wire format is bit-identical to the ideal-network behaviour.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <set>
@@ -64,6 +65,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // the connection registry free of expired entries.
   ~Connection();
 
+  // Connection objects alive in this process, across every Network. Read
+  // by leak tests only: it never enters a summary, checkpoint or digest.
+  static std::size_t live_count() { return live_.load(std::memory_order_relaxed); }
+
   Endpoint local() const { return local_; }
   Endpoint remote() const { return remote_; }
   State state() const { return state_; }
@@ -104,6 +109,10 @@ class Connection : public std::enable_shared_from_this<Connection> {
  private:
   friend class Network;
   friend class Host;
+
+  Connection() { live_.fetch_add(1, std::memory_order_relaxed); }
+
+  static inline std::atomic<std::size_t> live_{0};
 
   // ARQ internals (implemented in network.cpp beside the routing logic).
   void arm_syn_timer();

@@ -33,6 +33,7 @@ std::string Segment::flags_to_string() const {
 EventLoop& Connection::loop() { return net_->loop(); }
 
 Connection::~Connection() {
+  live_.fetch_sub(1, std::memory_order_relaxed);
   // Drop this connection's registry entry so the table never holds
   // expired weak_ptrs (and the ephemeral-port usage count stays exact).
   // Skipped when the Network died first.
