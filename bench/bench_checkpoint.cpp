@@ -1,8 +1,9 @@
 // Checkpoint/resume demonstration: run a standard campaign with a shard
 // journal and print a SHA-1 over the merged result. The digest covers
-// every summary field and every probe record (via the checkpoint codec),
-// so two invocations printing the same digest produced bit-identical
-// campaigns — which is exactly what CI's kill-and-resume smoke asserts:
+// every summary field but log_offset and every probe record (via the
+// checkpoint codec), so two invocations printing the same digest
+// produced bit-identical campaigns — which is exactly what CI's
+// kill-and-resume smoke asserts:
 //
 //   bench_checkpoint --checkpoint j.ckpt            (killed mid-run)
 //   bench_checkpoint --checkpoint j.ckpt --resume   (finishes the rest)
@@ -23,7 +24,8 @@ using namespace gfwsim;
 namespace {
 
 // SHA-1 over the checkpoint-codec serialization of every shard: summary
-// fields, blocking history, teardown report, and the shard's records.
+// fields, blocking history, teardown report, server rows, resource
+// verdict, and the shard's records.
 std::string campaign_digest(const gfw::CampaignResult& result) {
   crypto::Sha1 hash;
   for (const auto& shard : result.shards) {

@@ -71,28 +71,25 @@ const char* flag_value(int argc, char** argv, int& i, const char* argv0) {
   return argv[++i];
 }
 
-// Numeric flags must consume their whole token: "2x", "two", "-1" or an
-// empty string is a usage error, never a silent 0 or a truncated prefix.
-// leading_unsigned parses the leading unsigned integer of `text`
-// (decimal, 0x-hex or 0-octal) and points `rest` past it; a sign, a
-// blank or an overflow is a usage error.
-std::uint64_t leading_unsigned(const char* text, const char*& rest, const char* argv0) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) usage(argv0, 2);
+// Parses the leading unsigned integer of `text` (decimal, 0x-hex or
+// 0-octal) and points `rest` past it; a sign, a blank or an overflow
+// yields nullopt.
+std::optional<std::uint64_t> leading_unsigned(const char* text, const char*& rest) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return std::nullopt;
   char* end = nullptr;
   errno = 0;
   const std::uint64_t value = std::strtoull(text, &end, 0);
-  if (errno == ERANGE) usage(argv0, 2);
+  if (errno == ERANGE) return std::nullopt;
   rest = end;
   return value;
 }
 
 std::uint64_t unsigned_flag(int argc, char** argv, int& i, const char* argv0,
                             std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  const char* rest = nullptr;
-  const std::uint64_t value =
-      leading_unsigned(flag_value(argc, argv, i, argv0), rest, argv0);
-  if (*rest != '\0' || value > max) usage(argv0, 2);
-  return value;
+  const std::optional<std::uint64_t> value =
+      whole_unsigned(flag_value(argc, argv, i, argv0), max);
+  if (!value) usage(argv0, 2);
+  return *value;
 }
 
 // A finite, non-negative real.
@@ -115,8 +112,10 @@ double probability_flag(int argc, char** argv, int& i, const char* argv0) {
 // Byte-size flag with optional k/m/g (binary) suffix: "64m" = 64 MiB.
 std::uint64_t size_flag(int argc, char** argv, int& i, const char* argv0) {
   const char* rest = nullptr;
-  const std::uint64_t base =
-      leading_unsigned(flag_value(argc, argv, i, argv0), rest, argv0);
+  const std::optional<std::uint64_t> leading =
+      leading_unsigned(flag_value(argc, argv, i, argv0), rest);
+  if (!leading) usage(argv0, 2);
+  const std::uint64_t base = *leading;
   std::uint64_t scale = 1;
   switch (*rest) {
     case '\0': break;
@@ -144,6 +143,13 @@ void split_csv_path(const std::string& path, std::string& directory, std::string
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> whole_unsigned(const char* text, std::uint64_t max) {
+  const char* rest = nullptr;
+  const std::optional<std::uint64_t> value = leading_unsigned(text, rest);
+  if (!value || *rest != '\0' || *value > max) return std::nullopt;
+  return value;
+}
 
 BenchOptions parse_bench_args(int argc, char** argv) {
   BenchOptions options;

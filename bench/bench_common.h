@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,13 @@ struct BenchOptions {
 // graceful SIGTERM/SIGINT handlers (install_interrupt_handlers below),
 // so every bench binary inherits resumable interruption for free.
 BenchOptions parse_bench_args(int argc, char** argv);
+
+// Numeric flags must consume their whole token: "2x", "two", "-1" or an
+// empty string is a usage error, never a silent 0 or a truncated prefix.
+// Returns `text` as one unsigned integer (decimal, 0x-hex or 0-octal) no
+// larger than `max`, or nullopt for a sign, a blank, trailing characters
+// or an overflow. Every bench flag and gfw_worker parse through it.
+std::optional<std::uint64_t> whole_unsigned(const char* text, std::uint64_t max);
 
 // The flag the SIGTERM/SIGINT handlers set; runner options point their
 // `interrupt` member here. First signal: finish and journal in-flight

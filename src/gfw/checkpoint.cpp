@@ -9,9 +9,7 @@ namespace {
 
 constexpr char kMagic[8] = {'G', 'F', 'W', 'C', 'K', 'P', 'T', '1'};
 constexpr std::uint32_t kShardFrame = 1;
-constexpr std::uint32_t kFleetShardFrame = 2;
 constexpr std::uint32_t kFailureFrame = 3;
-constexpr std::uint32_t kResourceFrame = 4;
 constexpr std::uint32_t kWorkerIoFrame = 5;
 constexpr std::size_t kHeaderSize = 32;
 // Frame header: u32 kind + u64 payload size + u32 payload CRC-32.
@@ -159,18 +157,16 @@ net::TeardownReport get_teardown(Cursor& in) {
   return t;
 }
 
-// `fleet` selects the kind-2 extensions (block region, probe server id,
-// per-server stats); kind-1 frames must keep their version-1 bytes.
-void put_block_entry(Bytes& out, const BlockingModule::BlockEntry& e, bool fleet) {
+void put_block_entry(Bytes& out, const BlockingModule::BlockEntry& e) {
   put_u32(out, e.server_ip.value);
   put_u8(out, e.port.has_value() ? 1 : 0);
   put_u16(out, e.port.value_or(0));
   put_i64(out, e.blocked_at.count());
   put_i64(out, e.unblock_at.count());
-  if (fleet) put_string(out, e.region);
+  put_string(out, e.region);
 }
 
-BlockingModule::BlockEntry get_block_entry(Cursor& in, bool fleet) {
+BlockingModule::BlockEntry get_block_entry(Cursor& in) {
   BlockingModule::BlockEntry e;
   e.server_ip = net::Ipv4(in.u32());
   const bool has_port = in.u8() != 0;
@@ -178,7 +174,7 @@ BlockingModule::BlockEntry get_block_entry(Cursor& in, bool fleet) {
   if (has_port) e.port = port;
   e.blocked_at = net::TimePoint(in.i64());
   e.unblock_at = net::TimePoint(in.i64());
-  if (fleet) e.region = in.str();
+  e.region = in.str();
   return e;
 }
 
@@ -199,6 +195,7 @@ void put_probe_record(Bytes& out, const ProbeRecord& r) {
   put_i64(out, r.replay_delay.count());
   put_u8(out, r.is_first_replay_of_payload ? 1 : 0);
   put_u64(out, r.trigger_payload_hash);
+  put_u16(out, r.server_id);
 }
 
 void put_server_stats(Bytes& out, const ServerStats& s) {
@@ -229,6 +226,51 @@ ServerStats get_server_stats(Cursor& in) {
   return s;
 }
 
+void put_resources(Bytes& out, const ShardResources& r) {
+  put_u64(out, r.probes_shed);
+  put_u64(out, r.probes_deferred);
+  put_u64(out, r.queue_overflow_drops);
+  put_u64(out, r.peak_metered_bytes);
+  put_u64(out, r.acquisitions);
+  // Peak count is explicit so a reader built with more (or fewer)
+  // metered kinds still decodes the frame.
+  put_u32(out, static_cast<std::uint32_t>(net::kResourceKindCount));
+  for (const std::uint64_t peak : r.peak_units) put_u64(out, peak);
+  put_u32(out, static_cast<std::uint32_t>(r.sheds.size()));
+  for (const ShedRecord& shed : r.sheds) {
+    put_u16(out, shed.server_id);
+    put_string(out, shed.region);
+    put_u64(out, shed.count);
+  }
+}
+
+ShardResources get_resources(Cursor& in) {
+  ShardResources r;
+  r.probes_shed = in.u64();
+  r.probes_deferred = in.u64();
+  r.queue_overflow_drops = in.u64();
+  r.peak_metered_bytes = in.u64();
+  r.acquisitions = in.u64();
+  const std::uint32_t peaks = in.u32();
+  in.need_count(peaks, 8, "resource peak");
+  for (std::uint32_t i = 0; i < peaks; ++i) {
+    const std::uint64_t peak = in.u64();
+    // Extra kinds from a newer writer are read and dropped.
+    if (i < net::kResourceKindCount) r.peak_units[i] = peak;
+  }
+  const std::uint32_t sheds = in.u32();
+  in.need_count(sheds, 14, "shed record");  // u16 + empty string + u64
+  r.sheds.reserve(sheds);
+  for (std::uint32_t i = 0; i < sheds; ++i) {
+    ShedRecord shed;
+    shed.server_id = in.u16();
+    shed.region = in.str();
+    shed.count = in.u64();
+    r.sheds.push_back(std::move(shed));
+  }
+  return r;
+}
+
 ProbeRecord get_probe_record(Cursor& in) {
   ProbeRecord r;
   r.sent_at = net::TimePoint(in.i64());
@@ -247,6 +289,7 @@ ProbeRecord get_probe_record(Cursor& in) {
   r.replay_delay = net::Duration(in.i64());
   r.is_first_replay_of_payload = in.u8() != 0;
   r.trigger_payload_hash = in.u64();
+  r.server_id = in.u16();
   return r;
 }
 
@@ -290,6 +333,8 @@ struct Fnv1a {
       state *= 0x100000001b3ull;
     }
   }
+  void mix(bool v) { mix(static_cast<std::uint64_t>(v)); }
+  void mix(net::Duration v) { mix(static_cast<std::uint64_t>(v.count())); }
   void mix(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
@@ -302,6 +347,60 @@ struct Fnv1a {
       state *= 0x100000001b3ull;
     }
   }
+  // A custom factory is code, so only its presence is mixed.
+  void mix(const client::TrafficSpec& t) {
+    mix(static_cast<std::uint64_t>(t.kind));
+    mix(static_cast<std::uint64_t>(t.sites.size()));
+    for (const auto& site : t.sites) {
+      mix(site.hostname);
+      mix(site.https);
+      mix(site.weight);
+    }
+    mix(static_cast<std::uint64_t>(t.min_len));
+    mix(static_cast<std::uint64_t>(t.max_len));
+    mix(t.min_entropy);
+    mix(t.max_entropy);
+    mix(static_cast<bool>(t.custom));
+  }
+  void mix(const net::FaultProfile& f) {
+    mix(f.loss);
+    mix(f.duplicate);
+    mix(f.reorder);
+    mix(f.reorder_delay);
+    mix(f.jitter);
+    mix(static_cast<std::uint64_t>(f.outages.size()));
+    for (const net::LinkOutage& outage : f.outages) {
+      mix(outage.start);
+      mix(outage.duration);
+    }
+    mix(f.flap_period);
+    mix(f.flap_down);
+  }
+  void mix(const ClassifierConfig& c) {
+    mix(c.use_length_feature);
+    mix(c.use_entropy_feature);
+    mix(c.base_rate);
+  }
+  void mix(const BlockingConfig& b) {
+    mix(b.confirmation_threshold);
+    mix(b.block_probability);
+    mix(b.sensitive_block_probability);
+    mix(b.block_by_ip_fraction);
+    mix(b.min_block_duration);
+    mix(b.max_block_duration);
+    mix(static_cast<std::uint64_t>(b.region_policies.size()));
+    for (const auto& [region, policy] : b.region_policies) {
+      mix(region);
+      mix(policy.block_probability);
+      mix(policy.sensitive_block_probability);
+    }
+  }
+  // nullopt and a present value always mix differently.
+  template <typename T>
+  void mix(const std::optional<T>& v) {
+    mix(v.has_value());
+    if (v) mix(*v);
+  }
 };
 
 }  // namespace
@@ -311,93 +410,65 @@ std::uint64_t scenario_fingerprint(const Scenario& scenario) {
   h.mix(static_cast<std::uint64_t>(scenario.server.impl));
   h.mix(scenario.server.cipher);
   h.mix(scenario.server.password);
-  h.mix(static_cast<std::uint64_t>(scenario.raw_traffic));
-  h.mix(static_cast<std::uint64_t>(scenario.duration.count()));
-  h.mix(static_cast<std::uint64_t>(scenario.connection_interval.count()));
-  h.mix(static_cast<std::uint64_t>(scenario.server_inside_china));
+  h.mix(scenario.raw_traffic);
+  h.mix(scenario.traffic);
+  h.mix(scenario.duration);
+  h.mix(scenario.connection_interval);
+  h.mix(scenario.server_inside_china);
   h.mix(scenario.classifier_base_rate);
-  h.mix(scenario.faults.loss);
-  h.mix(scenario.faults.duplicate);
-  h.mix(scenario.faults.reorder);
-  h.mix(static_cast<std::uint64_t>(scenario.faults.reorder_delay.count()));
-  h.mix(static_cast<std::uint64_t>(scenario.faults.jitter.count()));
-  h.mix(static_cast<std::uint64_t>(scenario.faults.flap_period.count()));
-  h.mix(static_cast<std::uint64_t>(scenario.faults.flap_down.count()));
-  h.mix(static_cast<std::uint64_t>(scenario.faults.outages.size()));
-  h.mix(static_cast<std::uint64_t>(scenario.use_brdgrd));
+  h.mix(scenario.gfw.classifier);
+  h.mix(scenario.gfw.blocking);
+  h.mix(scenario.faults);
+  h.mix(scenario.use_brdgrd);
   h.mix(scenario.base_seed);
-  // Resource governance changes what shards compute (sheds, drops,
-  // injected exhaustion), so it is part of the campaign identity — but
-  // mixed ONLY when armed, keeping every disarmed scenario's fingerprint
-  // (and thus every existing journal) unchanged.
-  if (scenario.resources.enabled()) {
-    h.mix(static_cast<std::uint64_t>(0xB0D6E7));  // governor-mode marker
-    h.mix(scenario.resources.limits.total_bytes);
-    for (const std::uint64_t cap : scenario.resources.limits.unit_caps) h.mix(cap);
-    h.mix(scenario.resources.limits.fail_at_acquisition);
-    h.mix(scenario.resources.limits.fail_probability);
-    h.mix(static_cast<std::uint64_t>(scenario.resources.probe_queue_cap));
-    h.mix(static_cast<std::uint64_t>(scenario.resources.path_queue_cap));
-  }
-  // Fleet shape and per-server overrides. Mixed only when a fleet is
-  // declared, so every legacy scenario's fingerprint is unchanged; any
-  // change to the fleet (count, order, spec, or override) refuses to
-  // resume a stale journal.
-  if (!scenario.fleet.empty()) {
-    h.mix(static_cast<std::uint64_t>(0xF1EE7));  // fleet-mode marker
-    h.mix(static_cast<std::uint64_t>(scenario.fleet.size()));
-    for (const ServerSpec& spec : scenario.fleet) {
-      h.mix(static_cast<std::uint64_t>(spec.server.impl));
-      h.mix(spec.server.cipher);
-      h.mix(spec.server.password);
-      h.mix(static_cast<std::uint64_t>(spec.port));
-      h.mix(static_cast<std::uint64_t>(spec.ip.value));
-      h.mix(static_cast<std::uint64_t>(spec.inside_china));
-      h.mix(spec.region);
-      h.mix(static_cast<std::uint64_t>(spec.use_brdgrd));
-      // Optional overrides: presence is part of the shape (0 = inherit).
-      h.mix(spec.traffic
-                ? 1 + static_cast<std::uint64_t>(spec.traffic->kind)
-                : std::uint64_t{0});
-      if (spec.traffic) {
-        h.mix(static_cast<std::uint64_t>(spec.traffic->min_len));
-        h.mix(static_cast<std::uint64_t>(spec.traffic->max_len));
-        h.mix(spec.traffic->min_entropy);
-        h.mix(spec.traffic->max_entropy);
-      }
-      h.mix(spec.connection_interval
-                ? static_cast<std::uint64_t>(spec.connection_interval->count())
-                : ~std::uint64_t{0});
-      h.mix(spec.raw_traffic ? 1 + static_cast<std::uint64_t>(*spec.raw_traffic)
-                             : std::uint64_t{0});
-      h.mix(static_cast<std::uint64_t>(spec.client.has_value()));
-      h.mix(spec.latency ? static_cast<std::uint64_t>(spec.latency->count())
-                         : ~std::uint64_t{0});
-      h.mix(static_cast<std::uint64_t>(spec.faults.has_value()));
-      if (spec.faults) {
-        h.mix(spec.faults->loss);
-        h.mix(spec.faults->duplicate);
-        h.mix(spec.faults->reorder);
-        h.mix(static_cast<std::uint64_t>(spec.faults->jitter.count()));
-      }
-    }
+  h.mix(scenario.resources.limits.total_bytes);
+  for (const std::uint64_t cap : scenario.resources.limits.unit_caps) h.mix(cap);
+  h.mix(scenario.resources.limits.fail_at_acquisition);
+  h.mix(scenario.resources.limits.fail_probability);
+  h.mix(static_cast<std::uint64_t>(scenario.resources.probe_queue_cap));
+  h.mix(static_cast<std::uint64_t>(scenario.resources.path_queue_cap));
+  // Any change to the fleet (count, order, spec, or override) refuses to
+  // resume a stale journal; the count also keeps a legacy scenario apart
+  // from its one-entry fleet.
+  h.mix(static_cast<std::uint64_t>(scenario.fleet.size()));
+  for (const ServerSpec& spec : scenario.fleet) {
+    h.mix(static_cast<std::uint64_t>(spec.server.impl));
+    h.mix(spec.server.cipher);
+    h.mix(spec.server.password);
+    h.mix(static_cast<std::uint64_t>(spec.port));
+    h.mix(static_cast<std::uint64_t>(spec.ip.value));
+    h.mix(spec.inside_china);
+    h.mix(spec.region);
+    h.mix(spec.use_brdgrd);
+    h.mix(spec.traffic);
+    h.mix(spec.connection_interval);
+    h.mix(spec.raw_traffic);
+    h.mix(spec.client.has_value());
+    h.mix(spec.latency);
+    h.mix(spec.faults);
   }
   return h.state;
 }
 
+void require_same_campaign(const CheckpointHeader& journal,
+                           const CheckpointHeader& campaign,
+                           const std::string& path) {
+  if (journal.shard_count != campaign.shard_count ||
+      journal.base_seed != campaign.base_seed ||
+      journal.scenario_fingerprint != campaign.scenario_fingerprint) {
+    throw CheckpointError(
+        "checkpoint: " + path +
+        " records a different campaign (shard count, base seed, or scenario "
+        "fingerprint mismatch) — refusing to resume from it");
+  }
+}
+
 // ---- frame codec ----------------------------------------------------------
 
-namespace {
-
-// Shared body of the kind-1 and kind-2 payloads. With fleet=false the
-// bytes are exactly format version 1 (golden-digest pinned); fleet=true
-// interleaves the server id per probe record and the region per block
-// entry, then appends the per-server stats rows.
-Bytes serialize_shard_impl(const ShardSummary& summary, const ProbeLog& log,
-                           bool fleet) {
+Bytes serialize_shard(const ShardSummary& summary, const ProbeLog& log) {
   Bytes out;
-  // Rough upfront sizing: fixed summary block + 64B per probe record.
-  out.reserve(256 + 64 * log.size());
+  // Rough upfront sizing: fixed summary block + 66B per probe record.
+  out.reserve(384 + 66 * log.size());
   put_u32(out, summary.shard_index);
   put_u64(out, summary.seed);
   put_u64(out, summary.connections_launched);
@@ -414,29 +485,21 @@ Bytes serialize_shard_impl(const ShardSummary& summary, const ProbeLog& log,
   put_u64(out, summary.segments_reordered);
   put_u64(out, summary.retransmissions);
   put_u64(out, summary.probe_connect_retries);
+  put_u64(out, summary.events_processed);
   put_teardown(out, summary.teardown);
   put_u32(out, static_cast<std::uint32_t>(summary.blocking_history.size()));
-  for (const auto& entry : summary.blocking_history) {
-    put_block_entry(out, entry, fleet);
-  }
+  for (const auto& entry : summary.blocking_history) put_block_entry(out, entry);
   // log_offset is NOT serialized: the merge recomputes it, so a resumed
   // merge places restored slices exactly where an uninterrupted run did.
-  // events_processed is NOT serialized either (a resumed shard reports 0):
-  // it describes the run, not the simulation state, and adding it would
-  // change the checkpoint format for a bench-only counter.
   put_u64(out, log.size());
-  for (const auto& record : log.records()) {
-    put_probe_record(out, record);
-    if (fleet) put_u16(out, record.server_id);
-  }
-  if (fleet) {
-    put_u32(out, static_cast<std::uint32_t>(summary.servers.size()));
-    for (const ServerStats& server : summary.servers) put_server_stats(out, server);
-  }
+  for (const auto& record : log.records()) put_probe_record(out, record);
+  put_u32(out, static_cast<std::uint32_t>(summary.servers.size()));
+  for (const ServerStats& server : summary.servers) put_server_stats(out, server);
+  put_resources(out, summary.resources);
   return out;
 }
 
-ShardCheckpoint parse_shard_impl(ByteSpan payload, bool fleet) {
+ShardCheckpoint parse_shard(ByteSpan payload) {
   Cursor in{payload, 0};
   ShardCheckpoint out;
   ShardSummary& s = out.summary;
@@ -456,50 +519,32 @@ ShardCheckpoint parse_shard_impl(ByteSpan payload, bool fleet) {
   s.segments_reordered = in.u64();
   s.retransmissions = in.u64();
   s.probe_connect_retries = in.u64();
+  s.events_processed = in.u64();
   s.teardown = get_teardown(in);
-  // Minimum serialized entry sizes (strings counted at their 4-byte
-  // length prefix, i.e. empty), used to sanity-check count fields.
-  const std::size_t min_block = fleet ? 27 : 23;
-  const std::size_t min_probe = fleet ? 66 : 64;
+  // Count fields are checked against the minimum serialized entry size
+  // (strings counted at their 4-byte length prefix, i.e. empty).
   const std::uint32_t blocks = in.u32();
-  in.need_count(blocks, min_block, "block entry");
+  in.need_count(blocks, 27, "block entry");
   s.blocking_history.reserve(blocks);
   for (std::uint32_t i = 0; i < blocks; ++i) {
-    s.blocking_history.push_back(get_block_entry(in, fleet));
+    s.blocking_history.push_back(get_block_entry(in));
   }
   const std::uint64_t probes = in.u64();
-  in.need_count(probes, min_probe, "probe record");
+  in.need_count(probes, 66, "probe record");
   std::vector<ProbeRecord> records;
   records.reserve(probes);
-  for (std::uint64_t i = 0; i < probes; ++i) {
-    ProbeRecord record = get_probe_record(in);
-    if (fleet) record.server_id = in.u16();
-    records.push_back(std::move(record));
-  }
+  for (std::uint64_t i = 0; i < probes; ++i) records.push_back(get_probe_record(in));
   out.log.assign(std::move(records));
   s.probes = out.log.size();
-  if (fleet) {
-    const std::uint32_t servers = in.u32();
-    in.need_count(servers, 52, "server stats");
-    s.servers.reserve(servers);
-    for (std::uint32_t i = 0; i < servers; ++i) {
-      s.servers.push_back(get_server_stats(in));
-    }
-  }
+  const std::uint32_t servers = in.u32();
+  in.need_count(servers, 52, "server stats");
+  s.servers.reserve(servers);
+  for (std::uint32_t i = 0; i < servers; ++i) s.servers.push_back(get_server_stats(in));
+  s.resources = get_resources(in);
   if (in.pos != payload.size()) {
     throw CheckpointError("checkpoint: trailing bytes inside shard frame");
   }
   return out;
-}
-
-}  // namespace
-
-Bytes serialize_shard(const ShardSummary& summary, const ProbeLog& log) {
-  return serialize_shard_impl(summary, log, /*fleet=*/false);
-}
-
-ShardCheckpoint parse_shard(ByteSpan payload) {
-  return parse_shard_impl(payload, /*fleet=*/false);
 }
 
 bool shard_has_fleet_data(const ShardSummary& summary, const ProbeLog& log) {
@@ -511,14 +556,6 @@ bool shard_has_fleet_data(const ShardSummary& summary, const ProbeLog& log) {
     if (record.server_id != 0) return true;
   }
   return false;
-}
-
-Bytes serialize_shard_fleet(const ShardSummary& summary, const ProbeLog& log) {
-  return serialize_shard_impl(summary, log, /*fleet=*/true);
-}
-
-ShardCheckpoint parse_shard_fleet(ByteSpan payload) {
-  return parse_shard_impl(payload, /*fleet=*/true);
 }
 
 Bytes serialize_failure(const ShardFailure& failure) {
@@ -564,61 +601,6 @@ ShardFailure parse_failure(ByteSpan payload) {
   return f;
 }
 
-Bytes serialize_resources(std::uint32_t shard_index,
-                          const ShardResources& resources) {
-  Bytes out;
-  out.reserve(96 + 32 * resources.sheds.size());
-  put_u32(out, shard_index);
-  put_u64(out, resources.probes_shed);
-  put_u64(out, resources.probes_deferred);
-  put_u64(out, resources.queue_overflow_drops);
-  put_u64(out, resources.peak_metered_bytes);
-  put_u64(out, resources.acquisitions);
-  // Peak count is explicit so a reader built with more (or fewer)
-  // metered kinds still decodes the frame.
-  put_u32(out, static_cast<std::uint32_t>(net::kResourceKindCount));
-  for (const std::uint64_t peak : resources.peak_units) put_u64(out, peak);
-  put_u32(out, static_cast<std::uint32_t>(resources.sheds.size()));
-  for (const ShedRecord& shed : resources.sheds) {
-    put_u16(out, shed.server_id);
-    put_string(out, shed.region);
-    put_u64(out, shed.count);
-  }
-  return out;
-}
-
-ResourceFrame parse_resources(ByteSpan payload) {
-  Cursor in{payload, 0};
-  ResourceFrame out;
-  out.shard_index = in.u32();
-  out.resources.probes_shed = in.u64();
-  out.resources.probes_deferred = in.u64();
-  out.resources.queue_overflow_drops = in.u64();
-  out.resources.peak_metered_bytes = in.u64();
-  out.resources.acquisitions = in.u64();
-  const std::uint32_t peaks = in.u32();
-  in.need_count(peaks, 8, "resource peak");
-  for (std::uint32_t i = 0; i < peaks; ++i) {
-    const std::uint64_t peak = in.u64();
-    // Extra kinds from a newer writer are read and dropped.
-    if (i < net::kResourceKindCount) out.resources.peak_units[i] = peak;
-  }
-  const std::uint32_t sheds = in.u32();
-  in.need_count(sheds, 14, "shed record");  // u16 + empty string + u64
-  out.resources.sheds.reserve(sheds);
-  for (std::uint32_t i = 0; i < sheds; ++i) {
-    ShedRecord shed;
-    shed.server_id = in.u16();
-    shed.region = in.str();
-    shed.count = in.u64();
-    out.resources.sheds.push_back(std::move(shed));
-  }
-  if (in.pos != payload.size()) {
-    throw CheckpointError("checkpoint: trailing bytes inside resource frame");
-  }
-  return out;
-}
-
 Bytes serialize_worker_io(const WorkerIoStats& io) {
   Bytes out;
   out.reserve(28);
@@ -649,14 +631,7 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
     : path_(path) {
   if (append && checkpoint_exists(path)) {
     const Checkpoint existing = load_checkpoint(path);
-    const CheckpointHeader& h = existing.header;
-    if (h.shard_count != header.shard_count || h.base_seed != header.base_seed ||
-        h.scenario_fingerprint != header.scenario_fingerprint) {
-      throw CheckpointError(
-          "checkpoint: " + path +
-          " was written by a different campaign (shard count, base seed, or "
-          "scenario fingerprint mismatch) — refusing to resume into it");
-    }
+    require_same_campaign(existing.header, header, path);
     // Re-open append-only; torn tail bytes (if any) are harmless because
     // the loader skips them and the next frame is self-delimiting only
     // from its own offset — so truncate the torn tail first.
@@ -684,20 +659,7 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
 }
 
 void CheckpointWriter::append_shard(const ShardSummary& summary, const ProbeLog& log) {
-  // Fleet shards need the extended frame; everything else stays on the
-  // version-1 payload so the golden digest keeps pinning those bytes.
-  const bool fleet = shard_has_fleet_data(summary, log);
-  append_frame(fleet ? kFleetShardFrame : kShardFrame,
-               fleet ? serialize_shard_fleet(summary, log)
-                     : serialize_shard(summary, log));
-  // Resource verdicts ride in their own kind-4 frame, gated on any():
-  // disarmed campaigns append no extra bytes, so their journals stay
-  // byte-identical to pre-governor ones (and the kind-1 golden digest
-  // keeps pinning the shard payload).
-  if (summary.resources.any()) {
-    append_frame(kResourceFrame,
-                 serialize_resources(summary.shard_index, summary.resources));
-  }
+  append_frame(kShardFrame, serialize_shard(summary, log));
 }
 
 void CheckpointWriter::append_worker_io(const WorkerIoStats& io) {
@@ -742,6 +704,16 @@ Checkpoint load_checkpoint(const std::string& path) {
 
   Checkpoint out;
   out.header = parse_header(data);
+  // Every index is checked against the header's shard count, so
+  // callers can index per-shard state with what the loader returns.
+  const auto check_index = [&](std::uint32_t index, const char* what) {
+    if (index >= out.header.shard_count) {
+      throw CheckpointError("checkpoint: " + std::string(what) + " frame names shard " +
+                            std::to_string(index) + " of a " +
+                            std::to_string(out.header.shard_count) +
+                            "-shard campaign — journal is corrupt");
+    }
+  };
   std::size_t pos = kHeaderSize;
   while (pos < data.size()) {
     if (data.size() - pos < kFrameHeaderSize) {
@@ -771,32 +743,19 @@ Checkpoint load_checkpoint(const std::string& path) {
       throw CheckpointError("checkpoint: CRC mismatch in frame ending at offset " +
                             std::to_string(pos) + " — journal is corrupt");
     }
-    if (kind == kFailureFrame) {
+    if (kind == kShardFrame) {
+      ShardCheckpoint shard = parse_shard(payload);
+      check_index(shard.summary.shard_index, "shard");
+      out.shards.emplace(shard.summary.shard_index, std::move(shard));
+    } else if (kind == kFailureFrame) {
       out.failures.push_back(parse_failure(payload));
-      continue;
-    }
-    if (kind == kResourceFrame) {
-      // Attach to the shard it annotates (the writer emits it right
-      // after that shard's frame; an orphaned verdict — its shard frame
-      // torn or superseded by a duplicate — is dropped, matching the
-      // duplicate-shard first-occurrence rule).
-      ResourceFrame frame = parse_resources(payload);
-      auto it = out.shards.find(frame.shard_index);
-      if (it != out.shards.end() && !it->second.summary.resources.any()) {
-        it->second.summary.resources = std::move(frame.resources);
-      }
-      continue;
-    }
-    if (kind == kWorkerIoFrame) {
+      check_index(out.failures.back().shard_index, "failure");
+    } else if (kind == kWorkerIoFrame) {
       out.worker_io.push_back(parse_worker_io(payload));
-      continue;
+    } else {
+      throw CheckpointError("checkpoint: unknown frame kind " + std::to_string(kind) +
+                            " in frame ending at offset " + std::to_string(pos));
     }
-    if (kind != kShardFrame && kind != kFleetShardFrame) {
-      continue;  // unknown frame kinds are skippable
-    }
-    ShardCheckpoint shard = kind == kFleetShardFrame ? parse_shard_fleet(payload)
-                                                     : parse_shard(payload);
-    out.shards.emplace(shard.summary.shard_index, std::move(shard));
   }
   return out;
 }

@@ -8,40 +8,32 @@
 // File layout (all integers little-endian, fixed-width):
 //   header (32 bytes):
 //     0..7   magic "GFWCKPT1"
-//     8..11  format version (u32, currently 2)
+//     8..11  format version (u32, currently 3)
 //     12..15 shard count of the campaign (u32)
 //     16..23 scenario base seed (u64)
 //     24..31 scenario fingerprint (u64) — resuming under a different
 //            scenario is rejected instead of silently merging apples
 //            with oranges
 //   then zero or more frames:
-//     u32 frame kind (1 = completed shard; 2 = completed FLEET shard:
-//         the kind-1 payload plus per-probe server ids, per-block region
-//         tags, and the shard's per-server stats rows; 3 = shard
-//         FAILURE: a quarantined or recovered ShardFailure, how a
-//         distributed worker ships its supervision verdicts back to the
-//         coordinator — gfw/dist_runner.h; 4 = shard RESOURCE verdict:
-//         the ShardResources counters for one completed shard, written
-//         immediately after its kind-1/2 frame and ONLY when any counter
-//         is nonzero, so journals from resource-disarmed campaigns stay
-//         byte-identical to pre-governor ones; 5 = WORKER IO stats: a
-//         distributed worker's heartbeat/journal IO verdict — dropped
-//         heartbeats, retried writes — appended at worker exit, and only
-//         when nonzero)
+//     u32 frame kind: 1 = completed shard, 3 = shard failure, 5 = worker
+//         IO stats; any other kind is a CheckpointError
 //     u64 payload size (bounded by kMaxFramePayload; a larger claim is
 //         treated as corruption, not an allocation request)
 //     u32 CRC-32 (IEEE) of the payload
-//     payload (serialize_shard / serialize_shard_fleet /
-//              serialize_failure; see checkpoint.cpp)
-// Version 2 wrapped every frame in the length bound + CRC above so a
-// bit-flip anywhere in a frame body is a structured CheckpointError
-// instead of silently corrupt (or undefined) parsed state; the PAYLOAD
-// codecs are unchanged from version 1 (the kind-1 golden digest still
-// pins those bytes). Version-1 files are refused with a clear error —
-// journals are per-campaign scratch, not archives. Single-server shards
-// are always written as kind-1 frames; only shards that carry fleet data
-// use kind 2 (readers skip unknown kinds, and the scenario fingerprint
-// gate already separates fleet from non-fleet campaigns).
+//     payload (serialize_shard / serialize_failure / serialize_worker_io;
+//              see checkpoint.cpp)
+// A shard frame carries every ShardSummary field but log_offset (the
+// merge recomputes it): counters including events_processed, the
+// teardown report, region-tagged block entries, server-tagged probe
+// records, the per-server stats rows and the resource verdict. A single
+// server is a fleet of one, so every shard is written the same way.
+// Failure frames carry a quarantined or recovered ShardFailure, how a
+// distributed worker ships its supervision verdicts back to the
+// coordinator (gfw/dist_runner.h); worker-IO frames carry its
+// heartbeat/journal IO verdict, appended at worker exit when nonzero.
+// Older versions are refused with a clear error — journals are
+// per-campaign scratch, not archives. A shard or failure frame whose
+// shard index is outside the header's shard count is corruption.
 // A torn tail frame (the process died mid-append) is detected by its
 // short payload and ignored: that shard simply reruns on resume.
 // Mid-file corruption that survives the framing checks (a payload byte
@@ -62,7 +54,7 @@
 
 namespace gfwsim::gfw {
 
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 // Hard ceiling on a single frame's payload. Real frames are a few KB per
 // thousand probes; anything claiming more than this is a corrupt or
@@ -82,12 +74,19 @@ struct CheckpointHeader {
 };
 
 // FNV-1a over the scenario fields that change what a shard computes
-// (server impl/cipher, traffic mode, duration, pacing, topology, fault
-// profile, classifier rate, seed — and, when a fleet is declared, every
-// fleet entry's shape and overrides). Two scenarios with equal
-// fingerprints produce interchangeable shards for checkpoint purposes;
-// scenarios without a fleet hash exactly as they always did.
+// (server impl/cipher, traffic spec, duration, pacing, topology, fault
+// profile, classifier and blocking config, resource budgets, seed, and
+// every fleet entry's shape and overrides). Two scenarios with equal
+// fingerprints produce interchangeable shards for checkpoint purposes.
 std::uint64_t scenario_fingerprint(const Scenario& scenario);
+
+// The one campaign-identity check: throws CheckpointError unless the
+// journal at `path`, whose header is `journal`, was written by the
+// campaign `campaign` describes (same shard count, base seed and
+// scenario fingerprint).
+void require_same_campaign(const CheckpointHeader& journal,
+                           const CheckpointHeader& campaign,
+                           const std::string& path);
 
 // One completed shard as restored from a checkpoint.
 struct ShardCheckpoint {
@@ -95,37 +94,25 @@ struct ShardCheckpoint {
   ProbeLog log;
 };
 
-// Frame payload codec, exposed for the format-stability golden tests:
-// parse(serialize(x)) == x and serialize(parse(bytes)) == bytes.
-// serialize_shard emits the version-1 payload and silently omits fleet
-// data; the writer picks the fleet variant whenever a shard carries any.
+// Shard frame payload codec (frame kind 1), exposed for the
+// format-stability golden tests: parse(serialize(x)) == x and
+// serialize(parse(bytes)) == bytes.
 Bytes serialize_shard(const ShardSummary& summary, const ProbeLog& log);
 ShardCheckpoint parse_shard(ByteSpan payload);  // throws CheckpointError
 
-// Fleet frame payload codec (frame kind 2): the version-1 fields plus
-// each probe record's server id, each block entry's region, and the
-// summary's per-server stats rows.
+// Kept only because bench/suite/gfw_bench.cpp calls them, and that file
+// changes only with the benchmark suite: whether a shard carries server
+// ids, regions or server rows, and an alias of serialize_shard.
 bool shard_has_fleet_data(const ShardSummary& summary, const ProbeLog& log);
-Bytes serialize_shard_fleet(const ShardSummary& summary, const ProbeLog& log);
-ShardCheckpoint parse_shard_fleet(ByteSpan payload);  // throws CheckpointError
+inline Bytes serialize_shard_fleet(const ShardSummary& summary, const ProbeLog& log) {
+  return serialize_shard(summary, log);
+}
 
 // Failure frame payload codec (frame kind 3): one ShardFailure —
 // quarantine verdicts and recovered-failure records cross the worker
 // process boundary in the same journal as the results they annotate.
 Bytes serialize_failure(const ShardFailure& failure);
 ShardFailure parse_failure(ByteSpan payload);  // throws CheckpointError
-
-// Resource-verdict frame payload codec (frame kind 4): one completed
-// shard's ShardResources counters. Kept out of the kind-1/kind-2
-// payloads so the pinned golden digests never move; pre-governor readers
-// skip the unknown kind and lose only the (advisory) verdict.
-struct ResourceFrame {
-  std::uint32_t shard_index = 0;
-  ShardResources resources;
-};
-Bytes serialize_resources(std::uint32_t shard_index,
-                          const ShardResources& resources);
-ResourceFrame parse_resources(ByteSpan payload);  // throws CheckpointError
 
 // Worker IO-stats frame payload codec (frame kind 5): a distributed
 // worker's pipe/journal IO verdict, appended once at worker exit when
@@ -151,9 +138,9 @@ WorkerIoStats parse_worker_io(ByteSpan payload);  // throws CheckpointError
 
 // Appends completed shards to the journal as they finish. In fresh mode
 // the file is truncated and a new header written; in append mode an
-// existing file's header must match `header` exactly (missing file:
-// same as fresh). Each append_shard is flushed before returning, so a
-// kill between appends loses at most the in-flight frame.
+// existing file must belong to the same campaign (require_same_campaign;
+// missing file: same as fresh). Each append_shard is flushed before
+// returning, so a kill between appends loses at most the in-flight frame.
 class CheckpointWriter {
  public:
   CheckpointWriter(const std::string& path, const CheckpointHeader& header,
@@ -189,7 +176,8 @@ struct Checkpoint {
 };
 
 // Loads a journal. Throws CheckpointError on a bad magic, an unsupported
-// version, or a corrupt frame body; a truncated *tail* is tolerated (see
+// version, an unknown frame kind, an out-of-range shard index, or a
+// corrupt frame body; a truncated *tail* is tolerated (see
 // torn_tail_bytes). A duplicate shard frame (e.g. two non-resume runs
 // pointed at the same file) keeps the first occurrence.
 Checkpoint load_checkpoint(const std::string& path);

@@ -343,21 +343,14 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
       std::remove(path.c_str());
       return false;
     }
-    if (ck.header.shard_count != header.shard_count ||
-        ck.header.base_seed != header.base_seed ||
-        ck.header.scenario_fingerprint != header.scenario_fingerprint) {
-      throw CheckpointError(
-          "DistRunner: " + path +
-          " records a different campaign (shard count, base seed, or scenario "
-          "fingerprint mismatch) — refusing to resume from it");
-    }
+    // Another campaign's journal is refused, never deleted: it is not
+    // this run's to discard.
+    require_same_campaign(ck.header, header, path);
     for (const auto& [index, shard_checkpoint] : ck.shards) {
-      if (index >= shards) continue;
       done[index] = 1;
       completed[index] = 1;
     }
     for (const ShardFailure& f : ck.failures) {
-      if (f.shard_index >= shards) continue;
       attempts[f.shard_index] = std::max(attempts[f.shard_index], f.attempts);
       if (f.quarantined && !completed[f.shard_index]) done[f.shard_index] = 1;
     }
@@ -801,12 +794,9 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
       continue;  // defensive; sanitize passes make this unreachable
     }
     for (auto& [index, shard_checkpoint] : ck.shards) {
-      if (index >= shards) continue;
       gathered.emplace(index, std::move(shard_checkpoint));
     }
-    for (const ShardFailure& f : ck.failures) {
-      if (f.shard_index < shards) fold_failure(f);
-    }
+    for (const ShardFailure& f : ck.failures) fold_failure(f);
     for (const WorkerIoStats& io : ck.worker_io) {
       result_worker_io[0] += io.heartbeats_dropped;
       result_worker_io[1] += io.heartbeat_retries;

@@ -224,8 +224,8 @@ ShardAttemptOutcome run_shard_attempt(const Scenario& scenario, std::uint32_t sh
     summary.probes = world->log().size();
     summary.blocking_history = world->gfw().blocking().history();
     summary.servers = world->server_stats();
-    // Resource verdict: all-zero (and skipped by the checkpoint writer)
-    // when Scenario::resources left the governor disarmed.
+    // Resource verdict: all-zero when Scenario::resources left the
+    // governor disarmed.
     summary.resources.probes_shed = world->gfw().probes_shed();
     summary.resources.probes_deferred = world->gfw().probes_deferred();
     summary.resources.queue_overflow_drops =
@@ -338,16 +338,8 @@ CampaignResult ShardedRunner::run(const Scenario& scenario) {
   if (options_.resume && !options_.checkpoint_path.empty() &&
       checkpoint_exists(options_.checkpoint_path)) {
     Checkpoint restored = load_checkpoint(options_.checkpoint_path);
-    if (restored.header.shard_count != header.shard_count ||
-        restored.header.base_seed != header.base_seed ||
-        restored.header.scenario_fingerprint != header.scenario_fingerprint) {
-      throw CheckpointError(
-          "checkpoint: " + options_.checkpoint_path +
-          " records a different campaign (shard count, base seed, or scenario "
-          "fingerprint mismatch) — refusing to resume from it");
-    }
+    require_same_campaign(restored.header, header, options_.checkpoint_path);
     for (auto& [index, shard_checkpoint] : restored.shards) {
-      if (index >= shards) continue;
       logs[index] = std::move(shard_checkpoint.log);
       summaries[index] = std::move(shard_checkpoint.summary);
       completed[index] = 1;

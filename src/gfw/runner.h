@@ -52,9 +52,8 @@ struct ShedRecord {
 
 // Resource-governance verdict for one shard (net/resources.h +
 // Gfw admission queue + Network queue caps). All-zero whenever
-// Scenario::resources is disarmed, and journaled as its own checkpoint
-// frame (kind 4, written only when any() — see gfw/checkpoint.h) so the
-// pinned kind-1/kind-2 shard payloads stay byte-identical.
+// Scenario::resources is disarmed; journaled inside the shard's
+// checkpoint frame (gfw/checkpoint.h).
 struct ShardResources {
   std::uint64_t probes_shed = 0;      // admission-queue overflow, dropped
   std::uint64_t probes_deferred = 0;  // parked in the queue, later launched
@@ -103,9 +102,8 @@ struct ShardSummary {
   std::size_t retransmissions = 0;
   std::size_t probe_connect_retries = 0;
   // Events fired by this shard's EventLoop — the engine-throughput
-  // numerator for the benches. Like log_offset, this is NOT serialized
-  // into checkpoints (a resumed shard reports 0): it describes the run,
-  // not the simulation state.
+  // numerator for the benches. Journaled with the shard, so a resumed or
+  // gathered shard reports the same count as one run in process.
   std::uint64_t events_processed = 0;
   net::TeardownReport teardown;
 
@@ -119,12 +117,11 @@ struct ShardSummary {
   std::vector<BlockingModule::BlockEntry> blocking_history;
 
   // Per-server rows (World::server_stats): one entry per fleet server,
-  // empty for single-server scenarios. Fleet shards are journaled with
-  // the extended checkpoint frame; legacy shards keep format version 1.
+  // empty for single-server scenarios.
   std::vector<ServerStats> servers;
 
-  // Resource-governance verdict; all-zero (and absent from the journal)
-  // unless the scenario armed Scenario::resources.
+  // Resource-governance verdict; all-zero unless the scenario armed
+  // Scenario::resources.
   ShardResources resources;
 };
 

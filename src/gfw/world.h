@@ -93,8 +93,8 @@ class World {
     return rigs_[server_id]->connections_launched;
   }
   // Per-server rows for the runner's merge: empty unless the scenario
-  // declared an explicit fleet (keeps single-server checkpoints at
-  // format version 1).
+  // declared an explicit fleet (the benchmark suite's campaign digest
+  // hashes these rows, so a legacy scenario keeps reporting none).
   std::vector<ServerStats> server_stats();
 
   // Across the whole fleet.

@@ -11,8 +11,8 @@
 // Determinism contract, mirroring the fault layer (net/fault.h):
 //   * With all budgets zero (the default) the governor is provably
 //     inert: acquire() is a single branch, no counter moves, no RNG is
-//     ever seeded or drawn, and every golden transcript / checkpoint
-//     digest is bit-identical to a build without the governor.
+//     ever seeded or drawn, and every golden transcript digest is
+//     bit-identical to a build without the governor.
 //   * With budgets set, every breach is a pure function of the shard's
 //     own metered acquisition sequence — which depends only on the
 //     shard seed and scenario, never on wall clock, thread count, or

@@ -1,8 +1,12 @@
 // The shared bench command line: well-formed flags parse to their
 // values; every malformed one prints usage and exits 2 instead of
-// running a campaign on a silently defaulted or truncated value.
+// running a campaign on a silently defaulted or truncated value. The
+// gfw_worker tool parses its numbers the same way.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <climits>
+#include <cstdlib>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -73,6 +77,43 @@ TEST(BenchArgsDeathTest, UnknownOrValuelessFlagsExit2) {
   EXPECT_EXIT(parse({"--json", "out.json"}), testing::ExitedWithCode(2),
               "unknown option: --json");
   EXPECT_EXIT(parse({"--days"}), testing::ExitedWithCode(2), "usage");
+}
+
+TEST(BenchArgs, WholeUnsignedTakesOnlyWholeTokens) {
+  EXPECT_EQ(whole_unsigned("8", UINT32_MAX), 8u);
+  EXPECT_EQ(whole_unsigned("0x5eed", UINT64_MAX), 0x5eedu);
+  EXPECT_EQ(whole_unsigned("4294967295", UINT32_MAX), 4294967295u);
+  for (const char* bad : {"", "8x", "-1", "+1", " 1", "0x", "1:3", "4294967296"}) {
+    EXPECT_FALSE(whole_unsigned(bad, UINT32_MAX).has_value()) << '"' << bad << '"';
+  }
+}
+
+// Runs the built gfw_worker with `args`; only returns if exec fails.
+void exec_gfw_worker(std::vector<std::string> args) {
+  args.insert(args.begin(), GFW_WORKER_PATH);
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  ::execv(GFW_WORKER_PATH, argv.data());
+  std::_Exit(127);
+}
+
+TEST(GfwWorkerArgsDeathTest, MalformedNumbersExit2) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--shards", "8x"},        {"--shards", "-1"},          {"--shards", "4294967296"},
+      {"--range", "1x:3"},       {"--range", "1:3x"},         {"--range", "-1:3"},
+      {"--seed", "0x5eedz"},     {"--seed", ""},              {"--days", "2d"},
+      {"--days", "-1"},          {"--shard-retries", "-1"},   {"--shard-retries", "1x"},
+  };
+  // Every case is well formed but for its one flag (a later --range
+  // replaces the first), so only the malformed value can stop the run.
+  const std::string journal = testing::TempDir() + "gfwsim_worker_args.ckpt";
+  for (const std::vector<std::string>& flags : cases) {
+    std::vector<std::string> args = {"--run", "--journal", journal, "--range", "0:1"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    EXPECT_EXIT(exec_gfw_worker(args), testing::ExitedWithCode(2), "usage")
+        << flags[0] << " " << flags[1];
+  }
 }
 
 }  // namespace

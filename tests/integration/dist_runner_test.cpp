@@ -3,8 +3,8 @@
 // — SIGKILL, SIGSTOP, a corrupted journal, a process that _Exit()s from
 // inside the simulation — and still gather into a merge BIT-IDENTICAL
 // to an undisturbed in-process run. Every digest comparison here goes
-// through the checkpoint codec (fleet frames), so it covers every
-// summary field, every per-server row, and every probe record.
+// through the checkpoint shard codec, so it covers every summary field,
+// every per-server row, and every probe record.
 //
 // Chaos is injected deterministically: the coordinator counts shard
 // START announcements and signals the chaos worker after the Nth, so
@@ -51,10 +51,11 @@ gfw::Scenario fleet_scenario() {
   return scenario;
 }
 
-// Serialized bytes of one shard's full contribution: summary, teardown,
-// blocking history, server rows, and its slice of the merged log. The
-// fleet frame codec covers every field except log_offset and
-// events_processed, which legitimately differ between partial merges.
+// Serialized bytes of one shard's full contribution: summary counters
+// (events_processed included), teardown, blocking history, server rows,
+// resource verdict, and its slice of the merged log. The shard frame
+// codec covers every field except log_offset, which legitimately
+// differs between partial merges.
 Bytes shard_bytes(const gfw::CampaignResult& result,
                   const gfw::ShardSummary& shard) {
   gfw::ProbeLog slice;
@@ -63,7 +64,7 @@ Bytes shard_bytes(const gfw::CampaignResult& result,
       result.log.records().begin() +
           static_cast<std::ptrdiff_t>(shard.log_offset + shard.probes));
   slice.assign(std::move(records));
-  return gfw::serialize_shard_fleet(shard, slice);
+  return gfw::serialize_shard(shard, slice);
 }
 
 // SHA-1 over every surviving shard, in merge order.
@@ -128,6 +129,23 @@ TEST(DistRunner, UndisturbedRunMatchesInProcessRunByteForByte) {
   solo.workers = 1;
   const gfw::CampaignResult one = gfw::DistRunner(solo).run(scenario);
   EXPECT_EQ(campaign_digest(one), campaign_digest(reference));
+}
+
+TEST(DistRunner, GatheredShardsKeepTheirEventCounts) {
+  // The event count travels in the shard frame, so a campaign gathered
+  // from worker journals reports the engine work its workers did.
+  const gfw::Scenario scenario = fleet_scenario();
+  const gfw::CampaignResult reference = in_process_reference(scenario);
+  gfw::DistRunnerOptions options = dist_options();
+  options.workers = 2;
+  const gfw::CampaignResult dist = gfw::DistRunner(options).run(scenario);
+  ASSERT_EQ(dist.shards.size(), reference.shards.size());
+  EXPECT_GT(reference.events_processed(), 0u);
+  EXPECT_EQ(dist.events_processed(), reference.events_processed());
+  for (std::size_t i = 0; i < dist.shards.size(); ++i) {
+    EXPECT_EQ(dist.shards[i].events_processed, reference.shards[i].events_processed)
+        << "shard " << i;
+  }
 }
 
 TEST(DistRunner, SigkilledWorkerIsReplacedAndTheMergeIsUndisturbed) {
@@ -289,6 +307,31 @@ TEST(DistRunner, FlakyProcessDeathRecoversWithGlobalAttemptNumbering) {
   armed.debug_fail_shard.die = false;
   const gfw::CampaignResult reference = in_process_reference(armed);
   EXPECT_EQ(campaign_digest(result), campaign_digest(reference));
+}
+
+TEST(DistRunner, ForeignCampaignJournalIsRefusedNotDeleted) {
+  // A journal that parses but belongs to another campaign is not this
+  // run's to discard: resume throws before any worker forks, and the
+  // file survives for its own campaign.
+  const gfw::Scenario scenario = fleet_scenario();
+  const std::string prefix = journal_prefix("foreign");
+  remove_journals(prefix, 4);
+  const std::string journal = prefix + ".worker0";
+  {
+    gfw::CheckpointWriter writer(
+        journal,
+        {gfw::kCheckpointVersion, 8, scenario.base_seed ^ 1,
+         gfw::scenario_fingerprint(scenario)},
+        /*append=*/false);
+    gfw::ShardSummary shard;
+    writer.append_shard(shard, gfw::ProbeLog{});
+  }
+  gfw::DistRunnerOptions options = dist_options();
+  options.journal_prefix = prefix;
+  options.resume = true;
+  EXPECT_THROW(gfw::DistRunner(options).run(scenario), gfw::CheckpointError);
+  EXPECT_EQ(gfw::load_checkpoint(journal).shards.size(), 1u);
+  remove_journals(prefix, 4);
 }
 
 TEST(DistRunner, CorruptSlotJournalIsDiscardedAndItsRangeRerun) {

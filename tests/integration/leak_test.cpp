@@ -31,8 +31,7 @@ gfw::Scenario faulted_scenario() {
   return scenario;
 }
 
-// Every journaled shard field and probe record, plus the event count the
-// journal leaves out.
+// Every journaled shard field (the event count included) and probe record.
 std::vector<Bytes> encode(const gfw::CampaignResult& result) {
   std::vector<Bytes> out;
   const auto& records = result.log.records();
@@ -41,8 +40,6 @@ std::vector<Bytes> encode(const gfw::CampaignResult& result) {
     gfw::ProbeLog slice;
     slice.assign({first, first + static_cast<std::ptrdiff_t>(shard.probes)});
     out.push_back(gfw::serialize_shard(shard, slice));
-    out.push_back(Bytes(8));
-    store_le64(out.back().data(), shard.events_processed);
   }
   return out;
 }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -40,9 +41,9 @@ gfw::CampaignResult run(const gfw::Scenario& scenario, std::uint32_t shards,
       .run(scenario);
 }
 
-// SHA-1 over the merged probe log plus each shard's resource verdict:
-// equality means both the simulation transcript AND the shed accounting
-// are bit-identical.
+// SHA-1 over each shard's frame, which carries its probe records and its
+// resource verdict: equality means both the simulation transcript AND
+// the shed accounting are bit-identical.
 std::string digest(const gfw::CampaignResult& result) {
   crypto::Sha1 hash;
   for (const auto& shard : result.shards) {
@@ -53,8 +54,7 @@ std::string digest(const gfw::CampaignResult& result) {
         result.log.records().begin() +
             static_cast<std::ptrdiff_t>(shard.log_offset + shard.probes));
     slice.assign(std::move(records));
-    hash.update(gfw::serialize_shard_fleet(shard, slice));
-    hash.update(gfw::serialize_resources(shard.shard_index, shard.resources));
+    hash.update(gfw::serialize_shard(shard, slice));
   }
   const auto bytes = hash.finish();
   return hex_encode(ByteSpan(bytes.data(), bytes.size()));
@@ -126,8 +126,8 @@ TEST(ResourceGovernance, ShedCountsAreBitIdenticalForAnyThreadCount) {
 
 TEST(ResourceGovernance, ShedCountsAreBitIdenticalForAnyWorkerCount) {
   // Same contract across the process boundary: forked workers journal
-  // their resource verdicts as kind-4 frames, and the gathered merge
-  // must match the threaded run exactly — counters included.
+  // their resource verdicts inside their shard frames, and the gathered
+  // merge must match the threaded run exactly — counters included.
   gfw::Scenario scenario = base_scenario();
   scenario.resources.probe_queue_cap = 1;
 
@@ -275,6 +275,18 @@ TEST(ResourceGovernance, SigxcpuWorkerDeathIsAttributedAsResource) {
   EXPECT_EQ(digest(result), digest(reference));
 }
 
+// This process's address-space size (VmSize in /proc/self/status), in
+// bytes; 0 where it cannot be read. A forked worker starts at this size,
+// which is terabytes under AddressSanitizer's shadow mappings.
+std::uint64_t address_space_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7)) << 10;
+  }
+  return 0;
+}
+
 TEST(ResourceGovernance, GenerousWorkerRlimitsAreInert) {
   // setrlimit plumbing smoke test: limits far above what the workers
   // need must not perturb the run (and prove the apply path executes in
@@ -286,7 +298,8 @@ TEST(ResourceGovernance, GenerousWorkerRlimitsAreInert) {
   const gfw::CampaignResult reference = gfw::DistRunner(plain).run(scenario);
 
   gfw::DistRunnerOptions limited = plain;
-  limited.worker_rlimit_as = 8ull << 30;  // 8 GiB address space
+  // 8 GiB of address space beyond what the worker inherits at fork.
+  limited.worker_rlimit_as = address_space_bytes() + (8ull << 30);
   limited.worker_rlimit_cpu = 600;        // 10 CPU-minutes
   limited.worker_rlimit_nofile = 256;
   const gfw::CampaignResult governed = gfw::DistRunner(limited).run(scenario);

@@ -3,11 +3,12 @@
 // Two modes:
 //
 //   gfw_worker --describe PATH
-//     Inspect a GFWCKPT1 slot journal: header, completed shards,
-//     supervision verdicts (kind-3 frames), torn-tail bytes. A corrupt
-//     journal (CRC mismatch, implausible frame length) exits 2 with the
-//     structured error — the same verdict the DistRunner coordinator
-//     acts on by discarding the file.
+//     Inspect a GFWCKPT1 slot journal: header, completed shards with
+//     their resource verdicts, supervision verdicts, worker IO verdicts,
+//     torn-tail bytes. A corrupt journal (CRC mismatch, implausible
+//     frame length, unknown frame kind) exits 2 with the structured
+//     error — the same verdict the DistRunner coordinator acts on by
+//     discarding the file.
 //
 //   gfw_worker --run --range LO:HI --journal PATH [--shards N]
 //              [--seed S] [--days D] [--shard-retries R]
@@ -17,6 +18,8 @@
 //     --checkpoint <prefix> --resume` on the machine that merges.
 //     Re-running after a kill resumes from the journal (completed
 //     shards are skipped), mirroring the in-process DistRunner worker.
+//     Numeric values must be whole unsigned tokens; anything else exits 2.
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -70,8 +73,8 @@ int describe_journal(const std::string& path) {
                       : ", " + std::to_string(shard.summary.servers.size()) +
                             " fleet server row(s)")
               << "\n";
-    // Resource verdict (kind-4 frame), present only when the shard ran
-    // under an armed governor and something was metered/shed/dropped.
+    // Resource verdict, nonzero only when the shard ran under an armed
+    // governor and something was metered/shed/dropped.
     const gfw::ShardResources& res = shard.summary.resources;
     if (res.any()) {
       std::cout << "      resources: peak " << res.peak_metered_bytes
@@ -92,8 +95,8 @@ int describe_journal(const std::string& path) {
       std::cout << "    " << gfw::describe(failure) << "\n";
     }
   }
-  // Worker IO verdicts (kind-5 frames): pipe/journal degradation the
-  // worker survived — including heartbeats it could not deliver at all.
+  // Worker IO verdicts: pipe/journal degradation the worker survived —
+  // including heartbeats it could not deliver at all.
   if (!ck.worker_io.empty()) {
     std::cout << "  worker io verdicts:   " << ck.worker_io.size() << "\n";
     for (const gfw::WorkerIoStats& io : ck.worker_io) {
@@ -111,11 +114,18 @@ int describe_journal(const std::string& path) {
   return 0;
 }
 
+// A whole unsigned token no larger than `max`, or usage and exit 2.
+std::uint64_t number(const std::string& text, std::uint64_t max) {
+  const std::optional<std::uint64_t> value = bench::whole_unsigned(text.c_str(), max);
+  if (!value) usage(2);
+  return *value;
+}
+
 bool parse_range(const std::string& arg, std::uint32_t& lo, std::uint32_t& hi) {
   const auto colon = arg.find(':');
   if (colon == std::string::npos) return false;
-  lo = static_cast<std::uint32_t>(std::strtoul(arg.substr(0, colon).c_str(), nullptr, 0));
-  hi = static_cast<std::uint32_t>(std::strtoul(arg.substr(colon + 1).c_str(), nullptr, 0));
+  lo = static_cast<std::uint32_t>(number(arg.substr(0, colon), UINT32_MAX));
+  hi = static_cast<std::uint32_t>(number(arg.substr(colon + 1), UINT32_MAX));
   return hi > lo;
 }
 
@@ -137,13 +147,10 @@ int run_range(const std::string& journal, std::uint32_t lo, std::uint32_t hi,
   if (gfw::checkpoint_exists(journal)) {
     try {
       const gfw::Checkpoint existing = gfw::load_checkpoint(journal);
-      for (const auto& [index, shard] : existing.shards) {
-        if (index < shards) done[index] = 1;
-      }
+      gfw::require_same_campaign(existing.header, header, journal);
+      for (const auto& [index, shard] : existing.shards) done[index] = 1;
       for (const auto& failure : existing.failures) {
-        if (failure.quarantined && failure.shard_index < shards) {
-          done[failure.shard_index] = 1;
-        }
+        if (failure.quarantined) done[failure.shard_index] = 1;
       }
     } catch (const gfw::CheckpointError& error) {
       std::cerr << "gfw_worker: " << journal << ": " << error.what()
@@ -207,16 +214,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--journal") == 0) {
       journal = value(i);
     } else if (std::strcmp(arg, "--shards") == 0) {
-      shards = static_cast<std::uint32_t>(std::strtoul(value(i), nullptr, 0));
+      shards = static_cast<std::uint32_t>(number(value(i), UINT32_MAX));
       if (shards == 0) usage(2);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      seed = std::strtoull(value(i), nullptr, 0);
+      seed = number(value(i), UINT64_MAX);
     } else if (std::strcmp(arg, "--days") == 0) {
-      days = static_cast<int>(std::strtol(value(i), nullptr, 0));
-      if (days <= 0) usage(2);
+      days = static_cast<int>(number(value(i), INT_MAX));
+      if (days == 0) usage(2);
     } else if (std::strcmp(arg, "--shard-retries") == 0) {
-      retries = static_cast<int>(std::strtol(value(i), nullptr, 0));
-      if (retries < 0) usage(2);
+      retries = static_cast<int>(number(value(i), INT_MAX));
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       usage(2);
