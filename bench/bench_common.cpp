@@ -328,16 +328,17 @@ gfw::CampaignResult run_standard_sharded(const BenchOptions& options,
 
 void print_run_summary(std::ostream& os, const gfw::CampaignResult& result,
                        const BenchOptions& options) {
+  const gfw::ShardSummary totals = result.totals();
   if (options.workers > 0) {
     os << "[" << result.shards.size() << " shard(s) x " << options.workers
-       << " worker process(es): " << result.connections_launched()
+       << " worker process(es): " << totals.connections_launched
        << " connections, " << result.log.size() << " probes]\n";
   } else {
     const unsigned threads = std::min<unsigned>(
         gfw::ShardedRunner(runner_options(options)).resolved_threads(),
         static_cast<unsigned>(result.shards.size()));
     os << "[" << result.shards.size() << " shard(s) x " << threads
-       << " thread(s): " << result.connections_launched() << " connections, "
+       << " thread(s): " << totals.connections_launched << " connections, "
        << result.log.size() << " probes]\n";
   }
   os << "[cpu: " << crypto::cpu_feature_string() << "; kernels: "
@@ -345,26 +346,19 @@ void print_run_summary(std::ostream& os, const gfw::CampaignResult& result,
   // Resource verdicts: shed/deferred probes, queue-overflow drops, peak
   // metered bytes, and rlimit-attributed deaths — printed only when the
   // governor (or a worker limit) actually did something.
-  const std::uint64_t shed = result.probes_shed();
-  const std::uint64_t deferred = result.probes_deferred();
-  const std::uint64_t queue_drops = result.queue_overflow_drops();
-  const std::uint64_t peak_bytes = result.peak_metered_bytes();
+  const gfw::ShardResources& res = totals.resources;
   const std::size_t resource_failures = result.resource_failures();
-  if (shed != 0 || deferred != 0 || queue_drops != 0 || peak_bytes != 0 ||
-      resource_failures != 0) {
-    os << "[resources: " << shed << " probe(s) shed, " << deferred
-       << " deferred, " << queue_drops << " queue-overflow drop(s), peak "
-       << peak_bytes << " metered bytes, " << resource_failures
+  if (res.probes_shed != 0 || res.probes_deferred != 0 || res.queue_overflow_drops != 0 ||
+      res.peak_metered_bytes != 0 || resource_failures != 0) {
+    os << "[resources: " << res.probes_shed << " probe(s) shed, " << res.probes_deferred
+       << " deferred, " << res.queue_overflow_drops << " queue-overflow drop(s), peak "
+       << res.peak_metered_bytes << " metered bytes, " << resource_failures
        << " resource failure(s)]\n";
   }
-  if (result.worker_heartbeats_dropped != 0 ||
-      result.worker_heartbeat_retries != 0 ||
-      result.worker_journal_retries != 0) {
-    os << "[worker io: " << result.worker_heartbeats_dropped
-       << " heartbeat(s) dropped, " << result.worker_heartbeat_retries
-       << " heartbeat write(s) retried, " << result.worker_journal_retries
-       << " journal open(s) retried]\n";
-  }
+  // The campaign's worker-IO totals, gathered into one record for describe().
+  gfw::WorkerIoStats io;
+  for (const auto& row : gfw::kWorkerIoCounters) io.*row.field = result.*row.total;
+  if (io.any()) os << "[worker io: " << gfw::describe(io) << "]\n";
   // Supervision verdicts: quarantined shards are missing from the
   // numbers above, so say so loudly.
   for (const auto& failure : result.failures) {
@@ -384,7 +378,7 @@ void print_run_summary(std::ostream& os, const gfw::CampaignResult& result,
 void print_run_summary(std::ostream& os, const gfw::CampaignResult& result,
                        const BenchOptions& options, double wall_seconds) {
   print_run_summary(os, result, options);
-  const std::uint64_t events = result.events_processed();
+  const std::uint64_t events = result.totals().events_processed;
   os << "[" << events << " events";
   if (wall_seconds > 0.0) {
     os << ", " << static_cast<std::uint64_t>(static_cast<double>(events) / wall_seconds)

@@ -29,12 +29,6 @@ std::size_t probes_timed_out(const gfw::CampaignResult& result) {
   return n;
 }
 
-std::size_t probe_connect_retries(const gfw::CampaignResult& result) {
-  std::size_t n = 0;
-  for (const auto& shard : result.shards) n += shard.probe_connect_retries;
-  return n;
-}
-
 std::size_t blocked_shards(const gfw::CampaignResult& result) {
   std::size_t n = 0;
   for (const auto& shard : result.shards) {
@@ -71,8 +65,9 @@ int main(int argc, char** argv) {
                              "probe t/o", "retries", "blocked", "retrans",
                              "lost segs", "teardown"});
   for (const Arm& arm : arms) {
-    const std::size_t conns = arm.result.connections_launched();
-    const std::size_t flagged = arm.result.flows_flagged();
+    const gfw::ShardSummary totals = arm.result.totals();
+    const std::uint64_t conns = totals.connections_launched;
+    const std::uint64_t flagged = totals.flows_flagged;
     const std::size_t probes = arm.result.log.size();
     const double per_1k = conns == 0 ? 0.0 : 1000.0 * static_cast<double>(flagged) /
                                                  static_cast<double>(conns);
@@ -86,11 +81,11 @@ int main(int argc, char** argv) {
                    analysis::format_double(per_1k),
                    std::to_string(probes),
                    analysis::format_percent(timeout_frac),
-                   std::to_string(probe_connect_retries(arm.result)),
+                   std::to_string(totals.probe_connect_retries),
                    std::to_string(blocked_shards(arm.result)) + "/" +
                        std::to_string(arm.result.shards.size()),
-                   std::to_string(arm.result.retransmissions()),
-                   std::to_string(arm.result.segments_dropped_loss()),
+                   std::to_string(totals.retransmissions),
+                   std::to_string(totals.segments_dropped_loss),
                    arm.result.teardown_clean() ? "clean" : "DIRTY"});
   }
   table.print(std::cout);
@@ -99,16 +94,17 @@ int main(int argc, char** argv) {
   const Arm& ideal = arms.front();
   const Arm& worst = arms.back();
   const auto flag_rate = [](const Arm& arm) {
-    const std::size_t conns = arm.result.connections_launched();
-    return conns == 0 ? 0.0
-                      : static_cast<double>(arm.result.flows_flagged()) /
-                            static_cast<double>(conns);
+    const gfw::ShardSummary totals = arm.result.totals();
+    return totals.connections_launched == 0
+               ? 0.0
+               : static_cast<double>(totals.flows_flagged) /
+                     static_cast<double>(totals.connections_launched);
   };
 
   report.metric("fault layer inert at loss=0",
                 "byte-identical to the ideal mesh",
-                (ideal.result.segments_dropped_loss() == 0 &&
-                 ideal.result.retransmissions() == 0)
+                (ideal.result.totals().segments_dropped_loss == 0 &&
+                 ideal.result.totals().retransmissions == 0)
                     ? "0 lost, 0 retransmitted"
                     : "NONZERO fault counters");
   report.metric("flag rate degradation, loss 0% -> " +
@@ -127,7 +123,7 @@ int main(int argc, char** argv) {
                     " of probes");
   report.metric("probe connections relaunched under faults",
                 "n/a (robustness extension)",
-                std::to_string(probe_connect_retries(worst.result)) + " at " +
+                std::to_string(worst.result.totals().probe_connect_retries) + " at " +
                     analysis::format_percent(worst.loss) + " loss");
 
   for (const Arm& arm : arms) {

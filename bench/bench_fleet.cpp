@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   const double event_rate =
-      wall > 0.0 ? static_cast<double>(result.events_processed()) / wall : 0.0;
+      wall > 0.0 ? static_cast<double>(result.totals().events_processed) / wall : 0.0;
   report.metric("fleet campaign event rate (events/sec)",
                 "single run (no paper analogue; bench/suite fleet_mixed measures it)",
                 std::to_string(static_cast<std::uint64_t>(event_rate)) +

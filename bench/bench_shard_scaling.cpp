@@ -88,11 +88,11 @@ int main(int argc, char** argv) {
           analysis::format_double(pooled.seconds, 2) + " s)");
   const double serial_rate =
       serial.seconds > 0.0
-          ? static_cast<double>(serial.result.events_processed()) / serial.seconds
+          ? static_cast<double>(serial.result.totals().events_processed) / serial.seconds
           : 0.0;
   report.metric("event rate [serial]", "n/a (engine throughput)",
                 std::to_string(static_cast<std::uint64_t>(serial_rate)) +
-                    " events/sec (" + std::to_string(serial.result.events_processed()) +
+                    " events/sec (" + std::to_string(serial.result.totals().events_processed) +
                     " events)");
   return identical ? 0 : 1;
 }

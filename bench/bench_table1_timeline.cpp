@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     const gfw::CampaignResult result = bench::run_standard_sharded(options, 0x7A11, 14);
     table.add_row({"Shadowsocks", "Sep 29, 2019 - Jan 21, 2020 (4 months)",
                    "14 simulated days (compressed)",
-                   std::to_string(result.connections_launched()),
+                   std::to_string(result.totals().connections_launched),
                    std::to_string(result.log.size())});
   }
   {
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     const gfw::CampaignResult result =
         bench::run_sharded(bench::with_options(scenario, options, 0x7A12, 14), options);
     table.add_row({"Sink", "May 16 - 31, 2020 (2 weeks)", "14 simulated days",
-                   std::to_string(result.connections_launched()),
+                   std::to_string(result.totals().connections_launched),
                    std::to_string(result.log.size())});
   }
   {
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     const gfw::CampaignResult result =
         bench::run_sharded(bench::with_options(scenario, options, 0x7A13, 17), options);
     table.add_row({"Brdgrd", "Nov 2 - 19, 2019 (403 hours)", "408 simulated hours",
-                   std::to_string(result.connections_launched()),
+                   std::to_string(result.totals().connections_launched),
                    std::to_string(result.log.size())});
   }
 

@@ -35,7 +35,7 @@ ExperimentResult run_experiment(const bench::BenchOptions& options,
       bench::run_sharded(bench::with_options(scenario, options, seed, 10), options);
 
   ExperimentResult result;
-  result.connections = campaign.connections_launched();
+  result.connections = campaign.totals().connections_launched;
   result.probes = campaign.log.size();
   for (const auto& record : campaign.log.records()) {
     result.stage2_probes += record.type == probesim::ProbeType::kR3 ||

@@ -1,6 +1,7 @@
 #include "gfw/checkpoint.h"
 
 #include <array>
+#include <concepts>
 #include <cstring>
 
 namespace gfwsim::gfw {
@@ -205,10 +206,7 @@ void put_server_stats(Bytes& out, const ServerStats& s) {
   put_string(out, s.region);
   put_string(out, s.impl);
   put_string(out, s.cipher);
-  put_u64(out, s.connections_launched);
-  put_u64(out, s.payload_bytes);
-  put_u64(out, s.probes);
-  put_u64(out, s.blocks);
+  for (const auto& row : kServerCounters) put_u64(out, s.*row.field);
 }
 
 ServerStats get_server_stats(Cursor& in) {
@@ -219,19 +217,12 @@ ServerStats get_server_stats(Cursor& in) {
   s.region = in.str();
   s.impl = in.str();
   s.cipher = in.str();
-  s.connections_launched = in.u64();
-  s.payload_bytes = in.u64();
-  s.probes = in.u64();
-  s.blocks = in.u64();
+  for (const auto& row : kServerCounters) s.*row.field = in.u64();
   return s;
 }
 
 void put_resources(Bytes& out, const ShardResources& r) {
-  put_u64(out, r.probes_shed);
-  put_u64(out, r.probes_deferred);
-  put_u64(out, r.queue_overflow_drops);
-  put_u64(out, r.peak_metered_bytes);
-  put_u64(out, r.acquisitions);
+  for (const auto& row : kResourceCounters) put_u64(out, r.*row.field);
   // Peak count is explicit so a reader built with more (or fewer)
   // metered kinds still decodes the frame.
   put_u32(out, static_cast<std::uint32_t>(net::kResourceKindCount));
@@ -246,11 +237,7 @@ void put_resources(Bytes& out, const ShardResources& r) {
 
 ShardResources get_resources(Cursor& in) {
   ShardResources r;
-  r.probes_shed = in.u64();
-  r.probes_deferred = in.u64();
-  r.queue_overflow_drops = in.u64();
-  r.peak_metered_bytes = in.u64();
-  r.acquisitions = in.u64();
+  for (const auto& row : kResourceCounters) r.*row.field = in.u64();
   const std::uint32_t peaks = in.u32();
   in.need_count(peaks, 8, "resource peak");
   for (std::uint32_t i = 0; i < peaks; ++i) {
@@ -334,6 +321,8 @@ struct Fnv1a {
     }
   }
   void mix(bool v) { mix(static_cast<std::uint64_t>(v)); }
+  template <std::integral T>
+  void mix(T v) { mix(static_cast<std::uint64_t>(v)); }
   void mix(net::Duration v) { mix(static_cast<std::uint64_t>(v.count())); }
   void mix(double v) {
     std::uint64_t bits;
@@ -376,6 +365,47 @@ struct Fnv1a {
     mix(f.flap_period);
     mix(f.flap_down);
   }
+  void mix(const net::ArqConfig& a) {
+    mix(a.rto);
+    mix(a.max_data_retries);
+    mix(a.syn_timeout);
+    mix(a.max_syn_retries);
+    mix(a.idle_timeout);
+  }
+  void mix(const defense::BrdgrdConfig& b) {
+    mix(b.min_window);
+    mix(b.max_window);
+    mix(b.randomize_window);
+    mix(b.sticky_period);
+    mix(b.restore_after);
+    mix(b.restored_window);
+  }
+  void mix(const client::ClientConfig& c) {
+    mix(c.cipher != nullptr ? std::string(c.cipher->name) : std::string());
+    mix(c.password);
+    mix(c.merge_header_and_data);
+    mix(c.embed_timestamp);
+  }
+  void mix(const ProberPoolConfig& p) {
+    mix(p.as_profiles.size());
+    for (const AsProfile& as : p.as_profiles) {
+      mix(as.as_number);
+      mix(as.name);
+      mix(as.weight);
+      mix(as.prefix.value);
+    }
+    mix(p.budget_log_mean);
+    mix(p.budget_log_stddev);
+    mix(p.budget_cap);
+    mix(p.active_set_size);
+    mix(p.linux_ephemeral_fraction);
+    mix(p.ephemeral_low);
+    mix(p.ephemeral_high);
+    mix(p.other_low);
+    mix(p.other_high);
+    mix(p.ttl_min);
+    mix(p.ttl_max);
+  }
   void mix(const ClassifierConfig& c) {
     mix(c.use_length_feature);
     mix(c.use_entropy_feature);
@@ -395,6 +425,49 @@ struct Fnv1a {
       mix(policy.sensitive_block_probability);
     }
   }
+  // is_domestic is code, so only its presence is mixed.
+  void mix(const GfwConfig& g) {
+    mix(static_cast<bool>(g.is_domestic));
+    mix(g.classifier);
+    mix(g.blocking);
+    mix(g.pool);
+    mix(g.enable_active_probing);
+    mix(g.enable_staging);
+    mix(g.probe_queue_cap);
+    mix(g.probe_timeout);
+    mix(g.probe_connect_retries);
+    mix(g.probe_retry_backoff);
+    mix(g.probe_arq);
+    mix(g.extra_r1_probability);
+    mix(g.max_replays_per_payload);
+    mix(g.r2_probability);
+    mix(g.nr2_probability);
+    mix(g.stage2_interval);
+    mix(g.stage2_batch_min);
+    mix(g.stage2_batch_max);
+    mix(g.stage2_duration);
+    mix(g.evidence_data);
+    mix(g.evidence_rst);
+    mix(g.evidence_fin);
+    mix(g.evidence_timeout);
+  }
+  void mix(const ServerSpec& spec) {
+    mix(static_cast<std::uint64_t>(spec.server.impl));
+    mix(spec.server.cipher);
+    mix(spec.server.password);
+    mix(spec.port);
+    mix(spec.ip.value);
+    mix(spec.inside_china);
+    mix(spec.region);
+    mix(spec.use_brdgrd);
+    mix(spec.brdgrd);
+    mix(spec.traffic);
+    mix(spec.connection_interval);
+    mix(spec.raw_traffic);
+    mix(spec.client);
+    mix(spec.latency);
+    mix(spec.faults);
+  }
   // nullopt and a present value always mix differently.
   template <typename T>
   void mix(const std::optional<T>& v) {
@@ -407,46 +480,29 @@ struct Fnv1a {
 
 std::uint64_t scenario_fingerprint(const Scenario& scenario) {
   Fnv1a h;
-  h.mix(static_cast<std::uint64_t>(scenario.server.impl));
-  h.mix(scenario.server.cipher);
-  h.mix(scenario.server.password);
+  // The single-server fields, as the fleet entry they stand for.
+  h.mix(scenario.single_server_spec());
   h.mix(scenario.raw_traffic);
+  h.mix(scenario.client);
   h.mix(scenario.traffic);
   h.mix(scenario.duration);
   h.mix(scenario.connection_interval);
-  h.mix(scenario.server_inside_china);
   h.mix(scenario.classifier_base_rate);
-  h.mix(scenario.gfw.classifier);
-  h.mix(scenario.gfw.blocking);
+  h.mix(scenario.gfw);
   h.mix(scenario.faults);
-  h.mix(scenario.use_brdgrd);
+  h.mix(scenario.arq);
   h.mix(scenario.base_seed);
   h.mix(scenario.resources.limits.total_bytes);
   for (const std::uint64_t cap : scenario.resources.limits.unit_caps) h.mix(cap);
   h.mix(scenario.resources.limits.fail_at_acquisition);
   h.mix(scenario.resources.limits.fail_probability);
-  h.mix(static_cast<std::uint64_t>(scenario.resources.probe_queue_cap));
-  h.mix(static_cast<std::uint64_t>(scenario.resources.path_queue_cap));
+  h.mix(scenario.resources.probe_queue_cap);
+  h.mix(scenario.resources.path_queue_cap);
   // Any change to the fleet (count, order, spec, or override) refuses to
   // resume a stale journal; the count also keeps a legacy scenario apart
   // from its one-entry fleet.
-  h.mix(static_cast<std::uint64_t>(scenario.fleet.size()));
-  for (const ServerSpec& spec : scenario.fleet) {
-    h.mix(static_cast<std::uint64_t>(spec.server.impl));
-    h.mix(spec.server.cipher);
-    h.mix(spec.server.password);
-    h.mix(static_cast<std::uint64_t>(spec.port));
-    h.mix(static_cast<std::uint64_t>(spec.ip.value));
-    h.mix(spec.inside_china);
-    h.mix(spec.region);
-    h.mix(spec.use_brdgrd);
-    h.mix(spec.traffic);
-    h.mix(spec.connection_interval);
-    h.mix(spec.raw_traffic);
-    h.mix(spec.client.has_value());
-    h.mix(spec.latency);
-    h.mix(spec.faults);
-  }
+  h.mix(scenario.fleet.size());
+  for (const ServerSpec& spec : scenario.fleet) h.mix(spec);
   return h.state;
 }
 
@@ -471,21 +527,7 @@ Bytes serialize_shard(const ShardSummary& summary, const ProbeLog& log) {
   out.reserve(384 + 66 * log.size());
   put_u32(out, summary.shard_index);
   put_u64(out, summary.seed);
-  put_u64(out, summary.connections_launched);
-  put_u64(out, summary.control_contacts);
-  put_u64(out, summary.flows_inspected);
-  put_u64(out, summary.flows_flagged);
-  put_u64(out, summary.segments_transmitted);
-  put_u64(out, summary.segments_delivered);
-  put_u64(out, summary.payload_bytes_delivered);
-  put_u64(out, summary.segments_dropped_middlebox);
-  put_u64(out, summary.segments_dropped_loss);
-  put_u64(out, summary.segments_dropped_outage);
-  put_u64(out, summary.segments_duplicated);
-  put_u64(out, summary.segments_reordered);
-  put_u64(out, summary.retransmissions);
-  put_u64(out, summary.probe_connect_retries);
-  put_u64(out, summary.events_processed);
+  for (const auto& row : kShardCounters) put_u64(out, summary.*row.field);
   put_teardown(out, summary.teardown);
   put_u32(out, static_cast<std::uint32_t>(summary.blocking_history.size()));
   for (const auto& entry : summary.blocking_history) put_block_entry(out, entry);
@@ -499,27 +541,14 @@ Bytes serialize_shard(const ShardSummary& summary, const ProbeLog& log) {
   return out;
 }
 
-ShardCheckpoint parse_shard(ByteSpan payload) {
+ShardRun parse_shard(ByteSpan payload) {
   Cursor in{payload, 0};
-  ShardCheckpoint out;
+  ShardRun out;
+  out.completed = true;
   ShardSummary& s = out.summary;
   s.shard_index = in.u32();
   s.seed = in.u64();
-  s.connections_launched = in.u64();
-  s.control_contacts = in.u64();
-  s.flows_inspected = in.u64();
-  s.flows_flagged = in.u64();
-  s.segments_transmitted = in.u64();
-  s.segments_delivered = in.u64();
-  s.payload_bytes_delivered = in.u64();
-  s.segments_dropped_middlebox = in.u64();
-  s.segments_dropped_loss = in.u64();
-  s.segments_dropped_outage = in.u64();
-  s.segments_duplicated = in.u64();
-  s.segments_reordered = in.u64();
-  s.retransmissions = in.u64();
-  s.probe_connect_retries = in.u64();
-  s.events_processed = in.u64();
+  for (const auto& row : kShardCounters) s.*row.field = in.u64();
   s.teardown = get_teardown(in);
   // Count fields are checked against the minimum serialized entry size
   // (strings counted at their 4-byte length prefix, i.e. empty).
@@ -605,9 +634,7 @@ Bytes serialize_worker_io(const WorkerIoStats& io) {
   Bytes out;
   out.reserve(28);
   put_u32(out, io.worker_id);
-  put_u64(out, io.heartbeats_dropped);
-  put_u64(out, io.heartbeat_retries);
-  put_u64(out, io.journal_retries);
+  for (const auto& row : kWorkerIoCounters) put_u64(out, io.*row.field);
   return out;
 }
 
@@ -615,9 +642,7 @@ WorkerIoStats parse_worker_io(ByteSpan payload) {
   Cursor in{payload, 0};
   WorkerIoStats io;
   io.worker_id = in.u32();
-  io.heartbeats_dropped = in.u64();
-  io.heartbeat_retries = in.u64();
-  io.journal_retries = in.u64();
+  for (const auto& row : kWorkerIoCounters) io.*row.field = in.u64();
   if (in.pos != payload.size()) {
     throw CheckpointError("checkpoint: trailing bytes inside worker-io frame");
   }
@@ -744,7 +769,7 @@ Checkpoint load_checkpoint(const std::string& path) {
                             std::to_string(pos) + " — journal is corrupt");
     }
     if (kind == kShardFrame) {
-      ShardCheckpoint shard = parse_shard(payload);
+      ShardRun shard = parse_shard(payload);
       check_index(shard.summary.shard_index, "shard");
       out.shards.emplace(shard.summary.shard_index, std::move(shard));
     } else if (kind == kFailureFrame) {

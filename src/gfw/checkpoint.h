@@ -23,14 +23,14 @@
 //     payload (serialize_shard / serialize_failure / serialize_worker_io;
 //              see checkpoint.cpp)
 // A shard frame carries every ShardSummary field but log_offset (the
-// merge recomputes it): counters including events_processed, the
-// teardown report, region-tagged block entries, server-tagged probe
-// records, the per-server stats rows and the resource verdict. A single
-// server is a fleet of one, so every shard is written the same way.
-// Failure frames carry a quarantined or recovered ShardFailure, how a
-// distributed worker ships its supervision verdicts back to the
-// coordinator (gfw/dist_runner.h); worker-IO frames carry its
-// heartbeat/journal IO verdict, appended at worker exit when nonzero.
+// merge recomputes it): index, seed, the kShardCounters rows in row order
+// (gfw/runner.h), teardown, blocks, probes, server rows (identity, then
+// kServerCounters) and resources (kResourceCounters, peaks, sheds). A
+// single server is a fleet of one, so every shard is written the same
+// way. Failure frames carry a quarantined or recovered ShardFailure, how
+// a distributed worker ships its supervision verdicts back to the
+// coordinator (gfw/dist_runner.h); worker-IO frames carry its worker id
+// and kWorkerIoCounters rows, appended at worker exit when nonzero.
 // Older versions are refused with a clear error — journals are
 // per-campaign scratch, not archives. A shard or failure frame whose
 // shard index is outside the header's shard count is corruption.
@@ -74,8 +74,9 @@ struct CheckpointHeader {
 };
 
 // FNV-1a over the scenario fields that change what a shard computes
-// (server impl/cipher, traffic spec, duration, pacing, topology, fault
-// profile, classifier and blocking config, resource budgets, seed, and
+// (server, brdgrd and client config, traffic spec, duration, pacing,
+// topology, fault profile and ARQ tuning, every GfwConfig field — the
+// is_domestic predicate by presence only — resource budgets, seed, and
 // every fleet entry's shape and overrides). Two scenarios with equal
 // fingerprints produce interchangeable shards for checkpoint purposes.
 std::uint64_t scenario_fingerprint(const Scenario& scenario);
@@ -88,17 +89,11 @@ void require_same_campaign(const CheckpointHeader& journal,
                            const CheckpointHeader& campaign,
                            const std::string& path);
 
-// One completed shard as restored from a checkpoint.
-struct ShardCheckpoint {
-  ShardSummary summary;
-  ProbeLog log;
-};
-
 // Shard frame payload codec (frame kind 1), exposed for the
 // format-stability golden tests: parse(serialize(x)) == x and
 // serialize(parse(bytes)) == bytes.
 Bytes serialize_shard(const ShardSummary& summary, const ProbeLog& log);
-ShardCheckpoint parse_shard(ByteSpan payload);  // throws CheckpointError
+ShardRun parse_shard(ByteSpan payload);  // completed; throws CheckpointError
 
 // Kept only because bench/suite/gfw_bench.cpp calls them, and that file
 // changes only with the benchmark suite: whether a shard carries server
@@ -115,24 +110,8 @@ Bytes serialize_failure(const ShardFailure& failure);
 ShardFailure parse_failure(ByteSpan payload);  // throws CheckpointError
 
 // Worker IO-stats frame payload codec (frame kind 5): a distributed
-// worker's pipe/journal IO verdict, appended once at worker exit when
-// any counter is nonzero (gfw/dist_runner.cpp).
-struct WorkerIoStats {
-  std::uint32_t worker_id = 0;
-  // Heartbeat messages irrecoverably lost after the EINTR/partial-write
-  // retry loop gave up (the coordinator saw a stale heartbeat instead).
-  std::uint64_t heartbeats_dropped = 0;
-  // Heartbeat writes that needed at least one retry but went through.
-  std::uint64_t heartbeat_retries = 0;
-  // Journal/pipe opens retried with backoff under fd exhaustion
-  // (EMFILE/ENFILE) before succeeding.
-  std::uint64_t journal_retries = 0;
-
-  bool any() const {
-    return heartbeats_dropped != 0 || heartbeat_retries != 0 ||
-           journal_retries != 0;
-  }
-};
+// worker's WorkerIoStats (gfw/supervisor.h), appended once at worker exit
+// when any counter is nonzero (gfw/dist_runner.cpp).
 Bytes serialize_worker_io(const WorkerIoStats& io);
 WorkerIoStats parse_worker_io(ByteSpan payload);  // throws CheckpointError
 
@@ -164,7 +143,7 @@ class CheckpointWriter {
 
 struct Checkpoint {
   CheckpointHeader header;
-  std::map<std::uint32_t, ShardCheckpoint> shards;  // by shard_index
+  std::map<std::uint32_t, ShardRun> shards;  // completed, by shard_index
   // Kind-3 supervision verdicts, in file order (distributed workers
   // append them; in-process journals have none).
   std::vector<ShardFailure> failures;

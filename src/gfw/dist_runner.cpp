@@ -46,16 +46,6 @@ constexpr int kExitOk = 0;           // range finished
 constexpr int kExitJournal = 2;      // could not open/write the slot journal
 constexpr int kExitInterrupted = 3;  // SIGTERM honored between shards
 
-// Worker-local IO degradation counters, shared by the heartbeat thread
-// and the shard loop; snapshotted into a kind-5 journal frame at worker
-// exit (only when nonzero) so the coordinator and `gfw_worker --describe`
-// can surface degraded-pipe runs.
-struct WorkerIoCounters {
-  std::atomic<std::uint64_t> heartbeats_dropped{0};
-  std::atomic<std::uint64_t> heartbeat_retries{0};
-  std::atomic<std::uint64_t> journal_retries{0};
-};
-
 // Hardened heartbeat write: EINTR and partial writes retry (a signal —
 // SIGTERM from the stall ladder, SIGXCPU nearing an rlimit — landing
 // mid-write must not silently eat a liveness message), transient
@@ -64,7 +54,7 @@ struct WorkerIoCounters {
 // coordinator is gone the default SIGPIPE disposition terminates the
 // worker, which is exactly the orphan cleanup we want.
 void send_msg(int fd, std::uint8_t tag, std::uint32_t shard, std::uint64_t events,
-              WorkerIoCounters* io = nullptr) {
+              WorkerIoStats* io = nullptr) {
   std::uint8_t buf[kMsgSize];
   buf[0] = tag;
   store_le32(buf + 1, shard);
@@ -93,10 +83,13 @@ void send_msg(int fd, std::uint8_t tag, std::uint32_t shard, std::uint64_t event
     break;  // EBADF and friends: nothing to retry against
   }
   if (io == nullptr) return;
+  // The heartbeat thread and the shard loop both send, so the counters
+  // are bumped atomically.
+  static_assert(alignof(std::uint64_t) >= std::atomic_ref<std::uint64_t>::required_alignment);
   if (sent < kMsgSize) {
-    io->heartbeats_dropped.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_ref(io->heartbeats_dropped).fetch_add(1, std::memory_order_relaxed);
   } else if (retried) {
-    io->heartbeat_retries.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_ref(io->heartbeat_retries).fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -166,7 +159,11 @@ void apply_rlimit(int resource, std::uint64_t value) {
   apply_rlimit(RLIMIT_CPU, cfg.rlimit_cpu);
   apply_rlimit(RLIMIT_NOFILE, cfg.rlimit_nofile);
 
-  WorkerIoCounters io;
+  // IO degradation counters, journaled as a kind-5 frame at worker exit
+  // (only when nonzero) so the coordinator and `gfw_worker --describe`
+  // can surface degraded-pipe runs.
+  WorkerIoStats io;
+  io.worker_id = cfg.worker_id;
   int exit_code = kExitOk;
   try {
     // Append mode resumes a dead predecessor's journal: the header is
@@ -184,7 +181,7 @@ void apply_rlimit(int resource, std::uint64_t value) {
         const bool fd_exhaustion =
             errno == EMFILE || errno == ENFILE || errno == EINTR;
         if (!fd_exhaustion || attempt >= 5) throw;
-        io.journal_retries.fetch_add(1, std::memory_order_relaxed);
+        ++io.journal_retries;  // before any other thread exists
         std::this_thread::sleep_for(std::chrono::milliseconds(1 << attempt));
       }
     }
@@ -236,12 +233,7 @@ void apply_rlimit(int resource, std::uint64_t value) {
     // IO degradation verdict, journaled after the heartbeat thread has
     // stopped touching the counters — and only when something actually
     // degraded, so clean journals gain no bytes.
-    WorkerIoStats stats;
-    stats.worker_id = cfg.worker_id;
-    stats.heartbeats_dropped = io.heartbeats_dropped.load(std::memory_order_relaxed);
-    stats.heartbeat_retries = io.heartbeat_retries.load(std::memory_order_relaxed);
-    stats.journal_retries = io.journal_retries.load(std::memory_order_relaxed);
-    if (stats.any()) writer->append_worker_io(stats);
+    if (io.any()) writer->append_worker_io(io);
   } catch (...) {
     // Journal trouble (unwritable path, corrupt predecessor file the
     // coordinator failed to sanitize). The coordinator sees kExit and
@@ -766,20 +758,14 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
   }
 
   // ---- gather: load slot journals, fold failures, merge in shard order ----
-  std::map<std::uint32_t, ShardCheckpoint> gathered;
-  std::map<std::uint32_t, ShardFailure> failure_by_shard;
-  // [dropped heartbeats, heartbeat retries, journal retries] across all
-  // slot journals' kind-5 frames.
-  std::uint64_t result_worker_io[3] = {0, 0, 0};
+  std::vector<ShardRun> runs(shards);
+  WorkerIoStats worker_io;  // summed over every slot journal's kind-5 frames
   const auto fold_failure = [&](const ShardFailure& f) {
-    auto [it, inserted] = failure_by_shard.emplace(f.shard_index, f);
-    if (inserted) return;
-    ShardFailure& have = it->second;
+    std::optional<ShardFailure>& have = runs[f.shard_index].failure;
     // Quarantine verdicts dominate; otherwise the record that saw the
     // most attempts is the freshest.
-    if (f.quarantined && !have.quarantined) {
-      have = f;
-    } else if (f.quarantined == have.quarantined && f.attempts > have.attempts) {
+    if (!have || (f.quarantined && !have->quarantined) ||
+        (f.quarantined == have->quarantined && f.attempts > have->attempts)) {
       have = f;
     }
   };
@@ -790,38 +776,28 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     Checkpoint ck;
     try {
       ck = load_checkpoint(path);
+      require_same_campaign(ck.header, header, path);
     } catch (const CheckpointError&) {
       continue;  // defensive; sanitize passes make this unreachable
     }
-    for (auto& [index, shard_checkpoint] : ck.shards) {
-      gathered.emplace(index, std::move(shard_checkpoint));
+    for (auto& [index, shard_run] : ck.shards) {
+      if (!runs[index].completed) runs[index] = std::move(shard_run);  // first copy wins
     }
     for (const ShardFailure& f : ck.failures) fold_failure(f);
-    for (const WorkerIoStats& io : ck.worker_io) {
-      result_worker_io[0] += io.heartbeats_dropped;
-      result_worker_io[1] += io.heartbeat_retries;
-      result_worker_io[2] += io.journal_retries;
-    }
+    for (const auto& io : ck.worker_io) merge_counters(kWorkerIoCounters, worker_io, io);
   }
   for (const auto& [shard, f] : death_failures) fold_failure(f);
 
-  CampaignResult result;
-  result.interrupted = interrupt_seen;
-  result.worker_heartbeats_dropped = result_worker_io[0];
-  result.worker_heartbeat_retries = result_worker_io[1];
-  result.worker_journal_retries = result_worker_io[2];
   for (std::uint32_t shard = 0; shard < shards; ++shard) {
-    const bool have = gathered.count(shard) > 0;
-    auto it = failure_by_shard.find(shard);
-    if (have && it != failure_by_shard.end() && it->second.quarantined) {
+    const bool have = runs[shard].completed;
+    std::optional<ShardFailure>& failure = runs[shard].failure;
+    if (have && failure && failure->quarantined) {
       // The shard completed on some attempt after all: it recovered.
-      it->second.quarantined = false;
-      it->second.nondeterministic =
-          it->second.kind == FailureKind::kException ||
-          it->second.kind == FailureKind::kStall;
+      failure->quarantined = false;
+      failure->nondeterministic = failure->kind == FailureKind::kException ||
+                                  failure->kind == FailureKind::kStall;
     }
-    if (!have && !result.interrupted &&
-        (it == failure_by_shard.end() || !it->second.quarantined)) {
+    if (!have && !interrupt_seen && (!failure || !failure->quarantined)) {
       // No results, no quarantine verdict, and nobody interrupted us:
       // account for the loss instead of silently shrinking the merge.
       ShardFailure f;
@@ -836,21 +812,8 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     }
   }
 
-  std::size_t total = 0;
-  for (const auto& [index, shard_checkpoint] : gathered) {
-    total += shard_checkpoint.log.size();
-  }
-  result.log.reserve(total);
-  for (std::uint32_t shard = 0; shard < shards; ++shard) {
-    auto fit = failure_by_shard.find(shard);
-    if (fit != failure_by_shard.end()) result.failures.push_back(fit->second);
-    auto it = gathered.find(shard);
-    if (it == gathered.end()) continue;
-    it->second.summary.log_offset = result.log.size();
-    result.log.merge(it->second.log);
-    result.shards.push_back(std::move(it->second.summary));
-  }
-
+  CampaignResult result = merge_in_shard_order(runs, interrupt_seen);
+  for (const auto& row : kWorkerIoCounters) result.*row.total = worker_io.*row.field;
   cleanup_tmpdir();
   return result;
 }

@@ -332,12 +332,11 @@ void Gfw::drain_admission_queue() {
   }
 }
 
-std::vector<Gfw::ProbeShed> Gfw::probe_sheds() const {
-  std::vector<ProbeShed> out;
+std::vector<ShedRecord> Gfw::probe_sheds() const {
+  std::vector<ShedRecord> out;
   out.reserve(sheds_by_server_.size());
   for (const auto& [server, count] : sheds_by_server_) {
-    ProbeShed shed;
-    shed.server = server;
+    ShedRecord shed;
     const auto id_it = server_ids_.find(server);
     if (id_it != server_ids_.end()) shed.server_id = id_it->second;
     shed.region = blocking_.region_of(server);

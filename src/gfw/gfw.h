@@ -99,6 +99,15 @@ struct GfwConfig {
   double evidence_timeout = 0.05;
 };
 
+// One server's probe-shed tally, attributed like a probe record: probes
+// the bounded admission queue refused outright because both the
+// in-flight window and the deferral queue were full.
+struct ShedRecord {
+  std::uint16_t server_id = 0;
+  std::string region;
+  std::uint64_t count = 0;
+};
+
 class Gfw : public net::Middlebox {
  public:
   Gfw(net::Network& net, GfwConfig config, std::uint64_t seed = 0x6f17);
@@ -144,20 +153,13 @@ class Gfw : public net::Middlebox {
   void set_governor(net::ResourceGovernor* governor) { governor_ = governor; }
 
   // Shed-policy observability (all zero when probe_queue_cap is 0).
-  // One per-server shed tally, attributed like a probe record.
-  struct ProbeShed {
-    net::Endpoint server;
-    std::uint16_t server_id = 0;
-    std::string region;
-    std::uint64_t count = 0;
-  };
   // Probes dropped because both the in-flight cap and the admission
   // queue were full.
   std::uint64_t probes_shed() const { return probes_shed_; }
   // Probes that waited in the admission queue before launching.
   std::uint64_t probes_deferred() const { return probes_deferred_; }
   // Per-server shed tallies in deterministic endpoint order.
-  std::vector<ProbeShed> probe_sheds() const;
+  std::vector<ShedRecord> probe_sheds() const;
 
  private:
   struct FlowState {

@@ -20,6 +20,7 @@
 // one.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -41,13 +42,68 @@ namespace gfwsim::gfw {
 // the xoshiro256** generators they seed start in uncorrelated states.
 std::uint64_t shard_seed(std::uint64_t base_seed, std::uint32_t shard_index);
 
-// One server's probe-shed tally inside a ShardResources verdict: probes
-// the GFW's bounded admission queue refused outright because both the
-// in-flight window and the deferral queue were full.
-struct ShedRecord {
+// How one counter combines across shards or workers: kSum adds, kMax
+// keeps the largest (a per-shard high-water mark).
+enum class Merge : std::uint8_t { kSum, kMax };
+
+// Counter tables: each counter record (ShardResources, ShardSummary,
+// ServerStats, WorkerIoStats) declares its counters once, as rows of a
+// table next to the struct; the checkpoint codec, the shard harvest, the
+// campaign rollup and the worker-IO fold loop over the rows. A row gives
+// the counter's name, its field and its merge rule; rows of the per-shard
+// tables also give `read`, the World accessor the harvest takes the value
+// from. Row order is the checkpoint wire order (gfw/checkpoint.h).
+template <typename Record>
+struct Counter {
+  const char* name;
+  std::uint64_t Record::*field;
+  Merge merge;
+  std::uint64_t (*read)(World&) = nullptr;
+};
+
+// Folds `from` into `into`, each row by its own rule.
+template <typename Table, typename Record>
+void merge_counters(const Table& table, Record& into, const Record& from) {
+  for (const auto& row : table) {
+    const std::uint64_t value = from.*row.field;
+    std::uint64_t& total = into.*row.field;
+    total = row.merge == Merge::kMax ? std::max(total, value) : total + value;
+  }
+}
+
+// True iff any counter of `table` is nonzero in `record`.
+template <typename Table, typename Record>
+bool any_counter(const Table& table, const Record& record) {
+  for (const auto& row : table) {
+    if (record.*row.field != 0) return true;
+  }
+  return false;
+}
+
+// Per-server statistics harvested from a fleet World. Single-server
+// scenarios report an empty vector, so legacy summaries, checkpoints,
+// and digests are untouched.
+struct ServerStats {
   std::uint16_t server_id = 0;
+  net::Endpoint endpoint;
   std::string region;
-  std::uint64_t count = 0;
+  std::string impl;
+  std::string cipher;
+  std::uint64_t connections_launched = 0;
+  // Data bytes delivered to or from this endpoint (per-endpoint goodput
+  // split out of the shared network).
+  std::uint64_t payload_bytes = 0;
+  std::uint64_t probes = 0;  // GFW probes aimed at this server
+  std::uint64_t blocks = 0;  // block entries that match this endpoint
+};
+
+// ServerStats's counters; CampaignResult::fleet_totals merges each
+// server's rows across shards by them.
+inline constexpr Counter<ServerStats> kServerCounters[] = {
+    {"connections_launched", &ServerStats::connections_launched, Merge::kSum},
+    {"payload_bytes", &ServerStats::payload_bytes, Merge::kSum},
+    {"probes", &ServerStats::probes, Merge::kSum},
+    {"blocks", &ServerStats::blocks, Merge::kSum},
 };
 
 // Resource-governance verdict for one shard (net/resources.h +
@@ -62,19 +118,25 @@ struct ShardResources {
   std::uint64_t acquisitions = 0;          // governor acquisitions()
   // Governor per-kind peaks, indexed by net::ResourceKind.
   std::array<std::uint64_t, net::kResourceKindCount> peak_units{};
-  // Per-server shed breakdown, in server-id order.
+  // Per-server shed breakdown (Gfw::probe_sheds), in endpoint order.
   std::vector<ShedRecord> sheds;
 
-  bool any() const {
-    if (probes_shed != 0 || probes_deferred != 0 || queue_overflow_drops != 0 ||
-        peak_metered_bytes != 0 || acquisitions != 0 || !sheds.empty()) {
-      return true;
-    }
-    for (std::uint64_t peak : peak_units) {
-      if (peak != 0) return true;
-    }
-    return false;
-  }
+  bool any() const;
+};
+
+// ShardResources's scalar counters. The peak array and the shed list
+// are coded and checked on their own.
+inline constexpr Counter<ShardResources> kResourceCounters[] = {
+    {"probes_shed", &ShardResources::probes_shed, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.gfw().probes_shed(); }},
+    {"probes_deferred", &ShardResources::probes_deferred, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.gfw().probes_deferred(); }},
+    {"queue_overflow_drops", &ShardResources::queue_overflow_drops, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().segments_dropped_queue(); }},
+    {"peak_metered_bytes", &ShardResources::peak_metered_bytes, Merge::kMax,
+     [](World& w) -> std::uint64_t { return w.governor().peak_bytes(); }},
+    {"acquisitions", &ShardResources::acquisitions, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.governor().acquisitions(); }},
 };
 
 // What one finished shard contributes beyond its ProbeLog.
@@ -82,25 +144,25 @@ struct ShardSummary {
   std::uint32_t shard_index = 0;
   std::uint64_t seed = 0;
 
-  std::size_t connections_launched = 0;
-  std::size_t control_contacts = 0;
-  std::size_t flows_inspected = 0;
-  std::size_t flows_flagged = 0;
-  std::size_t segments_transmitted = 0;
+  std::uint64_t connections_launched = 0;
+  std::uint64_t control_contacts = 0;
+  std::uint64_t flows_inspected = 0;
+  std::uint64_t flows_flagged = 0;
+  std::uint64_t segments_transmitted = 0;
 
   // Fault-layer accounting (all zero when the scenario's FaultProfile is
   // disabled) and the shard's teardown invariant scan.
-  std::size_t segments_delivered = 0;
+  std::uint64_t segments_delivered = 0;
   // Data payload bytes handed to destination connections (the goodput
   // numerator of the benchmark suite's goodput_MBps).
   std::uint64_t payload_bytes_delivered = 0;
-  std::size_t segments_dropped_middlebox = 0;
-  std::size_t segments_dropped_loss = 0;
-  std::size_t segments_dropped_outage = 0;
-  std::size_t segments_duplicated = 0;
-  std::size_t segments_reordered = 0;
-  std::size_t retransmissions = 0;
-  std::size_t probe_connect_retries = 0;
+  std::uint64_t segments_dropped_middlebox = 0;
+  std::uint64_t segments_dropped_loss = 0;
+  std::uint64_t segments_dropped_outage = 0;
+  std::uint64_t segments_duplicated = 0;
+  std::uint64_t segments_reordered = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t probe_connect_retries = 0;
   // Events fired by this shard's EventLoop — the engine-throughput
   // numerator for the benches. Journaled with the shard, so a resumed or
   // gathered shard reports the same count as one run in process.
@@ -125,6 +187,40 @@ struct ShardSummary {
   ShardResources resources;
 };
 
+// ShardSummary's counters, each with the World accessor the harvest reads.
+inline constexpr Counter<ShardSummary> kShardCounters[] = {
+    {"connections_launched", &ShardSummary::connections_launched, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.connections_launched(); }},
+    {"control_contacts", &ShardSummary::control_contacts, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.control_host_contacts(); }},
+    {"flows_inspected", &ShardSummary::flows_inspected, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.gfw().flows_inspected(); }},
+    {"flows_flagged", &ShardSummary::flows_flagged, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.gfw().flows_flagged(); }},
+    {"segments_transmitted", &ShardSummary::segments_transmitted, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().segments_transmitted(); }},
+    {"segments_delivered", &ShardSummary::segments_delivered, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().segments_delivered(); }},
+    {"payload_bytes_delivered", &ShardSummary::payload_bytes_delivered, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().payload_bytes_delivered(); }},
+    {"segments_dropped_middlebox", &ShardSummary::segments_dropped_middlebox, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().segments_dropped_middlebox(); }},
+    {"segments_dropped_loss", &ShardSummary::segments_dropped_loss, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().segments_dropped_loss(); }},
+    {"segments_dropped_outage", &ShardSummary::segments_dropped_outage, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().segments_dropped_outage(); }},
+    {"segments_duplicated", &ShardSummary::segments_duplicated, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().segments_duplicated(); }},
+    {"segments_reordered", &ShardSummary::segments_reordered, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().segments_reordered(); }},
+    {"retransmissions", &ShardSummary::retransmissions, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.network().retransmissions(); }},
+    {"probe_connect_retries", &ShardSummary::probe_connect_retries, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.gfw().probe_connect_retries(); }},
+    {"events_processed", &ShardSummary::events_processed, Merge::kSum,
+     [](World& w) -> std::uint64_t { return w.loop().events_processed(); }},
+};
+
 // Shard-ordered merge of a whole campaign. `shards` holds the SURVIVING
 // shards only (in shard order, each keeping its original shard_index);
 // quarantined shards appear in `failures` instead.
@@ -135,9 +231,9 @@ struct CampaignResult {
   // shards (retries exhausted, excluded from the merge) plus recovered
   // ones (a retry succeeded; flagged nondeterministic, results merged).
   std::vector<ShardFailure> failures;
-  // Worker IO degradation totals, summed from the kind-5 journal frames
-  // of a distributed run (gfw/checkpoint.h); always zero under the
-  // in-process runners and on clean distributed runs.
+  // Worker IO degradation totals, summed by kWorkerIoCounters from the
+  // kind-5 journal frames of a distributed run (gfw/checkpoint.h); always
+  // zero under the in-process runners and on clean distributed runs.
   std::uint64_t worker_heartbeats_dropped = 0;
   std::uint64_t worker_heartbeat_retries = 0;
   std::uint64_t worker_journal_retries = 0;
@@ -147,31 +243,23 @@ struct CampaignResult {
   // journal armed, a --resume rerun picks up exactly where this left off.
   bool interrupted = false;
 
-  std::size_t connections_launched() const;
-  std::size_t control_contacts() const;
-  std::size_t flows_flagged() const;
-  std::size_t segments_dropped_loss() const;
-  std::size_t retransmissions() const;
-  std::uint64_t payload_bytes_delivered() const;
-  // Events fired across all surviving shards' event loops.
-  std::uint64_t events_processed() const;
+  // Every kShardCounters and kResourceCounters row merged across the
+  // surviving shards by its rule: counters sum, peak_metered_bytes takes
+  // the largest per-shard peak. Identity fields, the teardown report and
+  // the vectors stay empty.
+  ShardSummary totals() const;
+  // The goodput numerator bench/suite/gfw_bench.cpp reads.
+  std::uint64_t payload_bytes_delivered() const { return totals().payload_bytes_delivered; }
   // True iff every shard's teardown watchdog came back clean.
   bool teardown_clean() const;
   // "" when clean; otherwise one "shard N: <violations>" line per dirty
   // shard (net::TeardownReport::describe) for test failure messages.
   std::string teardown_failures() const;
   // Per-server aggregation across surviving shards, by server id (fleet
-  // campaigns; empty when the scenario had no fleet). Counter fields sum;
-  // descriptive fields come from the first shard that saw the server.
+  // campaigns; empty when the scenario had no fleet). Counters merge by
+  // kServerCounters; descriptive fields come from the first shard that
+  // saw the server.
   std::vector<ServerStats> fleet_totals() const;
-  // Resource-governance rollups across surviving shards (all zero when
-  // Scenario::resources was disarmed).
-  std::uint64_t probes_shed() const;
-  std::uint64_t probes_deferred() const;
-  std::uint64_t queue_overflow_drops() const;
-  // Largest peak_metered_bytes across surviving shards (peaks are
-  // per-shard high-water marks, so the campaign verdict takes the max).
-  std::uint64_t peak_metered_bytes() const;
   // Shards that failed with FailureKind::kResource (quarantined or
   // recovered): budget breaches, injected exhaustion, rlimit deaths.
   std::size_t resource_failures() const;
@@ -179,6 +267,23 @@ struct CampaignResult {
   std::size_t shards_quarantined() const;
   // True iff every shard's results made it into the merge.
   bool complete() const { return shards_quarantined() == 0; }
+};
+
+// WorkerIoStats's counters (gfw/supervisor.h), each with the CampaignResult
+// field that a distributed run's gather reports its total in.
+struct WorkerIoCounter {
+  const char* name;
+  std::uint64_t WorkerIoStats::*field;
+  Merge merge;
+  std::uint64_t CampaignResult::*total;
+};
+inline constexpr WorkerIoCounter kWorkerIoCounters[] = {
+    {"heartbeats_dropped", &WorkerIoStats::heartbeats_dropped, Merge::kSum,
+     &CampaignResult::worker_heartbeats_dropped},
+    {"heartbeat_retries", &WorkerIoStats::heartbeat_retries, Merge::kSum,
+     &CampaignResult::worker_heartbeat_retries},
+    {"journal_retries", &WorkerIoStats::journal_retries, Merge::kSum,
+     &CampaignResult::worker_journal_retries},
 };
 
 class Runner {
@@ -212,6 +317,8 @@ using ShardHook = std::function<void(World&, std::uint32_t shard)>;
 // attempt-local heartbeat so an external sampler (the worker's heartbeat
 // thread) can observe the running loop; it must outlive the call.
 struct ShardRun {
+  // Also true for a shard restored from a journal's shard frame
+  // (gfw/checkpoint.h), which never carries a failure.
   bool completed = false;
   ShardSummary summary;  // meaningful only when completed
   ProbeLog log;          // meaningful only when completed
@@ -225,6 +332,13 @@ ShardRun run_shard_supervised(const Scenario& scenario, std::uint32_t shard,
                               StallWatchdog* watchdog, const ShardHook& before,
                               const ShardHook& after,
                               net::LoopProgress* progress = nullptr);
+
+// The shard-ordered merge both runners end with: `runs` holds one slot
+// per shard, in shard order. Completed shards' logs and summaries are
+// appended in that order, with log_offset recomputed; every slot's
+// failure joins CampaignResult::failures. The result is identical for
+// any thread count, worker count or resume point.
+CampaignResult merge_in_shard_order(std::vector<ShardRun>& runs, bool interrupted);
 
 struct ShardedRunnerOptions {
   ShardedRunnerOptions() = default;
@@ -262,9 +376,6 @@ struct ShardedRunnerOptions {
 
 class ShardedRunner : public Runner {
  public:
-  // Kept as a member alias for existing callers; see gfw::ShardHook.
-  using ShardHook = gfw::ShardHook;
-
   explicit ShardedRunner(ShardedRunnerOptions options = {});
 
   void set_before_run(ShardHook hook) { before_ = std::move(hook); }

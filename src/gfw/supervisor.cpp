@@ -40,6 +40,12 @@ std::string describe(const ShardFailure& failure) {
   return out.str();
 }
 
+std::string describe(const WorkerIoStats& io) {
+  return std::to_string(io.heartbeats_dropped) + " heartbeat(s) dropped, " +
+         std::to_string(io.heartbeat_retries) + " heartbeat write(s) retried, " +
+         std::to_string(io.journal_retries) + " journal open(s) retried";
+}
+
 StallWatchdog::StallWatchdog(std::chrono::milliseconds timeout)
     : timeout_(std::max(timeout, std::chrono::milliseconds(10))),
       thread_([this] { poll_loop(); }) {}

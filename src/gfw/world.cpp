@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "gfw/runner.h"  // shard_seed
+#include "gfw/runner.h"  // shard_seed, ServerStats
 
 namespace gfwsim::gfw {
 

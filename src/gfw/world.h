@@ -29,22 +29,8 @@
 
 namespace gfwsim::gfw {
 
-// Per-server statistics harvested from a fleet World. Single-server
-// scenarios report an empty vector, so legacy summaries, checkpoints,
-// and digests are untouched.
-struct ServerStats {
-  std::uint16_t server_id = 0;
-  net::Endpoint endpoint;
-  std::string region;
-  std::string impl;
-  std::string cipher;
-  std::size_t connections_launched = 0;
-  // Data bytes delivered to or from this endpoint (per-endpoint goodput
-  // split out of the shared network).
-  std::uint64_t payload_bytes = 0;
-  std::size_t probes = 0;  // GFW probes aimed at this server
-  std::size_t blocks = 0;  // block entries that match this endpoint
-};
+// One row of World::server_stats (gfw/runner.h).
+struct ServerStats;
 
 class World {
  public:

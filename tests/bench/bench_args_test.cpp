@@ -3,15 +3,19 @@
 // running a campaign on a silently defaulted or truncated value. The
 // gfw_worker tool parses its numbers the same way.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <climits>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "gfw/checkpoint.h"
 
 namespace gfwsim::bench {
 namespace {
@@ -114,6 +118,39 @@ TEST(GfwWorkerArgsDeathTest, MalformedNumbersExit2) {
     EXPECT_EXIT(exec_gfw_worker(args), testing::ExitedWithCode(2), "usage")
         << flags[0] << " " << flags[1];
   }
+}
+
+// This process's address-space size (VmSize in /proc/self/status), in
+// bytes; 0 where it cannot be read. Terabytes under AddressSanitizer's
+// shadow mappings, so a limit relative to it works in every build.
+std::uint64_t address_space_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7)) << 10;
+  }
+  return 0;
+}
+
+TEST(GfwWorkerArgsDeathTest, SkipSetIsSizedByTheRangeNotTheShardCount) {
+  // A skip set sized by --shards would ask for 4 GiB here before running
+  // the range's one shard; under an address-space limit of 1 GiB above
+  // this process's own size, that allocation is refused.
+  const std::string journal = testing::TempDir() + "gfwsim_worker_huge_shards.ckpt";
+  std::remove(journal.c_str());
+  const auto run_limited = [&] {
+    const rlim_t limit = address_space_bytes() + (1ull << 30);
+    const rlimit address_space{limit, limit};
+    ::setrlimit(RLIMIT_AS, &address_space);
+    exec_gfw_worker({"--run", "--journal", journal, "--shards", "4294967295", "--range",
+                     "0:1", "--days", "1"});
+  };
+  EXPECT_EXIT(run_limited(), testing::ExitedWithCode(0), "");
+  const gfw::Checkpoint loaded = gfw::load_checkpoint(journal);
+  EXPECT_EQ(loaded.header.shard_count, 4294967295u);
+  ASSERT_EQ(loaded.shards.size(), 1u);
+  EXPECT_EQ(loaded.shards.begin()->first, 0u);
+  std::remove(journal.c_str());
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "crypto/sha1.h"
 #include "gfw/checkpoint.h"
+#include "proxy/cipher.h"
 
 namespace gfwsim {
 namespace {
@@ -137,7 +139,7 @@ TEST(Checkpoint, ShardFrameRoundTripsByteIdentically) {
   const gfw::ProbeLog log = make_log();
 
   const Bytes bytes = gfw::serialize_shard(summary, log);
-  const gfw::ShardCheckpoint parsed = gfw::parse_shard(bytes);
+  const gfw::ShardRun parsed = gfw::parse_shard(bytes);
   const Bytes again = gfw::serialize_shard(parsed.summary, parsed.log);
   EXPECT_EQ(bytes, again);  // serialize ∘ parse == identity on bytes
 
@@ -317,7 +319,7 @@ TEST(Checkpoint, FleetFrameRoundTripsByteIdentically) {
   EXPECT_EQ(gfw::serialize_shard_fleet(summary, log), gfw::serialize_shard(summary, log));
 
   const Bytes bytes = gfw::serialize_shard(summary, log);
-  const gfw::ShardCheckpoint parsed = gfw::parse_shard(bytes);
+  const gfw::ShardRun parsed = gfw::parse_shard(bytes);
   const Bytes again = gfw::serialize_shard(parsed.summary, parsed.log);
   EXPECT_EQ(bytes, again);  // serialize ∘ parse == identity on bytes
 
@@ -358,12 +360,12 @@ TEST(Checkpoint, FleetShardsJournalAndRestoreThroughTheFile) {
   }
   const gfw::Checkpoint loaded = gfw::load_checkpoint(path);
   ASSERT_EQ(loaded.shards.size(), 2u);
-  const gfw::ShardCheckpoint& fleet = loaded.shards.at(3);
+  const gfw::ShardRun& fleet = loaded.shards.at(3);
   ASSERT_EQ(fleet.summary.servers.size(), 2u);
   EXPECT_EQ(fleet.summary.servers[1].region, "unicom");
   EXPECT_EQ(fleet.log.records()[1].server_id, 3u);
   EXPECT_EQ(fleet.summary.blocking_history[0].region, "beijing");
-  const gfw::ShardCheckpoint& legacy = loaded.shards.at(0);
+  const gfw::ShardRun& legacy = loaded.shards.at(0);
   EXPECT_TRUE(legacy.summary.servers.empty());
   EXPECT_EQ(legacy.log.records()[1].server_id, 0u);
   std::remove(path.c_str());
@@ -459,6 +461,7 @@ gfw::Scenario configured_scenario() {
   faults.outages = {outage};
   scenario.fleet[1].faults = faults;
   scenario.fleet[1].traffic = client::TrafficSpec::random_exp1();
+  scenario.fleet[1].client = client::ClientConfig{};
   scenario.gfw.blocking.region_policies["unicom"] = gfw::RegionPolicy{};
   return scenario;
 }
@@ -471,7 +474,8 @@ TEST(Checkpoint, FingerprintCoversEveryConfigStruct) {
     std::function<void(gfw::Scenario&)> apply;
   };
   const std::vector<Mutation> mutations = {
-      {"traffic.kind", [](gfw::Scenario& s) { s.traffic = client::TrafficSpec::random_exp2(); }},
+      {"traffic.kind",
+       [](gfw::Scenario& s) { s.traffic = client::TrafficSpec::random_exp2(); }},
       {"traffic.sites",
        [](gfw::Scenario& s) { s.traffic.sites.push_back({"example.org", true, 1.0}); }},
       {"traffic.max_len", [](gfw::Scenario& s) { s.traffic.max_len = 999; }},
@@ -520,6 +524,91 @@ TEST(Checkpoint, FingerprintCoversEveryConfigStruct) {
        [](gfw::Scenario& s) { s.fleet[1].traffic->sites.push_back({"example.org", true, 1.0}); }},
       {"fleet[1].traffic.max_entropy",
        [](gfw::Scenario& s) { s.fleet[1].traffic->max_entropy = 7.5; }},
+      {"arq.rto", [](gfw::Scenario& s) { s.arq.rto = net::milliseconds(700); }},
+      {"arq.max_data_retries", [](gfw::Scenario& s) { s.arq.max_data_retries = 9; }},
+      {"arq.syn_timeout", [](gfw::Scenario& s) { s.arq.syn_timeout = net::seconds(3); }},
+      {"arq.max_syn_retries", [](gfw::Scenario& s) { s.arq.max_syn_retries = 1; }},
+      {"arq.idle_timeout", [](gfw::Scenario& s) { s.arq.idle_timeout = net::minutes(1); }},
+      {"brdgrd.min_window", [](gfw::Scenario& s) { s.brdgrd.min_window = 10; }},
+      {"brdgrd.max_window", [](gfw::Scenario& s) { s.brdgrd.max_window = 50; }},
+      {"brdgrd.randomize_window", [](gfw::Scenario& s) { s.brdgrd.randomize_window = false; }},
+      {"brdgrd.sticky_period",
+       [](gfw::Scenario& s) { s.brdgrd.sticky_period = net::hours(2); }},
+      {"brdgrd.restore_after",
+       [](gfw::Scenario& s) { s.brdgrd.restore_after = net::milliseconds(900); }},
+      {"brdgrd.restored_window", [](gfw::Scenario& s) { s.brdgrd.restored_window = 4096; }},
+      {"client.cipher",
+       [](gfw::Scenario& s) { s.client.cipher = proxy::find_cipher("aes-256-gcm"); }},
+      {"client.password", [](gfw::Scenario& s) { s.client.password = "hunter2"; }},
+      {"client.merge_header_and_data",
+       [](gfw::Scenario& s) { s.client.merge_header_and_data = true; }},
+      {"client.embed_timestamp", [](gfw::Scenario& s) { s.client.embed_timestamp = true; }},
+      {"fleet[1].client.cipher",
+       [](gfw::Scenario& s) {
+         s.fleet[1].client->cipher = proxy::find_cipher("aes-128-gcm");
+       }},
+      {"fleet[1].client.password",
+       [](gfw::Scenario& s) { s.fleet[1].client->password = "x"; }},
+      {"fleet[1].client.merge_header_and_data",
+       [](gfw::Scenario& s) { s.fleet[1].client->merge_header_and_data = true; }},
+      {"fleet[1].client.embed_timestamp",
+       [](gfw::Scenario& s) { s.fleet[1].client->embed_timestamp = true; }},
+      {"fleet[1].brdgrd.min_window",
+       [](gfw::Scenario& s) { s.fleet[1].brdgrd.min_window = 5; }},
+      {"fleet[1].brdgrd.max_window",
+       [](gfw::Scenario& s) { s.fleet[1].brdgrd.max_window = 60; }},
+      {"fleet[1].brdgrd.randomize_window",
+       [](gfw::Scenario& s) { s.fleet[1].brdgrd.randomize_window = false; }},
+      {"fleet[1].brdgrd.sticky_period",
+       [](gfw::Scenario& s) { s.fleet[1].brdgrd.sticky_period = net::hours(3); }},
+      {"fleet[1].brdgrd.restore_after",
+       [](gfw::Scenario& s) { s.fleet[1].brdgrd.restore_after = net::seconds(1); }},
+      {"fleet[1].brdgrd.restored_window",
+       [](gfw::Scenario& s) { s.fleet[1].brdgrd.restored_window = 8192; }},
+      {"gfw.is_domestic",
+       [](gfw::Scenario& s) { s.gfw.is_domestic = [](net::Ipv4) { return true; }; }},
+      {"gfw.pool.as_profiles",
+       [](gfw::Scenario& s) { s.gfw.pool.as_profiles[0].weight += 1.0; }},
+      {"gfw.pool.budget_log_mean", [](gfw::Scenario& s) { s.gfw.pool.budget_log_mean = 2.0; }},
+      {"gfw.pool.budget_log_stddev",
+       [](gfw::Scenario& s) { s.gfw.pool.budget_log_stddev = 0.1; }},
+      {"gfw.pool.budget_cap", [](gfw::Scenario& s) { s.gfw.pool.budget_cap = 10; }},
+      {"gfw.pool.active_set_size", [](gfw::Scenario& s) { s.gfw.pool.active_set_size = 8; }},
+      {"gfw.pool.linux_ephemeral_fraction",
+       [](gfw::Scenario& s) { s.gfw.pool.linux_ephemeral_fraction = 0.5; }},
+      {"gfw.pool.ephemeral_low", [](gfw::Scenario& s) { s.gfw.pool.ephemeral_low = 40000; }},
+      {"gfw.pool.ephemeral_high", [](gfw::Scenario& s) { s.gfw.pool.ephemeral_high = 50000; }},
+      {"gfw.pool.other_low", [](gfw::Scenario& s) { s.gfw.pool.other_low = 2000; }},
+      {"gfw.pool.other_high", [](gfw::Scenario& s) { s.gfw.pool.other_high = 9000; }},
+      {"gfw.pool.ttl_min", [](gfw::Scenario& s) { s.gfw.pool.ttl_min = 40; }},
+      {"gfw.pool.ttl_max", [](gfw::Scenario& s) { s.gfw.pool.ttl_max = 60; }},
+      {"gfw.enable_active_probing",
+       [](gfw::Scenario& s) { s.gfw.enable_active_probing = false; }},
+      {"gfw.enable_staging", [](gfw::Scenario& s) { s.gfw.enable_staging = false; }},
+      {"gfw.probe_queue_cap", [](gfw::Scenario& s) { s.gfw.probe_queue_cap = 3; }},
+      {"gfw.probe_timeout", [](gfw::Scenario& s) { s.gfw.probe_timeout = net::seconds(9); }},
+      {"gfw.probe_connect_retries", [](gfw::Scenario& s) { s.gfw.probe_connect_retries = 0; }},
+      {"gfw.probe_retry_backoff",
+       [](gfw::Scenario& s) { s.gfw.probe_retry_backoff = net::seconds(2); }},
+      {"gfw.probe_arq.rto",
+       [](gfw::Scenario& s) { s.gfw.probe_arq.rto = net::milliseconds(250); }},
+      {"gfw.probe_arq.max_syn_retries",
+       [](gfw::Scenario& s) { s.gfw.probe_arq.max_syn_retries = 3; }},
+      {"gfw.extra_r1_probability",
+       [](gfw::Scenario& s) { s.gfw.extra_r1_probability = 0.25; }},
+      {"gfw.max_replays_per_payload",
+       [](gfw::Scenario& s) { s.gfw.max_replays_per_payload = 5; }},
+      {"gfw.r2_probability", [](gfw::Scenario& s) { s.gfw.r2_probability = 0.1; }},
+      {"gfw.nr2_probability", [](gfw::Scenario& s) { s.gfw.nr2_probability = 0.1; }},
+      {"gfw.stage2_interval",
+       [](gfw::Scenario& s) { s.gfw.stage2_interval = net::minutes(5); }},
+      {"gfw.stage2_batch_min", [](gfw::Scenario& s) { s.gfw.stage2_batch_min = 2; }},
+      {"gfw.stage2_batch_max", [](gfw::Scenario& s) { s.gfw.stage2_batch_max = 6; }},
+      {"gfw.stage2_duration", [](gfw::Scenario& s) { s.gfw.stage2_duration = net::hours(1); }},
+      {"gfw.evidence_data", [](gfw::Scenario& s) { s.gfw.evidence_data = 1.0; }},
+      {"gfw.evidence_rst", [](gfw::Scenario& s) { s.gfw.evidence_rst = 0.5; }},
+      {"gfw.evidence_fin", [](gfw::Scenario& s) { s.gfw.evidence_fin = 0.5; }},
+      {"gfw.evidence_timeout", [](gfw::Scenario& s) { s.gfw.evidence_timeout = 0.5; }},
   };
   const std::uint64_t base = gfw::scenario_fingerprint(configured_scenario());
   EXPECT_EQ(base, gfw::scenario_fingerprint(configured_scenario()));
@@ -878,6 +967,9 @@ TEST(Checkpoint, WorkerIoFrameRoundTripsByteIdentically) {
   EXPECT_EQ(parsed.heartbeats_dropped, 3u);
   EXPECT_EQ(parsed.heartbeat_retries, 19u);
   EXPECT_EQ(parsed.journal_retries, 1u);
+  EXPECT_EQ(gfw::describe(parsed),
+            "3 heartbeat(s) dropped, 19 heartbeat write(s) retried, "
+            "1 journal open(s) retried");
 }
 
 TEST(Checkpoint, ResourceVerdictsJournalAndReattachThroughTheFile) {
@@ -943,6 +1035,128 @@ TEST(Checkpoint, AppendingAForeignCampaignIsRejected) {
   EXPECT_THROW(gfw::CheckpointWriter(path, other, /*append=*/true),
                gfw::CheckpointError);
   std::remove(path.c_str());
+}
+
+// ---- counter tables ---------------------------------------------------------
+
+// Every row of `table` names a field of its own and a name of its own, so
+// no counter is coded twice or skipped.
+template <typename Table>
+void expect_distinct_rows(const Table& table) {
+  for (std::size_t i = 0; i < std::size(table); ++i) {
+    for (std::size_t j = i + 1; j < std::size(table); ++j) {
+      EXPECT_NE(table[i].field, table[j].field) << table[i].name;
+      EXPECT_NE(std::string(table[i].name), table[j].name);
+    }
+  }
+}
+
+TEST(CounterTables, EveryRowIsDeclaredOnce) {
+  EXPECT_EQ(std::size(gfw::kShardCounters), 15u);
+  EXPECT_EQ(std::size(gfw::kResourceCounters), 5u);
+  EXPECT_EQ(std::size(gfw::kServerCounters), 4u);
+  EXPECT_EQ(std::size(gfw::kWorkerIoCounters), 3u);
+  expect_distinct_rows(gfw::kShardCounters);
+  expect_distinct_rows(gfw::kResourceCounters);
+  expect_distinct_rows(gfw::kServerCounters);
+  expect_distinct_rows(gfw::kWorkerIoCounters);
+  for (const auto& row : gfw::kShardCounters) EXPECT_NE(row.read, nullptr) << row.name;
+  for (const auto& row : gfw::kResourceCounters) EXPECT_NE(row.read, nullptr) << row.name;
+}
+
+TEST(CounterTables, EveryRowSurvivesTheShardAndWorkerIoCodecs) {
+  // Distinct values across all four tables: a row that the codec drops,
+  // or decodes into another row's field, shows up as a wrong value.
+  std::uint64_t next = 0x1000;
+  gfw::ShardSummary summary = make_fleet_summary();
+  for (const auto& row : gfw::kShardCounters) summary.*row.field = next++;
+  for (const auto& row : gfw::kResourceCounters) summary.resources.*row.field = next++;
+  for (gfw::ServerStats& server : summary.servers) {
+    for (const auto& row : gfw::kServerCounters) server.*row.field = next++;
+  }
+  gfw::WorkerIoStats io;
+  io.worker_id = 9;
+  for (const auto& row : gfw::kWorkerIoCounters) io.*row.field = next++;
+
+  const gfw::ShardRun parsed =
+      gfw::parse_shard(gfw::serialize_shard(summary, make_fleet_log()));
+  for (const auto& row : gfw::kShardCounters) {
+    EXPECT_EQ(parsed.summary.*row.field, summary.*row.field) << row.name;
+  }
+  for (const auto& row : gfw::kResourceCounters) {
+    EXPECT_EQ(parsed.summary.resources.*row.field, summary.resources.*row.field)
+        << row.name;
+  }
+  ASSERT_EQ(parsed.summary.servers.size(), summary.servers.size());
+  for (std::size_t i = 0; i < summary.servers.size(); ++i) {
+    for (const auto& row : gfw::kServerCounters) {
+      EXPECT_EQ(parsed.summary.servers[i].*row.field, summary.servers[i].*row.field)
+          << "server " << i << " " << row.name;
+    }
+  }
+  const gfw::WorkerIoStats parsed_io = gfw::parse_worker_io(gfw::serialize_worker_io(io));
+  EXPECT_EQ(parsed_io.worker_id, 9u);
+  for (const auto& row : gfw::kWorkerIoCounters) {
+    EXPECT_EQ(parsed_io.*row.field, io.*row.field) << row.name;
+  }
+}
+
+TEST(CounterTables, TotalsSumEverySumRowAndTakeTheLargestPeak) {
+  // Per-shard multipliers whose sum (57) and maximum (50) differ, so a
+  // row merged by the wrong rule cannot pass.
+  const std::uint64_t scale[3] = {3, 50, 4};
+  gfw::CampaignResult result;
+  for (std::uint32_t shard = 0; shard < 3; ++shard) {
+    gfw::ShardSummary s = make_fleet_summary();
+    s.shard_index = shard;
+    std::uint64_t base = 1;
+    for (const auto& row : gfw::kShardCounters) s.*row.field = base++ * scale[shard];
+    for (const auto& row : gfw::kResourceCounters) {
+      s.resources.*row.field = base++ * scale[shard];
+    }
+    result.shards.push_back(s);
+  }
+  const gfw::ShardSummary totals = result.totals();
+  std::uint64_t base = 1;
+  for (const auto& row : gfw::kShardCounters) {
+    EXPECT_EQ(totals.*row.field, base++ * 57) << row.name;
+  }
+  for (const auto& row : gfw::kResourceCounters) {
+    const bool peak = row.field == &gfw::ShardResources::peak_metered_bytes;
+    EXPECT_EQ(totals.resources.*row.field, base++ * (peak ? 50 : 57)) << row.name;
+  }
+  // Identity fields, the teardown report and the vectors stay empty.
+  EXPECT_EQ(totals.shard_index, 0u);
+  EXPECT_EQ(totals.seed, 0u);
+  EXPECT_TRUE(totals.teardown.clean());
+  EXPECT_TRUE(totals.blocking_history.empty());
+  EXPECT_TRUE(totals.servers.empty());
+  EXPECT_TRUE(totals.resources.sheds.empty());
+  EXPECT_EQ(result.payload_bytes_delivered(), totals.payload_bytes_delivered);
+}
+
+TEST(CounterTables, FleetTotalsSumEveryServerRowAcrossShards) {
+  gfw::CampaignResult result;
+  for (std::uint64_t shard = 0; shard < 3; ++shard) {
+    gfw::ShardSummary s = make_fleet_summary();
+    for (gfw::ServerStats& server : s.servers) {
+      std::uint64_t base = 1 + server.server_id;
+      for (const auto& row : gfw::kServerCounters) server.*row.field = base++ * (shard + 1);
+    }
+    result.shards.push_back(s);
+  }
+  const std::vector<gfw::ServerStats> totals = result.fleet_totals();
+  ASSERT_EQ(totals.size(), 2u);
+  for (const gfw::ServerStats& server : totals) {
+    std::uint64_t base = 1 + server.server_id;
+    for (const auto& row : gfw::kServerCounters) {
+      EXPECT_EQ(server.*row.field, base++ * 6) << "server " << server.server_id << " "
+                                               << row.name;
+    }
+  }
+  // Descriptive fields come from the first shard that saw the server.
+  EXPECT_EQ(totals[1].region, "unicom");
+  EXPECT_EQ(totals[1].cipher, "aes-256-cfb");
 }
 
 }  // namespace

@@ -140,8 +140,8 @@ TEST(DistRunner, GatheredShardsKeepTheirEventCounts) {
   options.workers = 2;
   const gfw::CampaignResult dist = gfw::DistRunner(options).run(scenario);
   ASSERT_EQ(dist.shards.size(), reference.shards.size());
-  EXPECT_GT(reference.events_processed(), 0u);
-  EXPECT_EQ(dist.events_processed(), reference.events_processed());
+  EXPECT_GT(reference.totals().events_processed, 0u);
+  EXPECT_EQ(dist.totals().events_processed, reference.totals().events_processed);
   for (std::size_t i = 0; i < dist.shards.size(); ++i) {
     EXPECT_EQ(dist.shards[i].events_processed, reference.shards[i].events_processed)
         << "shard " << i;

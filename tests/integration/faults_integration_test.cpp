@@ -90,7 +90,7 @@ TEST(FaultsIntegration, FaultsActuallyPerturbTheCampaign) {
   EXPECT_GT(loss, 0u);
   EXPECT_GT(dup, 0u);
   EXPECT_GT(reordered, 0u);
-  EXPECT_GT(faulty.retransmissions(), 0u);
+  EXPECT_GT(faulty.totals().retransmissions, 0u);
 }
 
 TEST(FaultsIntegration, ZeroProfileWiringIsInert) {

@@ -84,7 +84,7 @@ TEST(Fleet, PerServerStatsPartitionTheSharedLog) {
   }
   // The per-server rows partition the shared log and driver exactly.
   EXPECT_EQ(probes, result.log.size());
-  EXPECT_EQ(connections, result.connections_launched());
+  EXPECT_EQ(connections, result.totals().connections_launched);
 
   // Probe records attribute across the fleet, not all to server 0.
   std::set<std::uint16_t> ids;

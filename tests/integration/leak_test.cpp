@@ -67,7 +67,7 @@ TEST(LeakGate, IdealCampaignFreesEveryConnection) {
 
 TEST(LeakGate, FaultedCampaignFreesEveryConnection) {
   const gfw::CampaignResult result = run_twice_without_leaks(faulted_scenario());
-  EXPECT_GT(result.retransmissions(), 0u);
+  EXPECT_GT(result.totals().retransmissions, 0u);
 }
 
 }  // namespace

@@ -89,9 +89,9 @@ TEST(ResourceGovernance, ArmedButUnbreachedGovernorIsBehaviorNeutral) {
     EXPECT_GT(governed.shards[i].resources.acquisitions, 0u);
     EXPECT_FALSE(baseline.shards[i].resources.any());
   }
-  EXPECT_EQ(governed.probes_shed(), 0u);
-  EXPECT_EQ(governed.queue_overflow_drops(), 0u);
-  EXPECT_GT(governed.peak_metered_bytes(), 0u);
+  EXPECT_EQ(governed.totals().resources.probes_shed, 0u);
+  EXPECT_EQ(governed.totals().resources.queue_overflow_drops, 0u);
+  EXPECT_GT(governed.totals().resources.peak_metered_bytes, 0u);
 }
 
 TEST(ResourceGovernance, ShedCountsAreBitIdenticalForAnyThreadCount) {
@@ -106,7 +106,7 @@ TEST(ResourceGovernance, ShedCountsAreBitIdenticalForAnyThreadCount) {
   const gfw::CampaignResult parallel = run(scenario, 4, 4);
 
   // Backpressure actually engaged somewhere in the campaign.
-  EXPECT_GT(serial.probes_deferred() + serial.probes_shed(), 0u);
+  EXPECT_GT(serial.totals().resources.probes_deferred + serial.totals().resources.probes_shed, 0u);
 
   ASSERT_EQ(serial.shards.size(), parallel.shards.size());
   for (std::size_t i = 0; i < serial.shards.size(); ++i) {
@@ -147,8 +147,8 @@ TEST(ResourceGovernance, ShedCountsAreBitIdenticalForAnyWorkerCount) {
   EXPECT_TRUE(four.complete());
   EXPECT_EQ(digest(one), digest(threaded));
   EXPECT_EQ(digest(four), digest(threaded));
-  EXPECT_EQ(one.probes_shed(), threaded.probes_shed());
-  EXPECT_EQ(four.probes_deferred(), threaded.probes_deferred());
+  EXPECT_EQ(one.totals().resources.probes_shed, threaded.totals().resources.probes_shed);
+  EXPECT_EQ(four.totals().resources.probes_deferred, threaded.totals().resources.probes_deferred);
 }
 
 TEST(ResourceGovernance, BreachedBudgetQuarantinesTheShardNeverTheCampaign) {
@@ -235,10 +235,10 @@ TEST(ResourceGovernance, PathQueueCapDropsAreDeterministicAndSurvivable) {
   const gfw::CampaignResult capped = run(scenario, 2, 1);
   EXPECT_TRUE(capped.complete());
   EXPECT_TRUE(capped.teardown_clean()) << capped.teardown_failures();
-  EXPECT_GT(capped.queue_overflow_drops(), 0u);
+  EXPECT_GT(capped.totals().resources.queue_overflow_drops, 0u);
 
   const gfw::CampaignResult again = run(scenario, 2, 2);
-  EXPECT_EQ(again.queue_overflow_drops(), capped.queue_overflow_drops());
+  EXPECT_EQ(again.totals().resources.queue_overflow_drops, capped.totals().resources.queue_overflow_drops);
   EXPECT_EQ(digest(again), digest(capped));
 }
 

@@ -83,7 +83,7 @@ TEST(ShardedRunner, ShardSlicesPartitionTheMergedLog) {
     connections += shard.connections_launched;
   }
   EXPECT_EQ(expected_offset, result.log.size());
-  EXPECT_EQ(connections, result.connections_launched());
+  EXPECT_EQ(connections, result.totals().connections_launched);
 }
 
 TEST(ShardedRunner, SerialRunMatchesSingleShardPool) {

@@ -121,7 +121,7 @@ Transcript run_and_digest(unsigned threads,
   }
 
   EXPECT_GT(result.log.size(), 100u);
-  EXPECT_GT(result.retransmissions(), 0u);  // faults + ARQ really were on
+  EXPECT_GT(result.totals().retransmissions, 0u);  // faults + ARQ really were on
   EXPECT_TRUE(result.teardown_clean()) << result.teardown_failures();
   return {hex_digest(tap_hash.finish()), hex_digest(log_hash.finish())};
 }

@@ -100,10 +100,7 @@ int describe_journal(const std::string& path) {
   if (!ck.worker_io.empty()) {
     std::cout << "  worker io verdicts:   " << ck.worker_io.size() << "\n";
     for (const gfw::WorkerIoStats& io : ck.worker_io) {
-      std::cout << "    worker " << io.worker_id << ": "
-                << io.heartbeats_dropped << " heartbeat(s) dropped, "
-                << io.heartbeat_retries << " heartbeat write(s) retried, "
-                << io.journal_retries << " journal open(s) retried\n";
+      std::cout << "    worker " << io.worker_id << ": " << gfw::describe(io) << "\n";
     }
   }
   if (ck.torn_tail_bytes > 0) {
@@ -142,15 +139,19 @@ int run_range(const std::string& journal, std::uint32_t lo, std::uint32_t hi,
                                      scenario.base_seed,
                                      gfw::scenario_fingerprint(scenario)};
   // Resume semantics match a respawned DistRunner worker: already
-  // journaled shards are skipped, a torn tail is truncated on open.
-  std::vector<char> done(shards, 0);
+  // journaled shards are skipped, a torn tail is truncated on open. The
+  // skip set covers only this range, so a huge --shards costs nothing.
+  std::vector<char> done(hi - lo, 0);
+  const auto mark_done = [&](std::uint32_t shard) {
+    if (shard >= lo && shard < hi) done[shard - lo] = 1;
+  };
   if (gfw::checkpoint_exists(journal)) {
     try {
       const gfw::Checkpoint existing = gfw::load_checkpoint(journal);
       gfw::require_same_campaign(existing.header, header, journal);
-      for (const auto& [index, shard] : existing.shards) done[index] = 1;
+      for (const auto& [index, shard] : existing.shards) mark_done(index);
       for (const auto& failure : existing.failures) {
-        if (failure.quarantined) done[failure.shard_index] = 1;
+        if (failure.quarantined) mark_done(failure.shard_index);
       }
     } catch (const gfw::CheckpointError& error) {
       std::cerr << "gfw_worker: " << journal << ": " << error.what()
@@ -163,7 +164,7 @@ int run_range(const std::string& journal, std::uint32_t lo, std::uint32_t hi,
   const int max_attempts = 1 + std::max(0, retries);
   bool all_ok = true;
   for (std::uint32_t shard = lo; shard < hi; ++shard) {
-    if (done[shard]) {
+    if (done[shard - lo]) {
       std::cout << "shard " << shard << ": already journaled, skipping\n";
       continue;
     }
