@@ -5,6 +5,7 @@
 // GFW's active probes arrive at the server and print what it learned.
 //
 //   ./examples/quickstart
+#include <algorithm>
 #include <iostream>
 
 #include "analysis/report.h"
@@ -52,7 +53,7 @@ int main() {
 
   std::cout << "[client] fetching https://www.wikipedia.org through the tunnel\n"
             << "         (a browsing session of 12 requests, one per minute)...\n";
-  std::shared_ptr<client::Fetch> fetch;
+  std::unique_ptr<client::Fetch> fetch;
   for (int i = 0; i < 12; ++i) {
     fetch = ss.fetch(proxy::TargetSpec::hostname("www.wikipedia.org", 443),
                      to_bytes("GET / HTTP/1.1\r\nHost: www.wikipedia.org\r\n\r\n"));
@@ -61,13 +62,17 @@ int main() {
   }
 
   if (fetch->state() == client::Fetch::State::kDone) {
-    std::cout << "[client] got " << fetch->response().size()
+    // The fetch keeps the response's first Fetch::kHeadBytes bytes.
+    const ByteSpan head = fetch->response_head();
+    const auto line_end = std::find(head.begin(), head.end(), '\r');
+    std::cout << "[client] got " << fetch->response_bytes()
               << " plaintext bytes back per request; first line: "
-              << to_string(ByteSpan(fetch->response().data(), 15)) << "\n";
+              << to_string(head.first(static_cast<std::size_t>(line_end - head.begin())))
+              << "\n";
   } else {
     std::cout << "[client] fetch failed\n";
   }
-  std::cout << "[gfw]    each first packet on the wire was " << fetch->first_packet().size()
+  std::cout << "[gfw]    each first packet on the wire was " << fetch->first_packet_size()
             << " bytes of uniformly random-looking ciphertext; the passive\n"
             << "         classifier flagged " << the_gfw.flows_flagged()
             << " of 12 connections\n";

@@ -76,7 +76,7 @@ double mixture_entropy(std::size_t k, double q) {
 
 }  // namespace
 
-EntropySource::EntropySource(double bits, Rng& rng) : target_bits_(bits) {
+EntropySource::EntropySource(double bits, Rng& rng) {
   if (bits < 0.0 || bits > 8.0) {
     throw std::invalid_argument("EntropySource: bits must be in [0, 8]");
   }

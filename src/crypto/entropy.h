@@ -50,10 +50,7 @@ class EntropySource {
 
   Bytes generate(std::size_t len, Rng& rng) const;
 
-  double target_bits() const { return target_bits_; }
-
  private:
-  double target_bits_;
   std::vector<std::uint8_t> alphabet_;   // candidate byte values
   std::vector<double> probabilities_;    // same length as alphabet_
 };

@@ -63,14 +63,6 @@ class ProbeLog {
   const std::vector<ProbeRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
 
-  std::size_t count_replay_based() const {
-    std::size_t n = 0;
-    for (const auto& r : records_) {
-      if (is_replay(r.type)) ++n;
-    }
-    return n;
-  }
-
   static bool is_replay(probesim::ProbeType t) {
     return t != probesim::ProbeType::kNR1 && t != probesim::ProbeType::kNR2;
   }

@@ -80,7 +80,6 @@ class ProberPool {
   bool is_prober_address(net::Ipv4 ip) const { return asn_by_ip_.count(ip) > 0; }
   int asn_of(net::Ipv4 ip) const;
 
-  std::size_t unique_addresses() const { return asn_by_ip_.size(); }
   // Total acquire() calls — with one shared pool per GFW this counts
   // probes across ALL servers of a fleet, making pool contention (hot
   // addresses and budgets spent on one server starving another)

@@ -129,7 +129,6 @@ void World::build() {
   // Control host: listens but is never contacted by our clients; any
   // arriving segment is counted.
   net::Host& control_host = net_.add_host(net::Ipv4(203, 0, 113, 77));
-  control_endpoint_ = {control_host.addr(), 8388};
   control_host.listen(8388, [this](std::shared_ptr<net::Connection> conn) {
     ++control_contacts_;
     conn->set_callbacks({});
@@ -264,18 +263,26 @@ std::vector<ServerStats> World::server_stats() {
 void World::launch_connection(ServerRig& rig) {
   ++rig.connections_launched;
   client::Flow flow = rig.traffic->next(rig.rng);
-  std::shared_ptr<client::Fetch> fetch;
-  if (rig.raw_traffic) {
-    fetch = rig.client->send_raw(std::move(flow.first_payload));
-  } else {
-    fetch = rig.client->fetch(flow.target, flow.first_payload);
-  }
-  rig.fetches.push_back(fetch);
+  const auto id = fetches_.emplace(FetchSlot{
+      rig.raw_traffic ? rig.client->send_raw(std::move(flow.first_payload))
+                      : rig.client->fetch(flow.target, flow.first_payload)});
+  rig.fetch_window.push_back(id);
 
   // Client closes after a response window, like a curl run finishing.
-  loop_.schedule_after(net::seconds(20), [fetch] { fetch->close(); });
-  // Bound memory across long campaigns.
-  while (rig.fetches.size() > 256) rig.fetches.pop_front();
+  loop_.schedule_after(net::seconds(20), [this, id] {
+    fetches_.get(id)->fetch->close();
+    release_fetch(id);
+  });
+  // The window decides when client connections die: a fetch's connection
+  // lives until the fetch has both closed and left the window.
+  while (rig.fetch_window.size() > 256) {
+    release_fetch(rig.fetch_window.front());
+    rig.fetch_window.pop_front();
+  }
+}
+
+void World::release_fetch(SlotTable<FetchSlot>::Id id) {
+  if (--fetches_.get(id)->holders == 0) fetches_.erase(id);
 }
 
 void World::pump_traffic(std::size_t rig_index) {

@@ -25,6 +25,7 @@
 #include "defense/brdgrd.h"
 #include "gfw/gfw.h"
 #include "gfw/scenario.h"
+#include "gfw/slot_table.h"
 #include "probesim/probesim.h"
 
 namespace gfwsim::gfw {
@@ -55,7 +56,6 @@ class World {
   const ProbeLog& log() const { return gfw_->log(); }
   net::EventLoop& loop() { return loop_; }
   net::Network& network() { return net_; }
-  net::Endpoint control_endpoint() const { return control_endpoint_; }
   const Scenario& scenario() const { return scenario_; }
   std::uint32_t shard_index() const { return shard_index_; }
   std::uint64_t seed() const { return seed_; }
@@ -103,6 +103,14 @@ class World {
   void set_debug_attempt(int attempt) { debug_attempt_ = attempt; }
 
  private:
+  // A launched fetch and how many of its two holders, the rig's window
+  // and its 20 s close timer, still hold it. The unique_ptr keeps the
+  // Fetch* its connection's callbacks capture stable as the table grows.
+  struct FetchSlot {
+    std::unique_ptr<client::Fetch> fetch;
+    int holders = 2;
+  };
+
   // One server of the fleet with its own driver-side state. rigs_[0] of
   // a legacy scenario reproduces the historical single-server World
   // exactly: same seeds, same host-creation order, same RNG stream.
@@ -121,7 +129,8 @@ class World {
     net::Duration connection_interval{};
     bool raw_traffic = false;
     std::size_t connections_launched = 0;
-    std::deque<std::shared_ptr<client::Fetch>> fetches;
+    // Ids of the rig's 256 most recent fetches.
+    std::deque<SlotTable<FetchSlot>::Id> fetch_window;
   };
 
   void build();
@@ -130,6 +139,8 @@ class World {
   // never collide.
   std::uint64_t rig_seed(std::uint64_t salt, std::size_t index) const;
   void launch_connection(ServerRig& rig);
+  // One holder lets go of the fetch; the last one frees its slot.
+  void release_fetch(SlotTable<FetchSlot>::Id id);
   void pump_traffic(std::size_t rig_index);
   void maybe_inject_failure();
 
@@ -147,8 +158,10 @@ class World {
   servers::SimulatedInternet internet_;
   std::unique_ptr<Gfw> gfw_;
   std::vector<std::unique_ptr<ServerRig>> rigs_;
+  // Every fetch the rigs launched that is still held; declared after
+  // rigs_ so its connections go before the SsClients they call into.
+  SlotTable<FetchSlot> fetches_;
 
-  net::Endpoint control_endpoint_;
   net::TimePoint traffic_until_{};
 
   std::size_t control_contacts_ = 0;

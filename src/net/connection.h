@@ -101,8 +101,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // ARQ observability.
   bool arq_active() const { return arq_; }
   std::size_t retransmissions() const { return retransmissions_; }
-  TimePoint opened_at() const { return opened_at_; }
-  TimePoint last_activity() const { return last_activity_; }
 
   EventLoop& loop();
 
@@ -146,7 +144,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // creation time from Network::arq_enabled().
   bool arq_ = false;
   ArqConfig arq_config_;
-  TimePoint opened_at_{};
   TimePoint last_activity_{};
   std::uint32_t send_seq_ = 0;
   SeqRing<Segment> unacked_;  // retransmit buffer in seq order

@@ -268,7 +268,7 @@ std::shared_ptr<Connection> Host::connect(Endpoint remote, ConnectionCallbacks c
   conn->cb_ = std::move(callbacks);
   if (options.recv_window) conn->recv_window_ = *options.recv_window;
   conn->state_ = Connection::State::kConnecting;
-  conn->opened_at_ = conn->last_activity_ = net_->loop().now();
+  conn->last_activity_ = net_->loop().now();
   conn->arq_ = net_->arq_enabled();
   if (conn->arq_) conn->arq_config_ = options.arq.value_or(net_->arq_config());
 
@@ -651,7 +651,7 @@ void Network::handle_syn(const Segment& segment) {
   conn->header_ = h->default_header_;
   conn->state_ = Connection::State::kConnecting;
   conn->peer_window_ = segment.window;
-  conn->opened_at_ = conn->last_activity_ = loop_.now();
+  conn->last_activity_ = loop_.now();
   conn->arq_ = arq_enabled();
   if (conn->arq_) conn->arq_config_ = arq_config_;
   register_connection(conn);

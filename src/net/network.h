@@ -121,10 +121,6 @@ class Host {
   std::shared_ptr<Connection> connect(Endpoint remote, ConnectionCallbacks callbacks,
                                       ConnectOptions options = {});
 
-  // Default header fields stamped on this host's segments (overridable
-  // per connection via ConnectOptions::header).
-  HeaderProfile& default_header() { return default_header_; }
-
  private:
   friend class Network;
   Host(Network* net, Ipv4 addr);
@@ -194,7 +190,6 @@ class Network {
   // unbounded and maintains no per-path state at all, so ungoverned runs
   // are bit-identical to builds without the cap.
   void set_queue_cap(std::size_t cap) { queue_cap_ = cap; }
-  std::size_t queue_cap() const { return queue_cap_; }
 
   // ARQ switches on automatically when any fault profile is enabled (an
   // impaired network without retransmission strands every endpoint);

@@ -70,7 +70,6 @@ class OtaReader {
   Status feed(ByteSpan plaintext, Bytes& out);
 
   const TargetSpec& target() const { return target_; }
-  bool header_done() const { return header_done_; }
   // Bytes the reader is stalled waiting for (the tampered-length oracle).
   std::size_t pending_need() const;
 

@@ -48,7 +48,6 @@ void ProxyServerBase::accept(std::shared_ptr<net::Connection> conn) {
 
   arm_idle_timer(*session);
   sessions_.emplace(raw, std::move(session));
-  ++sessions_accepted_;
 }
 
 void ProxyServerBase::arm_idle_timer(SessionBase& session) {

@@ -47,7 +47,6 @@ class ProxyServerBase {
   const ServerConfig& config() const { return config_; }
   const Bytes& key() const { return key_; }
 
-  std::size_t sessions_accepted() const { return sessions_accepted_; }
   std::size_t sessions_active() const { return sessions_.size(); }
 
  protected:
@@ -108,7 +107,6 @@ class ProxyServerBase {
   SessionBase* find(net::Connection* conn);
 
   std::unordered_map<net::Connection*, std::unique_ptr<SessionBase>> sessions_;
-  std::size_t sessions_accepted_ = 0;
 };
 
 }  // namespace gfwsim::servers

@@ -75,12 +75,10 @@ void HardenedServer::handle_data(SessionBase& base) {
   // filter is not poisoned by garbage.
   const auto skew = claimed > loop_.now() ? claimed - loop_.now() : loop_.now() - claimed;
   if (skew > replay_filter_.window()) {
-    ++rejected_stale_;
     drain_session(session);
     return;
   }
   if (!replay_filter_.accept(session.reader->salt(), claimed, loop_.now())) {
-    ++rejected_replays_;
     drain_session(session);
     return;
   }

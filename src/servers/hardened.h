@@ -24,9 +24,6 @@ class HardenedServer : public ProxyServerBase {
                  net::Duration freshness_window = net::seconds(120),
                  std::uint64_t rng_seed = 0x4a7d);
 
-  std::size_t rejected_replays() const { return rejected_replays_; }
-  std::size_t rejected_stale() const { return rejected_stale_; }
-
  protected:
   std::unique_ptr<SessionBase> make_session() override;
   void handle_data(SessionBase& session) override;
@@ -35,8 +32,6 @@ class HardenedServer : public ProxyServerBase {
   struct Session;
 
   NonceTimeReplayFilter replay_filter_;
-  std::size_t rejected_replays_ = 0;
-  std::size_t rejected_stale_ = 0;
 };
 
 // Serializes the timestamp prefix the hardened protocol expects; used by

@@ -27,14 +27,6 @@ enum class LegacyFlavor {
   kSsr,       // shadowsocksr-csharp / ShadowsocksR, "origin" protocol
 };
 
-constexpr std::string_view legacy_flavor_name(LegacyFlavor flavor) {
-  switch (flavor) {
-    case LegacyFlavor::kSsPython: return "Shadowsocks-python";
-    case LegacyFlavor::kSsr: return "ShadowsocksR (origin)";
-  }
-  return "?";
-}
-
 class LegacyStreamServer : public ProxyServerBase {
  public:
   // `config.cipher` must be a stream method (these implementations

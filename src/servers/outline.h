@@ -28,16 +28,6 @@ enum class OutlineVersion {
   kV1_1_0,  // replay defense enabled
 };
 
-constexpr std::string_view outline_version_name(OutlineVersion v) {
-  switch (v) {
-    case OutlineVersion::kV1_0_6: return "v1.0.6";
-    case OutlineVersion::kV1_0_7: return "v1.0.7";
-    case OutlineVersion::kV1_0_8: return "v1.0.8";
-    case OutlineVersion::kV1_1_0: return "v1.1.0";
-  }
-  return "?";
-}
-
 class OutlineServer : public ProxyServerBase {
  public:
   // `config.cipher` must be chacha20-ietf-poly1305.

@@ -37,8 +37,6 @@ class BloomReplayFilter {
   // contains() + insert() in one step; returns the contains() result.
   bool check_and_insert(ByteSpan nonce);
 
-  std::size_t inserted_current() const { return count_current_; }
-
  private:
   struct Generation {
     std::vector<std::uint64_t> bits;

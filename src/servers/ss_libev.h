@@ -36,17 +36,6 @@ constexpr bool libev_is_old(LibevVersion v) {
          v == LibevVersion::kV3_2_5;
 }
 
-constexpr std::string_view libev_version_name(LibevVersion v) {
-  switch (v) {
-    case LibevVersion::kV3_0_8: return "v3.0.8";
-    case LibevVersion::kV3_1_3: return "v3.1.3";
-    case LibevVersion::kV3_2_5: return "v3.2.5";
-    case LibevVersion::kV3_3_1: return "v3.3.1";
-    case LibevVersion::kV3_3_3: return "v3.3.3";
-  }
-  return "?";
-}
-
 class SsLibevServer : public ProxyServerBase {
  public:
   SsLibevServer(net::EventLoop& loop, ServerConfig config, Upstream* upstream,

@@ -1,6 +1,8 @@
 // Client <-> server interop over the simulated network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "client/ss_client.h"
 #include "probesim/probesim.h"
 #include "servers/upstream.h"
@@ -16,9 +18,11 @@ struct ClientFixture : ::testing::Test {
   net::Host& server_host = net.add_host(net::Ipv4(203, 0, 113, 10));
   net::Endpoint server_ep{server_host.addr(), 8388};
   std::unique_ptr<servers::ProxyServerBase> server;
+  // example.com's response, long enough to span several segments.
+  const Bytes response = servers::fixed_http_responder(4000)({});
 
   void install(probesim::ServerSetup::Impl impl, const std::string& cipher) {
-    internet.add_site("example.com", servers::fixed_http_responder(256));
+    internet.add_site("example.com", servers::fixed_http_responder(4000));
     probesim::ServerSetup setup;
     setup.impl = impl;
     setup.cipher = cipher;
@@ -57,8 +61,13 @@ TEST_P(ClientServerMatrix, FetchRoundTrip) {
                             to_bytes("GET / HTTP/1.1\r\n\r\n"));
   loop.run_until(net::seconds(30));
 
+  // Every plaintext byte is counted; only the first kHeadBytes are kept.
   ASSERT_EQ(fetch->state(), Fetch::State::kDone);
-  EXPECT_EQ(to_string(ByteSpan(fetch->response().data(), 15)), "HTTP/1.1 200 OK");
+  EXPECT_EQ(fetch->response_bytes(), response.size());
+  ASSERT_EQ(fetch->response_head().size(), Fetch::kHeadBytes);
+  EXPECT_EQ(to_string(fetch->response_head().first(15)), "HTTP/1.1 200 OK");
+  EXPECT_TRUE(std::equal(fetch->response_head().begin(), fetch->response_head().end(),
+                         response.begin()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -84,7 +93,8 @@ TEST_F(ClientFixture, WrongPasswordFailsAgainstAead) {
                             to_bytes("GET /"));
   loop.run_until(net::seconds(30));
   EXPECT_NE(fetch->state(), Fetch::State::kDone);
-  EXPECT_TRUE(fetch->response().empty());
+  EXPECT_EQ(fetch->response_bytes(), 0u);
+  EXPECT_TRUE(fetch->response_head().empty());
 }
 
 TEST_F(ClientFixture, HardenedClientTalksToHardenedServer) {
@@ -118,23 +128,71 @@ TEST_F(ClientFixture, MergedHeaderChangesFirstPacketSize) {
   ASSERT_EQ(fetch_a->state(), Fetch::State::kDone);
   ASSERT_EQ(fetch_b->state(), Fetch::State::kDone);
   // Merging drops one chunk's framing overhead (2 + 16 + 16 bytes).
-  EXPECT_EQ(fetch_a->first_packet().size() - fetch_b->first_packet().size(), 34u);
+  EXPECT_EQ(fetch_a->first_packet_size() - fetch_b->first_packet_size(), 34u);
+}
+
+// A bare TCP listener standing in for the server: it answers the first
+// data it receives with `response`.
+struct Sink {
+  std::vector<std::shared_ptr<net::Connection>> conns;
+  Bytes seen;
+  bool answered = false;
+
+  void listen(net::Host& host, Bytes response) {
+    host.listen(8388, [this, response](std::shared_ptr<net::Connection> conn) {
+      net::Connection* raw = conn.get();
+      conns.push_back(std::move(conn));
+      net::ConnectionCallbacks cb;
+      cb.on_data = [this, raw, response](ByteSpan data) {
+        append(seen, data);
+        if (!answered) raw->send(response);
+        answered = true;
+      };
+      raw->set_callbacks(std::move(cb));
+    });
+  }
+};
+
+// A closed fetch reads nothing more: a reply already in flight when the
+// client closes is dropped undecrypted, so garbage that would fail AEAD
+// authentication neither counts nor makes the client abort.
+TEST_F(ClientFixture, DataAfterCloseIsDroppedUndecrypted) {
+  bool client_sent_rst = false;
+  net.set_tap([&](const net::SegmentRecord& rec) {
+    if (rec.segment.src.addr == client_host.addr() && rec.segment.has(net::TcpFlag::kRst)) {
+      client_sent_rst = true;
+    }
+  });
+  Sink sink;
+  sink.listen(server_host, Bytes(200, 0x5a));
+  SsClient client(client_host, server_ep, client_config("chacha20-ietf-poly1305"));
+
+  auto fetch = client.fetch(proxy::TargetSpec::hostname("example.com", 80),
+                            to_bytes("GET /"));
+  while (!sink.answered) ASSERT_EQ(loop.run(1), 1u);
+  fetch->close();
+  loop.run_until(net::seconds(10));
+
+  EXPECT_EQ(fetch->response_bytes(), 0u);
+  EXPECT_EQ(fetch->state(), Fetch::State::kAwaitingResponse);
+  EXPECT_FALSE(client_sent_rst);
 }
 
 TEST_F(ClientFixture, RawSendReachesSink) {
-  std::vector<std::shared_ptr<net::Connection>> conns;
-  Bytes seen;
-  server_host.listen(8388, [&](std::shared_ptr<net::Connection> conn) {
-    conns.push_back(conn);
-    net::ConnectionCallbacks cb;
-    cb.on_data = [&](ByteSpan data) { append(seen, data); };
-    conn->set_callbacks(std::move(cb));
-  });
+  Sink sink;
+  sink.listen(server_host, response);
   SsClient client(client_host, server_ep, client_config("aes-256-gcm"));
   auto fetch = client.send_raw(to_bytes("raw bytes, no framing"));
   loop.run_until(net::seconds(10));
-  EXPECT_EQ(to_string(seen), "raw bytes, no framing");
-  EXPECT_EQ(fetch->state(), Fetch::State::kAwaitingResponse);
+  EXPECT_EQ(to_string(sink.seen), "raw bytes, no framing");
+  EXPECT_EQ(fetch->first_packet_size(), sink.seen.size());
+
+  // Raw mode counts the reply as it arrived.
+  ASSERT_EQ(fetch->state(), Fetch::State::kDone);
+  EXPECT_EQ(fetch->response_bytes(), response.size());
+  ASSERT_EQ(fetch->response_head().size(), Fetch::kHeadBytes);
+  EXPECT_TRUE(std::equal(fetch->response_head().begin(), fetch->response_head().end(),
+                         response.begin()));
 }
 
 }  // namespace

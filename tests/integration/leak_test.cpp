@@ -2,10 +2,13 @@
 // alive in the process, and running the same campaign again in the same
 // process yields an identical result (nothing left behind by the first
 // run leaks into the second). Covers an ideal campaign, where every probe
-// ends half-closed with its FIN unanswered, and a faulted one, where
-// probe connects also fail and retry.
+// ends half-closed with its FIN unanswered, a faulted one, where probe
+// connects also fail and retry, and an 8-server fleet. A last case paces
+// client fetches so fast that each leaves the World's fetch window before
+// its close fires, and pins that campaign's transcript.
 #include <gtest/gtest.h>
 
+#include "crypto/sha1.h"
 #include "gfw/checkpoint.h"
 #include "gfw/runner.h"
 
@@ -28,6 +31,38 @@ gfw::Scenario faulted_scenario() {
   scenario.faults.duplicate = 0.01;
   scenario.faults.reorder = 0.02;
   scenario.faults.jitter = net::milliseconds(5);
+  return scenario;
+}
+
+gfw::ServerSpec fleet_server(probesim::ServerSetup::Impl impl, const char* cipher,
+                             const char* region) {
+  gfw::ServerSpec spec;
+  spec.server.impl = impl;
+  spec.server.cipher = cipher;
+  spec.region = region;
+  return spec;
+}
+
+// The 8-server implementation x cipher x region grid of the fleet
+// benches, over a short campaign.
+gfw::Scenario fleet_scenario() {
+  using Impl = probesim::ServerSetup::Impl;
+  gfw::Scenario scenario;
+  scenario.traffic = client::TrafficSpec::browsing();
+  scenario.duration = net::hours(3);
+  scenario.connection_interval = net::seconds(90);
+  scenario.classifier_base_rate = 0.35;
+  scenario.base_seed = 0xF1EE7;
+  scenario.fleet = {
+      fleet_server(Impl::kOutline107, "chacha20-ietf-poly1305", "beijing"),
+      fleet_server(Impl::kOutline107, "chacha20-ietf-poly1305", "unicom"),
+      fleet_server(Impl::kOutline110, "chacha20-ietf-poly1305", "beijing"),
+      fleet_server(Impl::kLibevNew, "aes-256-gcm", "beijing"),
+      fleet_server(Impl::kLibevNew, "chacha20-ietf-poly1305", "unicom"),
+      fleet_server(Impl::kLibevOld, "aes-256-ctr", "unicom"),
+      fleet_server(Impl::kSsPython, "aes-256-cfb", "beijing"),
+      fleet_server(Impl::kSsr, "rc4-md5", "unicom"),
+  };
   return scenario;
 }
 
@@ -68,6 +103,49 @@ TEST(LeakGate, IdealCampaignFreesEveryConnection) {
 TEST(LeakGate, FaultedCampaignFreesEveryConnection) {
   const gfw::CampaignResult result = run_twice_without_leaks(faulted_scenario());
   EXPECT_GT(result.totals().retransmissions, 0u);
+}
+
+TEST(LeakGate, FleetCampaignFreesEveryConnection) {
+  const gfw::CampaignResult result = run_twice_without_leaks(fleet_scenario());
+  EXPECT_EQ(result.fleet_totals().size(), 8u);
+}
+
+// Folds one tap record's header fields, routing verdict and payload bytes
+// into `h`.
+void hash_record(crypto::Sha1& h, const net::SegmentRecord& rec) {
+  const net::Segment& s = rec.segment;
+  const std::uint64_t fields[] = {
+      s.src.addr.value, s.src.port, s.dst.addr.value, s.dst.port, s.flags,
+      s.ip_id, s.ttl, s.tsval, s.window, s.seq, s.ack_seq, s.retransmission,
+      static_cast<std::uint64_t>(s.sent_at.count()),
+      static_cast<std::uint64_t>(rec.arrive_at.count()), rec.dropped,
+      static_cast<std::uint64_t>(rec.cause), s.payload.size()};
+  h.update(ByteSpan(reinterpret_cast<const std::uint8_t*>(fields), sizeof(fields)));
+  h.update(s.payload);
+}
+
+// At 50 ms pacing the World's window of 256 fetches per server turns over
+// in about 13 s, so every fetch is evicted before its 20 s close fires,
+// and its connection must live until that close. The digest was taken
+// while fetches were still shared_ptr-owned: it pins the instant each
+// client connection dies.
+TEST(LeakGate, FetchEvictedBeforeItsCloseKeepsTheTranscript) {
+  gfw::Scenario scenario = ideal_scenario();
+  scenario.duration = net::minutes(2);
+  scenario.connection_interval = net::milliseconds(50);
+  crypto::Sha1 tap;
+  {
+    gfw::World world(scenario, scenario.base_seed);
+    world.network().set_tap([&tap](const net::SegmentRecord& rec) { hash_record(tap, rec); });
+    world.run();
+    EXPECT_GT(world.connections_launched(), 2000u);
+    EXPECT_GT(world.log().size(), 0u);
+    EXPECT_TRUE(world.teardown_report().clean());
+  }
+  EXPECT_EQ(net::Connection::live_count(), 0u);
+  const crypto::Sha1::Digest digest = tap.finish();
+  EXPECT_EQ(hex_encode(ByteSpan(digest.data(), digest.size())),
+            "7a250c4154ad27626f7b090afcfef21f25444b5b");
 }
 
 }  // namespace
