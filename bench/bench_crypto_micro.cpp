@@ -358,6 +358,7 @@ int main(int argc, char** argv) {
 #endif
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("build_type", GFW_BENCH_BUILD_TYPE);
   benchmark::AddCustomContext("cpu_features", crypto::cpu_feature_string());
   {
     const crypto::KernelTiers tiers = crypto::active_kernel_tiers();

@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """The perf gates on canned inputs.
 
-tools/bench_ab.py's verdict check must fail exactly when a row of the
-suite's A/B table is `regressed`, and tools/check_bench_regression.py
-must fail a 40% throughput drop and pass identical input. Run directly
-or through `ctest -L benchmark`.
+tools/bench_ab.py must fail exactly when a row of the suite's A/B table
+is `regressed`, and must give each bench_crypto_micro row the suite's
+verdict: a 40% throughput drop over 10 pairs regresses, identical pairs
+do not. Run directly or through `ctest -L benchmark`.
 """
 
 import importlib.util
 import json
-import subprocess
-import sys
 import tempfile
 import unittest
 from pathlib import Path
@@ -35,15 +33,17 @@ def ab_row(verdict, workload="bulk_ideal", metric="goodput_MBps"):
             "worse_share": 0.33, "spread_share": 0.07, "verdict": verdict}
 
 
-def google_benchmark(bytes_per_second, setup_ns):
-    return {"context": {"num_cpus": 4},
+def google_benchmark(bytes_per_second, setup_ns, extra=()):
+    return {"context": {"num_cpus": 4, "build_type": "RelWithDebInfo"},
             "benchmarks": [
                 {"name": "BM_ChaCha20Poly1305Seal/1400", "run_type": "iteration",
-                 "real_time": 1000.0, "bytes_per_second": bytes_per_second},
+                 "real_time": 1000.0, "time_unit": "ns",
+                 "bytes_per_second": bytes_per_second},
                 {"name": "BM_HkdfSessionKey", "run_type": "iteration",
-                 "real_time": setup_ns},
+                 "real_time": setup_ns, "time_unit": "ns"},
                 {"name": "BM_ChaCha20Poly1305Seal/1400_mean", "run_type": "aggregate",
-                 "real_time": 1.0, "bytes_per_second": 1.0}]}
+                 "real_time": 1.0, "time_unit": "ns", "bytes_per_second": 1.0},
+                *extra]}
 
 
 class Scratch(unittest.TestCase):
@@ -85,33 +85,67 @@ class BenchAbVerdictCheck(Scratch):
             bench_ab.check(self.write("bad.json", {"metrics": []}))
 
 
-class CheckBenchRegression(Scratch):
-    def run_gate(self, baseline, current):
-        return subprocess.run(
-            [sys.executable, str(TOOLS / "check_bench_regression.py"),
-             str(self.write("baseline.json", baseline)),
-             str(self.write("current.json", current)), "--threshold", "0.30"],
-            capture_output=True, text=True).returncode
+class KernelAb(Scratch):
+    BENCH = {"end_to_end": [{"name": "goodput_MBps", "bound": 0.25},
+                            {"name": "cpu_s", "bound": 0.25}]}
 
-    def test_identical_input_passes(self):
-        doc = google_benchmark(1e9, 500.0)
-        self.assertEqual(self.run_gate(doc, doc), 0)
+    def runs(self, side, bytes_per_second, setup_ns, extra=()):
+        """One result file per pair of a 10-pair A/B, every run alike."""
+        return [self.write(f"{side}{pair}.json",
+                           google_benchmark(bytes_per_second, setup_ns, extra))
+                for pair in range(10)]
 
-    def test_throughput_drop_of_40_percent_fails(self):
-        self.assertEqual(self.run_gate(google_benchmark(1e9, 500.0),
-                                       google_benchmark(0.6e9, 500.0)), 1)
+    def compare(self, a, b):
+        contexts, rows = bench_ab.compare_micro(a, b, self.BENCH)
+        return {row["workload"]: row for row in rows}
 
-    def test_real_time_rise_of_40_percent_fails(self):
-        # No throughput counter: real_time, lower is better (500 / 700 = -29%
-        # passes, 500 / 850 = -41% fails).
-        self.assertEqual(self.run_gate(google_benchmark(1e9, 500.0),
-                                       google_benchmark(1e9, 700.0)), 0)
-        self.assertEqual(self.run_gate(google_benchmark(1e9, 500.0),
-                                       google_benchmark(1e9, 850.0)), 1)
+    def test_throughput_row_is_gated_higher_better(self):
+        rows = self.compare(self.runs("a", 1e9, 500.0), self.runs("b", 1.4e9, 500.0))
+        seal = rows["BM_ChaCha20Poly1305Seal/1400"]
+        self.assertEqual((seal["metric"], seal["unit"]), ("bytes_per_second", "MB/s"))
+        self.assertEqual(seal["a"]["median"], 1000.0)
+        self.assertEqual(seal["verdict"], "improved")
 
-    def test_non_google_benchmark_input_is_a_usage_error(self):
-        reporter = {"bench": "x", "metrics": [{"metric": "goodput", "value": 1.0}]}
-        self.assertEqual(self.run_gate(reporter, reporter), 2)
+    def test_time_only_row_is_gated_lower_better(self):
+        rows = self.compare(self.runs("a", 1e9, 500.0), self.runs("b", 1e9, 850.0))
+        setup = rows["BM_HkdfSessionKey"]
+        self.assertEqual((setup["metric"], setup["unit"]), ("real_time", "ns"))
+        self.assertEqual(setup["verdict"], "regressed")
+        rows = self.compare(self.runs("a", 1e9, 500.0), self.runs("b", 1e9, 350.0))
+        self.assertEqual(rows["BM_HkdfSessionKey"]["verdict"], "improved")
+
+    def test_aggregate_rows_are_ignored(self):
+        rows = self.compare(self.runs("a", 1e9, 500.0), self.runs("b", 1e9, 500.0))
+        self.assertEqual(sorted(rows), ["BM_ChaCha20Poly1305Seal/1400", "BM_HkdfSessionKey"])
+
+    def test_row_on_one_side_is_reported_not_gated(self):
+        new_row = {"name": "BM_ChaCha20Pass/avx512_16", "run_type": "iteration",
+                   "real_time": 10.0, "time_unit": "ns", "bytes_per_second": 1.0}
+        rows = self.compare(self.runs("a", 1e9, 500.0),
+                            self.runs("b", 1e9, 500.0, extra=[new_row]))
+        self.assertEqual(rows["BM_ChaCha20Pass/avx512_16"]["verdict"], "only B")
+        self.assertEqual(bench_ab.gate(list(rows.values()), "kernel"), 0)
+
+    def test_throughput_drop_of_40_percent_over_10_pairs_fails(self):
+        a = self.runs("a", 1e9, 500.0)
+        contexts, rows = bench_ab.compare_micro(a, self.runs("b", 0.6e9, 500.0), self.BENCH)
+        verdicts = {row["workload"]: row["verdict"] for row in rows}
+        self.assertEqual(verdicts["BM_ChaCha20Poly1305Seal/1400"], "regressed")
+        self.assertEqual(bench_ab.gate(rows, "kernel"), 1)
+        contexts, rows = bench_ab.compare_micro(a, self.runs("b", 1e9, 500.0), self.BENCH)
+        self.assertEqual({row["verdict"] for row in rows}, {"unchanged"})
+        self.assertEqual(bench_ab.gate(rows, "kernel"), 0)
+        self.assertEqual(contexts["b"]["build_type"], "RelWithDebInfo")
+
+    def test_malformed_result_is_an_error(self):
+        good = self.runs("a", 1e9, 500.0)
+        no_rate = google_benchmark(1e9, 500.0)
+        no_rate["benchmarks"][0]["bytes_per_second"] = "fast"
+        for doc in ([], {"context": {}}, {"context": {}, "benchmarks": [7]}, no_rate):
+            with self.subTest(doc=doc), self.assertRaises(bench_ab.GateError):
+                bench_ab.compare_micro(good, [self.write("bad.json", doc)], self.BENCH)
+        with self.assertRaises(bench_ab.GateError):
+            bench_ab.compare_micro(good, [self.dir / "missing.json"], self.BENCH)
 
 
 if __name__ == "__main__":
