@@ -99,8 +99,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::size_t bytes_sent() const { return bytes_sent_; }
 
   // ARQ observability.
-  bool arq_active() const { return arq_; }
-  std::size_t retransmissions() const { return retransmissions_; }
+  bool arq_active() const { return arq_ != nullptr; }
+  std::size_t retransmissions() const { return arq_ ? arq_->retransmissions : 0; }
 
   EventLoop& loop();
 
@@ -113,6 +113,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   static inline std::atomic<std::size_t> live_{0};
 
   // ARQ internals (implemented in network.cpp beside the routing logic).
+  // All but cancel_arq_timers() and release_arq_entries() require arq_.
   void arm_syn_timer();
   void arm_rto_timer();
   void arm_idle_timer();
@@ -140,21 +141,28 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::size_t bytes_received_ = 0;
   std::size_t bytes_sent_ = 0;
 
-  // ARQ state; untouched (and no timers armed) unless arq_ is set at
-  // creation time from Network::arq_enabled().
-  bool arq_ = false;
-  ArqConfig arq_config_;
+  // Read by the teardown report on every connection, ARQ or not.
   TimePoint last_activity_{};
-  std::uint32_t send_seq_ = 0;
-  SeqRing<Segment> unacked_;  // retransmit buffer in seq order
-  int rto_retries_ = 0;
-  int syn_attempts_ = 0;
-  TimerId rto_timer_ = 0;
-  TimerId syn_timer_ = 0;
-  TimerId idle_timer_ = 0;
-  std::uint32_t recv_floor_ = 0;            // every seq <= floor was seen
-  std::set<std::uint32_t> recv_above_floor_;  // out-of-order seqs seen
-  std::size_t retransmissions_ = 0;
+
+  // ARQ state. An ideal-network connection carries none of it: the block
+  // is allocated at creation time only when Network::arq_enabled(), so
+  // `if (arq_)` is the ARQ switch and no timer is armed without it.
+  struct Arq {
+    explicit Arq(ArqConfig arq_config) : config(arq_config) {}
+
+    ArqConfig config;
+    std::uint32_t send_seq = 0;
+    SeqRing<Segment> unacked;  // retransmit buffer in seq order
+    int rto_retries = 0;
+    int syn_attempts = 0;
+    TimerId rto_timer = 0;
+    TimerId syn_timer = 0;
+    TimerId idle_timer = 0;
+    std::uint32_t recv_floor = 0;            // every seq <= floor was seen
+    std::set<std::uint32_t> recv_above_floor;  // out-of-order seqs seen
+    std::size_t retransmissions = 0;
+  };
+  std::unique_ptr<Arq> arq_;
 };
 
 }  // namespace gfwsim::net

@@ -38,7 +38,7 @@ Connection::~Connection() {
   // expired weak_ptrs (and the ephemeral-port usage count stays exact).
   // Skipped when the Network died first.
   if (!net_alive_.expired()) {
-    release_arq_entries(unacked_.size());
+    if (arq_) release_arq_entries(arq_->unacked.size());
     net_->connection_destroyed(*this);
   }
 }
@@ -63,7 +63,7 @@ void Connection::send(ByteSpan data) {
                 data.begin() + static_cast<std::ptrdiff_t>(offset + take));
     bytes_sent_ += take;
     TransmitMeta meta;
-    if (arq_) meta.seq = ++send_seq_;
+    if (arq_) meta.seq = ++arq_->send_seq;
     net_->transmit(*this, TcpFlag::kPsh | TcpFlag::kAck, std::move(chunk), meta);
     offset += take;
   }
@@ -75,12 +75,14 @@ void Connection::close() {
       // Abandon any unacknowledged data; the FIN itself is unsequenced,
       // so a lost FIN leaves this side half-closed until the idle
       // watchdog (if armed) reaps it.
-      if (rto_timer_ != 0) {
-        loop().cancel(rto_timer_);
-        rto_timer_ = 0;
+      if (arq_) {
+        if (arq_->rto_timer != 0) {
+          loop().cancel(arq_->rto_timer);
+          arq_->rto_timer = 0;
+        }
+        release_arq_entries(arq_->unacked.size());
+        arq_->unacked.clear();
       }
-      release_arq_entries(unacked_.size());
-      unacked_.clear();
       state_ = State::kFinSent;
       net_->transmit(*this, TcpFlag::kFin | TcpFlag::kAck, {});
       break;
@@ -115,16 +117,17 @@ void Connection::set_recv_window(std::uint32_t bytes) {
 
 void Connection::arm_syn_timer() {
   std::weak_ptr<Connection> weak = weak_from_this();
-  const Duration delay = arq_config_.syn_timeout * (1ll << (syn_attempts_ - 1));
-  syn_timer_ = loop().schedule_after(delay, [weak] {
+  const Duration delay = arq_->config.syn_timeout * (1ll << (arq_->syn_attempts - 1));
+  arq_->syn_timer = loop().schedule_after(delay, [weak] {
     auto self = weak.lock();
     if (!self || self->state_ != State::kConnecting) return;
-    self->syn_timer_ = 0;
-    if (self->syn_attempts_ > self->arq_config_.max_syn_retries) {
+    Arq& arq = *self->arq_;
+    arq.syn_timer = 0;
+    if (arq.syn_attempts > arq.config.max_syn_retries) {
       self->fail();
       return;
     }
-    ++self->syn_attempts_;
+    ++arq.syn_attempts;
     self->net_->transmit(*self, static_cast<std::uint8_t>(TcpFlag::kSyn), {},
                          TransmitMeta{.retransmission = true});
     self->arm_syn_timer();
@@ -132,22 +135,23 @@ void Connection::arm_syn_timer() {
 }
 
 void Connection::arm_rto_timer() {
-  if (rto_timer_ != 0) return;
+  if (arq_->rto_timer != 0) return;
   std::weak_ptr<Connection> weak = weak_from_this();
-  rto_timer_ = loop().schedule_after(arq_config_.rto, [weak] {
+  arq_->rto_timer = loop().schedule_after(arq_->config.rto, [weak] {
     auto self = weak.lock();
     if (!self) return;
-    self->rto_timer_ = 0;
-    if (self->unacked_.empty() || !self->can_send()) return;
-    if (self->rto_retries_ >= self->arq_config_.max_data_retries) {
+    Arq& arq = *self->arq_;
+    arq.rto_timer = 0;
+    if (arq.unacked.empty() || !self->can_send()) return;
+    if (arq.rto_retries >= arq.config.max_data_retries) {
       self->fail();
       return;
     }
-    ++self->rto_retries_;
-    self->unacked_.for_each([&self](std::uint32_t, const Segment& stored) {
+    ++arq.rto_retries;
+    arq.unacked.for_each([&self, &arq](std::uint32_t, const Segment& stored) {
       Segment copy = stored;
       copy.retransmission = true;
-      ++self->retransmissions_;
+      ++arq.retransmissions;
       self->net_->transmit_segment(std::move(copy));
     });
     self->arm_rto_timer();
@@ -155,16 +159,16 @@ void Connection::arm_rto_timer() {
 }
 
 void Connection::arm_idle_timer() {
-  if (arq_config_.idle_timeout <= Duration::zero()) return;
+  if (arq_->config.idle_timeout <= Duration::zero()) return;
   std::weak_ptr<Connection> weak = weak_from_this();
-  idle_timer_ = loop().schedule_at(
-      last_activity_ + arq_config_.idle_timeout, [weak] {
+  arq_->idle_timer = loop().schedule_at(
+      last_activity_ + arq_->config.idle_timeout, [weak] {
         auto self = weak.lock();
         if (!self) return;
-        self->idle_timer_ = 0;
+        self->arq_->idle_timer = 0;
         if (self->state_ == State::kClosed || self->state_ == State::kReset) return;
         if (self->loop().now() - self->last_activity_ >=
-            self->arq_config_.idle_timeout) {
+            self->arq_->config.idle_timeout) {
           self->fail();
           return;
         }
@@ -173,38 +177,34 @@ void Connection::arm_idle_timer() {
 }
 
 void Connection::cancel_arq_timers() {
-  if (syn_timer_ != 0) {
-    loop().cancel(syn_timer_);
-    syn_timer_ = 0;
-  }
-  if (rto_timer_ != 0) {
-    loop().cancel(rto_timer_);
-    rto_timer_ = 0;
-  }
-  if (idle_timer_ != 0) {
-    loop().cancel(idle_timer_);
-    idle_timer_ = 0;
+  if (!arq_) return;
+  for (TimerId* timer : {&arq_->syn_timer, &arq_->rto_timer, &arq_->idle_timer}) {
+    if (*timer != 0) {
+      loop().cancel(*timer);
+      *timer = 0;
+    }
   }
 }
 
 void Connection::handle_ack(std::uint32_t ack_seq) {
-  if (!unacked_.erase(ack_seq)) return;  // duplicate or stale ACK
+  if (!arq_->unacked.erase(ack_seq)) return;  // duplicate or stale ACK
   release_arq_entries(1);
-  if (unacked_.empty()) {
-    rto_retries_ = 0;
-    if (rto_timer_ != 0) {
-      loop().cancel(rto_timer_);
-      rto_timer_ = 0;
+  if (arq_->unacked.empty()) {
+    arq_->rto_retries = 0;
+    if (arq_->rto_timer != 0) {
+      loop().cancel(arq_->rto_timer);
+      arq_->rto_timer = 0;
     }
   }
 }
 
 bool Connection::note_received_seq(std::uint32_t seq) {
-  if (seq <= recv_floor_ || recv_above_floor_.count(seq) > 0) return false;
-  recv_above_floor_.insert(seq);
-  while (recv_above_floor_.count(recv_floor_ + 1) > 0) {
-    recv_above_floor_.erase(recv_floor_ + 1);
-    ++recv_floor_;
+  Arq& arq = *arq_;
+  if (seq <= arq.recv_floor || arq.recv_above_floor.count(seq) > 0) return false;
+  arq.recv_above_floor.insert(seq);
+  while (arq.recv_above_floor.count(arq.recv_floor + 1) > 0) {
+    arq.recv_above_floor.erase(arq.recv_floor + 1);
+    ++arq.recv_floor;
   }
   return true;
 }
@@ -269,13 +269,14 @@ std::shared_ptr<Connection> Host::connect(Endpoint remote, ConnectionCallbacks c
   if (options.recv_window) conn->recv_window_ = *options.recv_window;
   conn->state_ = Connection::State::kConnecting;
   conn->last_activity_ = net_->loop().now();
-  conn->arq_ = net_->arq_enabled();
-  if (conn->arq_) conn->arq_config_ = options.arq.value_or(net_->arq_config());
+  if (net_->arq_enabled()) {
+    conn->arq_ = std::make_unique<Connection::Arq>(options.arq.value_or(net_->arq_config()));
+  }
 
   net_->register_connection(conn);
   net_->transmit(*conn, static_cast<std::uint8_t>(TcpFlag::kSyn), {});
   if (conn->arq_) {
-    conn->syn_attempts_ = 1;
+    conn->arq_->syn_attempts = 1;
     conn->arm_syn_timer();
     conn->arm_idle_timer();
   }
@@ -406,7 +407,7 @@ void Network::transmit(Connection& from, std::uint8_t flags, PayloadRef payload,
   segment.retransmission = meta.retransmission;
   if (from.arq_ && segment.seq != 0 && segment.is_data() && !meta.retransmission) {
     if (governor_ != nullptr) governor_->acquire(ResourceKind::kArqEntries);
-    from.unacked_.insert(segment.seq, segment);  // retransmit buffer copy
+    from.arq_->unacked.insert(segment.seq, segment);  // retransmit buffer copy
     from.arm_rto_timer();
   }
   transmit_segment(std::move(segment));
@@ -652,8 +653,7 @@ void Network::handle_syn(const Segment& segment) {
   conn->state_ = Connection::State::kConnecting;
   conn->peer_window_ = segment.window;
   conn->last_activity_ = loop_.now();
-  conn->arq_ = arq_enabled();
-  if (conn->arq_) conn->arq_config_ = arq_config_;
+  if (arq_enabled()) conn->arq_ = std::make_unique<Connection::Arq>(arq_config_);
   register_connection(conn);
 
   // Acceptor installs callbacks (and possibly a clamped window) before
@@ -693,9 +693,9 @@ void Network::deliver(const Segment& segment) {
 
   if (segment.has(TcpFlag::kSyn) && segment.has(TcpFlag::kAck)) {
     if (conn->state_ == Connection::State::kConnecting) {
-      if (conn->syn_timer_ != 0) {
-        loop_.cancel(conn->syn_timer_);
-        conn->syn_timer_ = 0;
+      if (conn->arq_ && conn->arq_->syn_timer != 0) {
+        loop_.cancel(conn->arq_->syn_timer);
+        conn->arq_->syn_timer = 0;
       }
       conn->state_ = Connection::State::kEstablished;
       transmit(*conn, static_cast<std::uint8_t>(TcpFlag::kAck), {});  // handshake ACK

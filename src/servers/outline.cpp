@@ -12,8 +12,7 @@ struct OutlineServer::Session : ProxyServerBase::SessionBase {
   Phase phase = Phase::kHeader;
 
   std::optional<proxy::AeadSession> ingress;
-  Bytes salt;
-  bool salt_in_filter = false;
+  Bytes salt;  // kept only until the server's replay filter learns it
   std::optional<std::size_t> pending_payload_len;
   Bytes plain;
 };
@@ -24,6 +23,7 @@ OutlineServer::OutlineServer(net::EventLoop& loop, ServerConfig config, Upstream
   if (config_.cipher->algo != proxy::CipherAlgo::kChaCha20Poly1305) {
     throw std::invalid_argument("OutlineServer: only chacha20-ietf-poly1305 is supported");
   }
+  if (version_ == OutlineVersion::kV1_1_0) replay_filter_.emplace();
 }
 
 std::unique_ptr<ProxyServerBase::SessionBase> OutlineServer::make_session() {
@@ -54,15 +54,19 @@ void OutlineServer::handle_data(SessionBase& base) {
 
   if (!session.ingress) {
     if (session.buffer.size() < spec.iv_len) return;  // awaiting salt
-    session.salt.assign(session.buffer.begin(),
-                        session.buffer.begin() + static_cast<std::ptrdiff_t>(spec.iv_len));
+    const ByteSpan salt(session.buffer.data(), spec.iv_len);
+    const bool replayed = replay_filter_ && replay_filter_->contains(salt);
+    if (!replayed) {
+      // The filter learns the salt once the first chunk authenticates.
+      if (replay_filter_) session.salt.assign(salt.begin(), salt.end());
+      session.ingress.emplace(spec, key_, salt);
+    }
     session.buffer.erase(session.buffer.begin(),
                          session.buffer.begin() + static_cast<std::ptrdiff_t>(spec.iv_len));
-    if (version_ == OutlineVersion::kV1_1_0 && replay_filter_.contains(session.salt)) {
+    if (replayed) {
       drain_session(session);  // replay defense: indistinguishable timeout
       return;
     }
-    session.ingress.emplace(spec, key_, session.salt);
   }
 
   for (;;) {
@@ -76,9 +80,9 @@ void OutlineServer::handle_data(SessionBase& base) {
         auth_failure(session);
         return;
       }
-      if (!session.salt_in_filter) {
-        replay_filter_.insert(session.salt);
-        session.salt_in_filter = true;
+      if (!session.salt.empty()) {
+        replay_filter_->insert(session.salt);
+        session.salt = Bytes();
       }
       session.pending_payload_len = load_be16(opened->data()) & proxy::kAeadMaxChunkPayload;
       session.buffer.erase(session.buffer.begin(),

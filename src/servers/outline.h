@@ -16,6 +16,8 @@
 //     elsewhere, in the client options.
 #pragma once
 
+#include <optional>
+
 #include "servers/base.h"
 #include "servers/replay_filter.h"
 
@@ -46,7 +48,8 @@ class OutlineServer : public ProxyServerBase {
   void auth_failure(Session& session);
 
   OutlineVersion version_;
-  BloomReplayFilter replay_filter_;
+  // Only v1.1.0 reads a salt filter, so only v1.1.0 keeps one.
+  std::optional<BloomReplayFilter> replay_filter_;
 };
 
 }  // namespace gfwsim::servers

@@ -7,49 +7,52 @@ namespace gfwsim::servers {
 BloomReplayFilter::BloomReplayFilter(std::size_t capacity, std::size_t bits_per_entry)
     : capacity_(capacity),
       bit_count_(std::max<std::size_t>(64, capacity * bits_per_entry)),
-      hash_count_(7) {
-  current_.bits.assign((bit_count_ + 63) / 64, 0);
-  previous_.bits.assign((bit_count_ + 63) / 64, 0);
-}
+      current_((bit_count_ + 63) / 64, 0) {}
 
-std::vector<std::size_t> BloomReplayFilter::positions(ByteSpan nonce) const {
+BloomReplayFilter::Positions BloomReplayFilter::positions(ByteSpan nonce) const {
   // Kirsch-Mitzenmacher double hashing from a SHA-1 of the nonce.
   const auto digest = crypto::Sha1::hash(nonce);
   const std::uint64_t h1 = load_le64(digest.data());
   const std::uint64_t h2 = load_le64(digest.data() + 8) | 1;  // odd
-  std::vector<std::size_t> out(static_cast<std::size_t>(hash_count_));
-  for (int i = 0; i < hash_count_; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::size_t>((h1 + static_cast<std::uint64_t>(i) * h2) % bit_count_);
+  Positions out;
+  for (std::size_t i = 0; i < kHashCount; ++i) {
+    out[i] = static_cast<std::size_t>((h1 + i * h2) % bit_count_);
   }
   return out;
 }
 
-bool BloomReplayFilter::contains(ByteSpan nonce) const {
-  const auto pos = positions(nonce);
-  const auto all_set = [&](const Generation& g) {
+bool BloomReplayFilter::seen(const Positions& pos) const {
+  const auto all_set = [&pos](const Generation& g) {
+    if (g.empty()) return false;
     for (const std::size_t p : pos) {
-      if (!g.get(p)) return false;
+      if (((g[p / 64] >> (p % 64)) & 1) == 0) return false;
     }
     return true;
   };
   return all_set(current_) || all_set(previous_);
 }
 
-void BloomReplayFilter::insert(ByteSpan nonce) {
+void BloomReplayFilter::insert_at(const Positions& pos) {
   if (count_current_ >= capacity_) {
-    previous_ = current_;
-    current_.bits.assign(current_.bits.size(), 0);
+    // The full generation becomes the previous one; the oldest is wiped
+    // and reused (allocated here the first time).
+    current_.swap(previous_);
+    current_.assign((bit_count_ + 63) / 64, 0);
     count_current_ = 0;
   }
-  for (const std::size_t p : positions(nonce)) current_.set(p);
+  for (const std::size_t p : pos) current_[p / 64] |= 1ull << (p % 64);
   ++count_current_;
 }
 
+bool BloomReplayFilter::contains(ByteSpan nonce) const { return seen(positions(nonce)); }
+
+void BloomReplayFilter::insert(ByteSpan nonce) { insert_at(positions(nonce)); }
+
 bool BloomReplayFilter::check_and_insert(ByteSpan nonce) {
-  const bool seen = contains(nonce);
-  if (!seen) insert(nonce);
-  return seen;
+  const Positions pos = positions(nonce);
+  if (seen(pos)) return true;
+  insert_at(pos);
+  return false;
 }
 
 bool NonceTimeReplayFilter::accept(ByteSpan nonce, net::TimePoint claimed_time,

@@ -12,6 +12,7 @@
 // whose embedded timestamp falls outside it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <unordered_set>
@@ -38,18 +39,20 @@ class BloomReplayFilter {
   bool check_and_insert(ByteSpan nonce);
 
  private:
-  struct Generation {
-    std::vector<std::uint64_t> bits;
-    void set(std::size_t i) { bits[i / 64] |= (1ull << (i % 64)); }
-    bool get(std::size_t i) const { return (bits[i / 64] >> (i % 64)) & 1; }
-  };
+  static constexpr std::size_t kHashCount = 7;
+  using Positions = std::array<std::size_t, kHashCount>;
+  // One generation's bits, 64 to a word. A generation with no words has
+  // never been written and answers "not seen".
+  using Generation = std::vector<std::uint64_t>;
 
-  std::vector<std::size_t> positions(ByteSpan nonce) const;
+  Positions positions(ByteSpan nonce) const;
+  bool seen(const Positions& pos) const;
+  void insert_at(const Positions& pos);
 
   std::size_t capacity_;
   std::size_t bit_count_;
-  int hash_count_;
   Generation current_;
+  // Empty until the first rotation: most filters never fill a generation.
   Generation previous_;
   std::size_t count_current_ = 0;
 };

@@ -2,9 +2,9 @@
 """The perf gates on canned inputs.
 
 tools/bench_ab.py must fail exactly when a row of the suite's A/B table
-is `regressed`, and must give each bench_crypto_micro row the suite's
-verdict: a 40% throughput drop over 10 pairs regresses, identical pairs
-do not. Run directly or through `ctest -L benchmark`.
+is `regressed`, and must give each bench_crypto_micro row, read from the
+median of its repetitions, the suite's verdict: a 40% throughput drop
+over 10 pairs regresses, identical pairs do not. Run directly or through `ctest -L benchmark`.
 """
 
 import importlib.util
@@ -34,16 +34,26 @@ def ab_row(verdict, workload="bulk_ideal", metric="goodput_MBps"):
 
 
 def google_benchmark(bytes_per_second, setup_ns, extra=()):
+    """One --benchmark_repetitions=3 result: per-repetition rows around the
+    given values, then the mean and median aggregates, which are the only
+    rows that carry the values exactly."""
+    rows = []
+    for name, rate, time in (("BM_ChaCha20Poly1305Seal/1400", bytes_per_second, 1000.0),
+                             ("BM_HkdfSessionKey", None, setup_ns)):
+        def row(suffix, run_type, scale, aggregate=None):
+            out = {"name": name + suffix, "run_name": name, "run_type": run_type,
+                   "real_time": time * scale, "time_unit": "ns"}
+            if aggregate:
+                out["aggregate_name"] = aggregate
+            if rate is not None:
+                out["bytes_per_second"] = rate / scale
+            return out
+        rows += [row("", "iteration", scale) for scale in (0.5, 1.5, 3.0)]
+        rows += [row("_mean", "aggregate", 2.0, "mean"),
+                 row("_median", "aggregate", 1.0, "median"),
+                 row("_stddev", "aggregate", 0.01, "stddev")]
     return {"context": {"num_cpus": 4, "build_type": "RelWithDebInfo"},
-            "benchmarks": [
-                {"name": "BM_ChaCha20Poly1305Seal/1400", "run_type": "iteration",
-                 "real_time": 1000.0, "time_unit": "ns",
-                 "bytes_per_second": bytes_per_second},
-                {"name": "BM_HkdfSessionKey", "run_type": "iteration",
-                 "real_time": setup_ns, "time_unit": "ns"},
-                {"name": "BM_ChaCha20Poly1305Seal/1400_mean", "run_type": "aggregate",
-                 "real_time": 1.0, "time_unit": "ns", "bytes_per_second": 1.0},
-                *extra]}
+            "benchmarks": [*rows, *extra]}
 
 
 class Scratch(unittest.TestCase):
@@ -114,13 +124,24 @@ class KernelAb(Scratch):
         rows = self.compare(self.runs("a", 1e9, 500.0), self.runs("b", 1e9, 350.0))
         self.assertEqual(rows["BM_HkdfSessionKey"]["verdict"], "improved")
 
-    def test_aggregate_rows_are_ignored(self):
-        rows = self.compare(self.runs("a", 1e9, 500.0), self.runs("b", 1e9, 500.0))
+    def test_only_median_aggregate_rows_are_read(self):
+        a = self.runs("a", 1e9, 500.0)
+        rows = self.compare(a, self.runs("b", 1e9, 500.0))
         self.assertEqual(sorted(rows), ["BM_ChaCha20Poly1305Seal/1400", "BM_HkdfSessionKey"])
+        self.assertEqual(rows["BM_HkdfSessionKey"]["a"]["median"], 500.0)
+        self.assertEqual(rows["BM_ChaCha20Poly1305Seal/1400"]["a"]["median"], 1000.0)
+        # A run without repetitions has no median row to read.
+        single = {"context": {}, "benchmarks": [
+            {"name": "BM_HkdfSessionKey", "run_name": "BM_HkdfSessionKey",
+             "run_type": "iteration", "real_time": 500.0, "time_unit": "ns"}]}
+        with self.assertRaises(bench_ab.GateError):
+            bench_ab.compare_micro(a, [self.write("single.json", single)], self.BENCH)
 
     def test_row_on_one_side_is_reported_not_gated(self):
-        new_row = {"name": "BM_ChaCha20Pass/avx512_16", "run_type": "iteration",
-                   "real_time": 10.0, "time_unit": "ns", "bytes_per_second": 1.0}
+        new_row = {"name": "BM_ChaCha20Pass/avx512_16_median",
+                   "run_name": "BM_ChaCha20Pass/avx512_16", "run_type": "aggregate",
+                   "aggregate_name": "median", "real_time": 10.0, "time_unit": "ns",
+                   "bytes_per_second": 1.0}
         rows = self.compare(self.runs("a", 1e9, 500.0),
                             self.runs("b", 1e9, 500.0, extra=[new_row]))
         self.assertEqual(rows["BM_ChaCha20Pass/avx512_16"]["verdict"], "only B")
@@ -140,7 +161,8 @@ class KernelAb(Scratch):
     def test_malformed_result_is_an_error(self):
         good = self.runs("a", 1e9, 500.0)
         no_rate = google_benchmark(1e9, 500.0)
-        no_rate["benchmarks"][0]["bytes_per_second"] = "fast"
+        for row in no_rate["benchmarks"]:
+            row["bytes_per_second"] = "fast"
         for doc in ([], {"context": {}}, {"context": {}, "benchmarks": [7]}, no_rate):
             with self.subTest(doc=doc), self.assertRaises(bench_ab.GateError):
                 bench_ab.compare_micro(good, [self.write("bad.json", doc)], self.BENCH)

@@ -432,6 +432,127 @@ TEST_F(Fixture, WatchdogAccountingIdentityHoldsUnderFaults) {
             net.segments_delivered() + net.segments_dropped());
 }
 
+TEST_F(Fixture, IdealConnectionsCarryNoArqThroughEveryEnding) {
+  ASSERT_FALSE(net.arq_enabled());
+  std::vector<std::shared_ptr<Connection>> sessions;
+  server.listen(8388, echo_acceptor(sessions));
+  std::vector<std::shared_ptr<Connection>> clients;
+  for (int i = 0; i < 4; ++i) clients.push_back(client.connect(server_ep, {}));
+  loop.run();
+  ASSERT_EQ(sessions.size(), 4u);
+  for (const auto& conn : clients) conn->send(to_bytes("ping"));
+  loop.run();
+
+  clients[0]->close();   // FIN to the server
+  clients[1]->abort();   // RST to the server
+  sessions[2]->close();  // FIN to the client
+  sessions[3]->abort();  // RST to the client
+  loop.run();
+
+  using State = Connection::State;
+  const State client_states[] = {State::kFinSent, State::kReset, State::kClosed, State::kReset};
+  const State server_states[] = {State::kClosed, State::kReset, State::kFinSent, State::kReset};
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    for (const auto& conn : {clients[i], sessions[i]}) {
+      EXPECT_FALSE(conn->arq_active()) << i;
+      EXPECT_EQ(conn->retransmissions(), 0u) << i;
+      EXPECT_EQ(conn->bytes_received(), 4u) << i;
+    }
+    EXPECT_EQ(clients[i]->state(), client_states[i]) << i;
+    EXPECT_EQ(sessions[i]->state(), server_states[i]) << i;
+  }
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST_F(Fixture, ArqCloseWhileConnectingCancelsEveryTimer) {
+  FaultProfile jitter;
+  jitter.jitter = milliseconds(1);
+  net.set_fault_seed(3);
+  net.set_default_faults(jitter);
+  ASSERT_TRUE(net.arq_enabled());
+  const std::size_t baseline = loop.pending();
+
+  // The SYN to an unrouted address is dropped on arrival; the SYN retry
+  // and idle timers stay armed until close() cancels them.
+  auto conn = client.connect({Ipv4(8, 8, 8, 8), 80}, {});
+  loop.run_until(milliseconds(500));
+  ASSERT_TRUE(conn->arq_active());
+  EXPECT_EQ(loop.pending(), baseline + 2);
+  conn->close();
+  EXPECT_EQ(conn->state(), Connection::State::kClosed);
+  EXPECT_EQ(loop.pending(), baseline);
+}
+
+TEST_F(Fixture, ArqAbortCancelsEveryTimerOnBothEnds) {
+  FaultProfile jitter;
+  jitter.jitter = milliseconds(1);
+  net.set_fault_seed(4);
+  net.set_default_faults(jitter);
+  const std::size_t baseline = loop.pending();
+
+  std::vector<std::shared_ptr<Connection>> sessions;
+  server.listen(8388, echo_acceptor(sessions));
+  auto conn = client.connect(server_ep, {});
+  loop.run_until(seconds(1));
+  ASSERT_EQ(conn->state(), Connection::State::kEstablished);
+  conn->send(to_bytes("unacknowledged"));  // arms the RTO timer
+  conn->abort();
+  // Well inside the 10-minute idle watchdog: only a timer that abort()
+  // or the peer's RST failed to cancel could still be pending.
+  loop.run_until(seconds(5));
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0]->state(), Connection::State::kReset);
+  EXPECT_EQ(loop.pending(), baseline);
+}
+
+TEST_F(Fixture, ArqCloseLeavesOnlyTheIdleWatchdogUntilItFails) {
+  net.force_arq(true);
+  ArqConfig config;
+  config.idle_timeout = seconds(5);
+  net.set_arq(config);
+  const std::size_t baseline = loop.pending();
+
+  std::vector<std::shared_ptr<Connection>> sessions;
+  server.listen(8388, echo_acceptor(sessions));
+  bool timed_out = false;
+  ConnectionCallbacks cb;
+  cb.on_timeout = [&] { timed_out = true; };
+  auto conn = client.connect(server_ep, std::move(cb));
+  loop.run_until(seconds(1));
+  ASSERT_EQ(conn->state(), Connection::State::kEstablished);
+
+  // Every server -> client segment is lost, so the client's data stays
+  // unacknowledged with its RTO armed when close() abandons it.
+  FaultProfile ack_loss;
+  ack_loss.loss = 1.0;
+  net.set_fault_seed(5);
+  net.set_faults(server_ip, client_ip, ack_loss);
+  conn->send(to_bytes("unacknowledged"));
+  conn->close();
+  loop.run_until(seconds(2));
+  // The server took the FIN and cancelled its own timers; the client is
+  // half-closed with only its idle watchdog left.
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0]->state(), Connection::State::kClosed);
+  EXPECT_EQ(conn->state(), Connection::State::kFinSent);
+  EXPECT_EQ(loop.pending(), baseline + 1);
+
+  loop.run_until(seconds(10));  // the watchdog fires and fail()s it
+  EXPECT_TRUE(timed_out);
+  EXPECT_EQ(conn->state(), Connection::State::kReset);
+  EXPECT_EQ(loop.pending(), baseline);
+}
+
+#if defined(__LP64__)
+// Every field of Connection is paid once per live connection, and a World
+// of the suite's 8-server fleet holds about 2,700 at its peak, so a new
+// per-connection field costs about 2,700 copies. State that only some
+// connections use belongs in a lazily allocated block, as ARQ's does.
+TEST(ConnectionFootprint, StaysWithinItsBudget) {
+  EXPECT_LE(sizeof(Connection), 384u) << "sizeof(Connection) = " << sizeof(Connection);
+}
+#endif
+
 TEST_F(Fixture, DirectionalOverrideOnlyAffectsItsDirection) {
   FaultProfile lossy;
   lossy.loss = 1.0;

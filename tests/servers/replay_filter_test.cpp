@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "crypto/rng.h"
+#include "crypto/sha1.h"
 #include "servers/replay_filter.h"
 
 namespace gfwsim::servers {
@@ -56,6 +60,113 @@ TEST(BloomReplayFilter, SurvivesOneGenerationRotation) {
   filter.insert(nonce);
   for (int i = 0; i < 120; ++i) filter.insert(rng.bytes(32));  // rotate once
   EXPECT_TRUE(filter.contains(nonce));  // still in the previous generation
+}
+
+// ppbloom as first written: both generations allocated up front, one
+// bool per bit, and rotation by copying the full generation over the old
+// one. Same SHA-1 double hashing and 10 bits per entry as the filter.
+class ReferenceBloom {
+ public:
+  explicit ReferenceBloom(std::size_t capacity)
+      : capacity_(capacity),
+        bit_count_(std::max<std::size_t>(64, capacity * 10)),
+        current_(bit_count_, false),
+        previous_(bit_count_, false) {}
+
+  bool contains(ByteSpan nonce) const {
+    const std::vector<std::size_t> pos = positions(nonce);
+    const auto all_set = [&pos](const std::vector<bool>& g) {
+      return std::all_of(pos.begin(), pos.end(), [&g](std::size_t p) { return g[p]; });
+    };
+    return all_set(current_) || all_set(previous_);
+  }
+
+  void insert(ByteSpan nonce) {
+    if (count_ >= capacity_) {
+      previous_ = current_;
+      current_.assign(bit_count_, false);
+      count_ = 0;
+      ++rotations_;
+    }
+    for (const std::size_t p : positions(nonce)) current_[p] = true;
+    ++count_;
+  }
+
+  bool check_and_insert(ByteSpan nonce) {
+    const bool seen = contains(nonce);
+    if (!seen) insert(nonce);
+    return seen;
+  }
+
+  std::size_t rotations() const { return rotations_; }
+
+ private:
+  std::vector<std::size_t> positions(ByteSpan nonce) const {
+    const auto digest = crypto::Sha1::hash(nonce);
+    const std::uint64_t h1 = load_le64(digest.data());
+    const std::uint64_t h2 = load_le64(digest.data() + 8) | 1;
+    std::vector<std::size_t> out;
+    for (std::uint64_t i = 0; i < 7; ++i) {
+      out.push_back(static_cast<std::size_t>((h1 + i * h2) % bit_count_));
+    }
+    return out;
+  }
+
+  std::size_t capacity_;
+  std::size_t bit_count_;
+  std::vector<bool> current_;
+  std::vector<bool> previous_;
+  std::size_t count_ = 0;
+  std::size_t rotations_ = 0;
+};
+
+TEST(BloomReplayFilter, MatchesCopyOnRotateReferenceAcrossRotations) {
+  // At capacity 50 (500 bits) false positives are frequent, so "seen"
+  // answers on fresh nonces are exercised as well as true replays. The
+  // first 50 inserts run before any rotation, while the filter's second
+  // generation is still unallocated.
+  constexpr std::size_t kCapacity = 50;
+  BloomReplayFilter filter(kCapacity);
+  ReferenceBloom reference(kCapacity);
+  crypto::Rng rng(11);
+  std::vector<Bytes> seen_nonces;
+  std::size_t steps = 0;
+  std::size_t positives = 0;
+  while (reference.rotations() < 6) {
+    const bool replay = !seen_nonces.empty() && rng.bernoulli(0.4);
+    const Bytes nonce = replay ? seen_nonces[rng.uniform(0, seen_nonces.size() - 1)]
+                               : rng.bytes(rng.bernoulli(0.5) ? 16 : 32);
+    const bool before_rotation = reference.rotations() == 0;
+    bool got = false;
+    bool want = false;
+    switch (rng.uniform(0, 2)) {
+      case 0:
+        got = filter.contains(nonce);
+        want = reference.contains(nonce);
+        break;
+      case 1:
+        filter.insert(nonce);
+        reference.insert(nonce);
+        got = filter.contains(nonce);
+        want = reference.contains(nonce);
+        break;
+      default:
+        got = filter.check_and_insert(nonce);
+        want = reference.check_and_insert(nonce);
+        break;
+    }
+    ASSERT_EQ(got, want) << "step " << steps << (before_rotation ? ", before the first rotation" : "");
+    if (want) ++positives;
+    if (!replay) seen_nonces.push_back(nonce);
+    ++steps;
+  }
+  // Both answers occurred, and after the last rotation every nonce ever
+  // used still gets the reference's answer.
+  EXPECT_GT(positives, 0u);
+  EXPECT_LT(positives, steps);
+  for (const Bytes& nonce : seen_nonces) {
+    ASSERT_EQ(filter.contains(nonce), reference.contains(nonce));
+  }
 }
 
 TEST(NonceTimeReplayFilter, AcceptsFreshRejectsReplay) {

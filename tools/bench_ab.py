@@ -14,18 +14,22 @@ tree's default build type, the one the suite's campaigns use. Then:
   campaigns  bench/suite/run.py --a BASE_BIN --b HEAD_BIN --pairs 10
              at the run length BENCHMARK.json declares (about 30 minutes
              on a 4-vCPU VM); table in ab.json
-  kernels    10 pairs of bench_crypto_micro runs, alternating which side
-             runs first (about 3 minutes); table in ab_crypto_micro.json
+  kernels    10 pairs of bench_crypto_micro runs of 3 repetitions each,
+             alternating which side runs first (about 7 minutes); table
+             in ab_crypto_micro.json
 
 Building bench_crypto_micro from clean adds about 5 minutes a side on 4
 cores; the working tree's build is kept in $CARGO_TARGET_DIR/micro.
 
-Both tables go to $CARGO_TARGET_DIR (default .bench_build). Each kernel
-row gets the suite's own verdict rule: bytes_per_second rows with the
-goodput_MBps bound (higher is better), time-only rows on real_time with
-the cpu_s bound (lower is better). A row that only one side has is
-printed but not gated. A campaign median blurs a kernel regression,
-which is why the kernels are compared one level down as well.
+Both tables go to $CARGO_TARGET_DIR (default .bench_build). A kernel
+row's value in one run is the median of that run's repetitions (the
+`median` aggregate row); single repetitions swing too widely on a shared
+VM to resolve a 25 % change. Each kernel row gets the suite's own
+verdict rule: bytes_per_second rows with the goodput_MBps bound (higher
+is better), time-only rows on real_time with the cpu_s bound (lower is
+better). A row that only one side has is printed but not gated. A
+campaign median blurs a kernel regression, which is why the kernels are
+compared one level down as well.
 
 Exit status: 0 = no row regressed, 1 = at least one campaign or kernel
 row is `regressed`, 2 = BASE could not be checked out, built or run.
@@ -43,6 +47,7 @@ PAIRS = 10  # run.py leaves every row `unresolved` below 10 pairs
 VERDICTS = {"improved", "unchanged", "unresolved", "regressed"}
 # Plain seconds: google-benchmark 1.7 rejects the "0.05s" form.
 MICRO_MIN_TIME = "0.05"
+MICRO_REPETITIONS = 3
 
 
 def load_suite():
@@ -92,18 +97,22 @@ def check(ab_path):
 def load_micro(path):
     """Context and {(row name, unit): value} of one google-benchmark JSON file.
 
-    A bytes_per_second row is read in MB/s, any other row as its
-    real_time; aggregate rows (of --benchmark_repetitions) are skipped."""
+    Only the `median` aggregate rows of --benchmark_repetitions are read,
+    each under its benchmark's run_name; the per-repetition rows and the
+    other aggregates are skipped. A bytes_per_second row is read in MB/s,
+    any other row as its real_time."""
     try:
         doc = json.loads(Path(path).read_text())
         values = {}
         for row in doc["benchmarks"]:
-            if row.get("run_type") == "aggregate":
+            if row.get("aggregate_name") != "median":
                 continue
             if "bytes_per_second" in row:
-                values[row["name"], "MB/s"] = float(row["bytes_per_second"]) / 1e6
+                values[row["run_name"], "MB/s"] = float(row["bytes_per_second"]) / 1e6
             else:
-                values[row["name"], row["time_unit"]] = float(row["real_time"])
+                values[row["run_name"], row["time_unit"]] = float(row["real_time"])
+        if not values:
+            raise ValueError("no median aggregate rows")
         return doc["context"], values
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as error:
         raise GateError(f"{path}: not a google-benchmark result ({error})")
@@ -162,6 +171,7 @@ def run_micro(binaries, scratch):
         for side in ("a", "b") if pair % 2 == 0 else ("b", "a"):
             path = Path(scratch) / f"micro-{side}-{pair}.json"
             subprocess.run([str(binaries[side]), f"--benchmark_min_time={MICRO_MIN_TIME}",
+                            f"--benchmark_repetitions={MICRO_REPETITIONS}",
                             f"--benchmark_out={path}", "--benchmark_out_format=json"],
                            check=True, stdout=subprocess.DEVNULL)
             runs[side].append(path)
