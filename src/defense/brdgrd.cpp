@@ -2,6 +2,12 @@
 
 namespace gfwsim::defense {
 
+namespace {
+// The normal window restored after the first flight: 65535, the largest
+// unscaled TCP window.
+constexpr std::uint32_t kRestoredWindow = 65535;
+}  // namespace
+
 Brdgrd::Brdgrd(net::EventLoop& loop, BrdgrdConfig config, std::uint64_t seed)
     : loop_(loop), config_(config), rng_(seed) {}
 
@@ -26,9 +32,9 @@ net::Host::Acceptor Brdgrd::wrap(net::Host::Acceptor inner) {
       conn->set_recv_window(pick_window());
       // Restore the window once the fragmented first flight is through.
       std::weak_ptr<net::Connection> weak = conn;
-      loop_.schedule_after(config_.restore_after, [weak, restored = config_.restored_window] {
+      loop_.schedule_after(config_.restore_after, [weak] {
         if (auto alive = weak.lock(); alive && alive->established()) {
-          alive->set_recv_window(restored);
+          alive->set_recv_window(kRestoredWindow);
         }
       });
     }

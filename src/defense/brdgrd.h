@@ -33,7 +33,6 @@ struct BrdgrdConfig {
   // When to restore the normal window after accepting (lets follow-up
   // traffic flow at full size once the first flight was fragmented).
   net::Duration restore_after = net::milliseconds(600);
-  std::uint32_t restored_window = 65535;
 };
 
 class Brdgrd {

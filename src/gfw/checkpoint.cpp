@@ -1,7 +1,7 @@
 #include "gfw/checkpoint.h"
 
 #include <array>
-#include <concepts>
+#include <bit>
 #include <cstring>
 
 namespace gfwsim::gfw {
@@ -314,165 +314,48 @@ CheckpointHeader parse_header(ByteSpan data) {
 
 struct Fnv1a {
   std::uint64_t state = 0xcbf29ce484222325ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      state ^= (v >> (8 * i)) & 0xff;
-      state *= 0x100000001b3ull;
-    }
+  void byte(std::uint8_t b) {
+    state ^= b;
+    state *= 0x100000001b3ull;
   }
-  void mix(bool v) { mix(static_cast<std::uint64_t>(v)); }
-  template <std::integral T>
-  void mix(T v) { mix(static_cast<std::uint64_t>(v)); }
-  void mix(net::Duration v) { mix(static_cast<std::uint64_t>(v.count())); }
-  void mix(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix(bits);
+  void word(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
   }
-  void mix(const std::string& s) {
-    mix(static_cast<std::uint64_t>(s.size()));
-    for (const char c : s) {
-      state ^= static_cast<std::uint8_t>(c);
-      state *= 0x100000001b3ull;
-    }
-  }
-  // A custom factory is code, so only its presence is mixed.
-  void mix(const client::TrafficSpec& t) {
-    mix(static_cast<std::uint64_t>(t.kind));
-    mix(static_cast<std::uint64_t>(t.sites.size()));
-    for (const auto& site : t.sites) {
-      mix(site.hostname);
-      mix(site.https);
-      mix(site.weight);
-    }
-    mix(static_cast<std::uint64_t>(t.min_len));
-    mix(static_cast<std::uint64_t>(t.max_len));
-    mix(t.min_entropy);
-    mix(t.max_entropy);
-    mix(static_cast<bool>(t.custom));
-  }
-  void mix(const net::FaultProfile& f) {
-    mix(f.loss);
-    mix(f.duplicate);
-    mix(f.reorder);
-    mix(f.reorder_delay);
-    mix(f.jitter);
-    mix(static_cast<std::uint64_t>(f.outages.size()));
-    for (const net::LinkOutage& outage : f.outages) {
-      mix(outage.start);
-      mix(outage.duration);
-    }
-    mix(f.flap_period);
-    mix(f.flap_down);
-  }
-  void mix(const net::ArqConfig& a) {
-    mix(a.rto);
-    mix(a.max_data_retries);
-    mix(a.syn_timeout);
-    mix(a.max_syn_retries);
-    mix(a.idle_timeout);
-  }
-  void mix(const defense::BrdgrdConfig& b) {
-    mix(b.min_window);
-    mix(b.max_window);
-    mix(b.randomize_window);
-    mix(b.sticky_period);
-    mix(b.restore_after);
-    mix(b.restored_window);
-  }
-  void mix(const client::ClientConfig& c) {
-    mix(c.cipher != nullptr ? std::string(c.cipher->name) : std::string());
-    mix(c.password);
-    mix(c.merge_header_and_data);
-    mix(c.embed_timestamp);
-  }
-  void mix(const ProberPoolConfig& p) {
-    mix(p.as_profiles.size());
-    for (const AsProfile& as : p.as_profiles) {
-      mix(as.as_number);
-      mix(as.name);
-      mix(as.weight);
-      mix(as.prefix.value);
-    }
-    mix(p.budget_log_mean);
-    mix(p.budget_log_stddev);
-    mix(p.budget_cap);
-    mix(p.active_set_size);
-    mix(p.linux_ephemeral_fraction);
-    mix(p.ephemeral_low);
-    mix(p.ephemeral_high);
-    mix(p.other_low);
-    mix(p.other_high);
-    mix(p.ttl_min);
-    mix(p.ttl_max);
-  }
-  void mix(const ClassifierConfig& c) {
-    mix(c.use_length_feature);
-    mix(c.use_entropy_feature);
-    mix(c.base_rate);
-  }
-  void mix(const BlockingConfig& b) {
-    mix(b.confirmation_threshold);
-    mix(b.block_probability);
-    mix(b.sensitive_block_probability);
-    mix(b.block_by_ip_fraction);
-    mix(b.min_block_duration);
-    mix(b.max_block_duration);
-    mix(static_cast<std::uint64_t>(b.region_policies.size()));
-    for (const auto& [region, policy] : b.region_policies) {
-      mix(region);
-      mix(policy.block_probability);
-      mix(policy.sensitive_block_probability);
-    }
-  }
-  // is_domestic is code, so only its presence is mixed.
-  void mix(const GfwConfig& g) {
-    mix(static_cast<bool>(g.is_domestic));
-    mix(g.classifier);
-    mix(g.blocking);
-    mix(g.pool);
-    mix(g.enable_active_probing);
-    mix(g.enable_staging);
-    mix(g.probe_queue_cap);
-    mix(g.probe_timeout);
-    mix(g.probe_connect_retries);
-    mix(g.probe_retry_backoff);
-    mix(g.probe_arq);
-    mix(g.extra_r1_probability);
-    mix(g.max_replays_per_payload);
-    mix(g.r2_probability);
-    mix(g.nr2_probability);
-    mix(g.stage2_interval);
-    mix(g.stage2_batch_min);
-    mix(g.stage2_batch_max);
-    mix(g.stage2_duration);
-    mix(g.evidence_data);
-    mix(g.evidence_rst);
-    mix(g.evidence_fin);
-    mix(g.evidence_timeout);
-  }
-  void mix(const ServerSpec& spec) {
-    mix(static_cast<std::uint64_t>(spec.server.impl));
-    mix(spec.server.cipher);
-    mix(spec.server.password);
-    mix(spec.port);
-    mix(spec.ip.value);
-    mix(spec.inside_china);
-    mix(spec.region);
-    mix(spec.use_brdgrd);
-    mix(spec.brdgrd);
-    mix(spec.traffic);
-    mix(spec.connection_interval);
-    mix(spec.raw_traffic);
-    mix(spec.client);
-    mix(spec.latency);
-    mix(spec.faults);
-  }
-  // nullopt and a present value always mix differently.
+
+  // One rule per leaf type. A struct with a row table (gfw/scenario.h) is
+  // walked row by row, minus its skip rows.
   template <typename T>
-  void mix(const std::optional<T>& v) {
-    mix(v.has_value());
-    if (v) mix(*v);
+  void mix(const T& v) {
+    if constexpr (HasRows<T>) {
+      for_each_row<T>([&](const auto& row) {
+        if constexpr (std::remove_cvref_t<decltype(row)>::mixed) mix(v.*row.member);
+      });
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      word(v.size());
+      for (const char c : v) byte(static_cast<std::uint8_t>(c));
+    } else if constexpr (std::is_same_v<T, const proxy::CipherSpec*>) {
+      mix(v != nullptr ? std::string(v->name) : std::string());
+    } else if constexpr (kIs<T, std::optional>) {  // nullopt never mixes like a value
+      word(v.has_value());
+      if (v) mix(*v);
+    } else if constexpr (kIs<T, std::function>) {  // code: only its presence
+      word(static_cast<bool>(v));
+    } else if constexpr (kIs<T, std::vector> || kIsArray<T> || kIs<T, std::map>) {
+      word(v.size());
+      for (const auto& element : v) mix(element);
+    } else if constexpr (kIs<T, std::pair>) {  // a map entry
+      mix(v.first);
+      mix(v.second);
+    } else if constexpr (std::is_same_v<T, net::Duration>) {
+      word(static_cast<std::uint64_t>(v.count()));
+    } else if constexpr (std::is_same_v<T, net::Ipv4>) {
+      word(v.value);
+    } else if constexpr (std::is_same_v<T, double>) {
+      word(std::bit_cast<std::uint64_t>(v));
+    } else {
+      static_assert(std::is_integral_v<T> || std::is_enum_v<T>, "no fingerprint rule");
+      word(static_cast<std::uint64_t>(v));
+    }
   }
 };
 
@@ -480,29 +363,7 @@ struct Fnv1a {
 
 std::uint64_t scenario_fingerprint(const Scenario& scenario) {
   Fnv1a h;
-  // The single-server fields, as the fleet entry they stand for.
-  h.mix(scenario.single_server_spec());
-  h.mix(scenario.raw_traffic);
-  h.mix(scenario.client);
-  h.mix(scenario.traffic);
-  h.mix(scenario.duration);
-  h.mix(scenario.connection_interval);
-  h.mix(scenario.classifier_base_rate);
-  h.mix(scenario.gfw);
-  h.mix(scenario.faults);
-  h.mix(scenario.arq);
-  h.mix(scenario.base_seed);
-  h.mix(scenario.resources.limits.total_bytes);
-  for (const std::uint64_t cap : scenario.resources.limits.unit_caps) h.mix(cap);
-  h.mix(scenario.resources.limits.fail_at_acquisition);
-  h.mix(scenario.resources.limits.fail_probability);
-  h.mix(scenario.resources.probe_queue_cap);
-  h.mix(scenario.resources.path_queue_cap);
-  // Any change to the fleet (count, order, spec, or override) refuses to
-  // resume a stale journal; the count also keeps a legacy scenario apart
-  // from its one-entry fleet.
-  h.mix(scenario.fleet.size());
-  for (const ServerSpec& spec : scenario.fleet) h.mix(spec);
+  h.mix(scenario);
   return h.state;
 }
 

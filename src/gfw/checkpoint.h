@@ -73,11 +73,8 @@ struct CheckpointHeader {
   std::uint64_t scenario_fingerprint = 0;
 };
 
-// FNV-1a over the scenario fields that change what a shard computes
-// (server, brdgrd and client config, traffic spec, duration, pacing,
-// topology, fault profile and ARQ tuning, every GfwConfig field — the
-// is_domestic predicate by presence only — resource budgets, seed, and
-// every fleet entry's shape and overrides). Two scenarios with equal
+// FNV-1a over every row of the Scenario's row tables (gfw/scenario.h),
+// walked in table order, minus the skip rows. Two scenarios with equal
 // fingerprints produce interchangeable shards for checkpoint purposes.
 std::uint64_t scenario_fingerprint(const Scenario& scenario);
 

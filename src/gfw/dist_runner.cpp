@@ -273,6 +273,7 @@ std::string signal_text(int sig) {
 DistRunner::DistRunner(DistRunnerOptions options) : options_(std::move(options)) {}
 
 CampaignResult DistRunner::run(const Scenario& scenario) {
+  validate(scenario);
   const std::uint32_t shards = std::max<std::uint32_t>(1, options_.shards);
   const unsigned workers = std::max<unsigned>(
       1, std::min<unsigned>(options_.workers, shards));

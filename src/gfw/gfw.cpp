@@ -7,6 +7,31 @@ namespace gfwsim::gfw {
 namespace {
 constexpr std::size_t kMaxStoredPayloadsPerServer = 32;
 constexpr std::size_t kMaxTrackedFlows = 200000;
+
+// The GFW's own probe timeout: its probers give up in "usually less than
+// 10 seconds" (section 5).
+constexpr net::Duration kProbeTimeout = net::seconds(8);
+// Probe robustness on lossy paths (only when the network's ARQ layer is
+// on): a probe connection that fails to establish is relaunched with
+// exponential backoff while the probe window allows, up to this many
+// extra attempts.
+constexpr int kProbeConnectRetries = 2;
+constexpr net::Duration kProbeRetryBackoff = net::seconds(1);
+
+// Stage-1 plan per flagged connection.
+constexpr double kExtraR1Probability = 0.5;  // chance of each additional R1
+// A payload is replayed at most this often (up to 47 observed).
+constexpr int kMaxReplaysPerPayload = 47;
+constexpr double kR2Probability = 0.55;   // chance stage 1 includes an R2
+constexpr double kNr2Probability = 0.75;  // chance stage 1 includes an NR2
+
+// Stage-2 cadence: a few probes per hour while the window is open.
+constexpr net::Duration kStage2Interval = net::minutes(25);
+constexpr std::uint64_t kStage2BatchMin = 1, kStage2BatchMax = 3;
+constexpr net::Duration kStage2Duration = net::hours(48);
+
+// Evidence weight of a data reply, the most diagnostic reaction.
+constexpr double kEvidenceData = 2.0;
 }  // namespace
 
 std::uint64_t payload_fingerprint(ByteSpan payload) {
@@ -19,7 +44,7 @@ Gfw::Gfw(net::Network& net, GfwConfig config, std::uint64_t seed)
       config_(std::move(config)),
       rng_(seed),
       classifier_(config_.classifier),
-      pool_(net, config_.pool, seed ^ 0x900100),
+      pool_(net, seed ^ 0x900100),
       blocking_(net.loop(), config_.blocking, seed ^ 0xb10c),
       delay_model_() {
   if (!config_.is_domestic) {
@@ -95,8 +120,7 @@ net::Verdict Gfw::on_segment(const net::Segment& segment) {
 
   // First data-carrying packet of the connection, client->server: this is
   // the one (and only) input to the passive classifier.
-  if (config_.enable_active_probing &&
-      classifier_.triggers(segment.payload, rng_)) {
+  if (classifier_.triggers(segment.payload, rng_)) {
     flag_connection(segment.dst, segment.payload);
   }
   flows_.erase(it);  // nothing further to learn from this flow
@@ -137,14 +161,14 @@ void Gfw::schedule_stage1(net::Endpoint server, std::size_t payload_index) {
   const net::Duration base = delay_model_.sample(rng_);
   schedule_probe(server, ProbeType::kR1, base, payload_index);
   int extra_r1 = 0;
-  while (rng_.bernoulli(config_.extra_r1_probability) && extra_r1 < 5) ++extra_r1;
+  while (rng_.bernoulli(kExtraR1Probability) && extra_r1 < 5) ++extra_r1;
   for (int i = 0; i < extra_r1; ++i) {
     schedule_probe(server, ProbeType::kR1, base + delay_model_.sample(rng_), payload_index);
   }
-  if (rng_.bernoulli(config_.r2_probability)) {
+  if (rng_.bernoulli(kR2Probability)) {
     schedule_probe(server, ProbeType::kR2, base + delay_model_.sample(rng_), payload_index);
   }
-  if (rng_.bernoulli(config_.nr2_probability)) {
+  if (rng_.bernoulli(kNr2Probability)) {
     schedule_probe(server, ProbeType::kNR2, delay_model_.sample(rng_), payload_index);
     // ~10% of NR2 payloads were observed more than once (section 5.3):
     // occasionally double-send, which also implements the replay-filter
@@ -172,8 +196,8 @@ void Gfw::launch_probe(net::Endpoint server, probesim::ProbeType type,
   // queue also full it is shed and tallied per server. Both outcomes are
   // pure functions of the shard's own event sequence, so shed counts
   // replay bit-identically for any thread or worker count.
-  if (config_.probe_queue_cap != 0 && in_flight_ >= config_.probe_queue_cap) {
-    if (admission_queue_.size() < config_.probe_queue_cap) {
+  if (probe_queue_cap_ != 0 && in_flight_ >= probe_queue_cap_) {
+    if (admission_queue_.size() < probe_queue_cap_) {
       admission_queue_.push_back(PendingProbe{server, type, payload_index});
       ++probes_deferred_;
     } else {
@@ -194,7 +218,7 @@ void Gfw::launch_probe(net::Endpoint server, probesim::ProbeType type,
   if (ProbeLog::is_replay(type)) {
     if (payload_index >= state.payloads.size()) return;  // store rotated out
     StoredPayload& stored = state.payloads[payload_index];
-    if (stored.replays_sent >= config_.max_replays_per_payload) return;
+    if (stored.replays_sent >= kMaxReplaysPerPayload) return;
     ++stored.replays_sent;
     payload = probesim::mutate_replay(stored.payload, type, rng_);
     record.replay_delay = loop.now() - stored.recorded_at;
@@ -219,11 +243,11 @@ void Gfw::launch_probe(net::Endpoint server, probesim::ProbeType type,
   attempt.identity = pool_.acquire();
   attempt.payload = std::move(payload);
   attempt.record = std::move(record);
-  attempt.deadline = loop.now() + config_.probe_timeout;
+  attempt.deadline = loop.now() + kProbeTimeout;
   ++in_flight_;
 
   start_probe_connection(id);
-  loop.schedule_after(config_.probe_timeout, [this, id] { finalize_probe(id); });
+  loop.schedule_after(kProbeTimeout, [this, id] { finalize_probe(id); });
 }
 
 void Gfw::start_probe_connection(ProbeId id) {
@@ -269,8 +293,8 @@ void Gfw::start_probe_connection(ProbeId id) {
     ProbeAttempt* a = probes_.get(id);
     if (a == nullptr) return;
     a->conn.reset();
-    if (a->attempts > config_.probe_connect_retries) return;
-    const net::Duration backoff = config_.probe_retry_backoff * (1ll << (a->attempts - 1));
+    if (a->attempts > kProbeConnectRetries) return;
+    const net::Duration backoff = kProbeRetryBackoff * (1ll << (a->attempts - 1));
     if (net_.loop().now() + backoff >= a->deadline) return;
     ++a->attempts;
     ++probe_connect_retries_;
@@ -325,7 +349,7 @@ void Gfw::finalize_probe(ProbeId id) {
 }
 
 void Gfw::drain_admission_queue() {
-  while (!admission_queue_.empty() && in_flight_ < config_.probe_queue_cap) {
+  while (!admission_queue_.empty() && in_flight_ < probe_queue_cap_) {
     const PendingProbe next = admission_queue_.front();
     admission_queue_.pop_front();
     launch_probe(next.server, next.type, next.payload_index);
@@ -350,7 +374,7 @@ void Gfw::handle_probe_result(net::Endpoint server, const ProbeRecord& record) {
   using probesim::Reaction;
   double weight = config_.evidence_timeout;
   switch (record.reaction) {
-    case Reaction::kData: weight = config_.evidence_data; break;
+    case Reaction::kData: weight = kEvidenceData; break;
     case Reaction::kRst: weight = config_.evidence_rst; break;
     case Reaction::kFinAck: weight = config_.evidence_fin; break;
     case Reaction::kTimeout: weight = config_.evidence_timeout; break;
@@ -369,7 +393,7 @@ void Gfw::handle_probe_result(net::Endpoint server, const ProbeRecord& record) {
 void Gfw::enter_stage2(net::Endpoint server) {
   ServerState& state = servers_[server];
   state.stage2 = true;
-  state.stage2_until = net_.loop().now() + config_.stage2_duration;
+  state.stage2_until = net_.loop().now() + kStage2Duration;
   stage2_tick(server);
 }
 
@@ -385,9 +409,7 @@ void Gfw::stage2_tick(net::Endpoint server) {
   // A small batch per tick: stage-2 replays dominate; the NR1 battery is
   // trickled sparsely while NR2 and R1/R2 continue (NR2 stays ~3x as
   // common as all NR1 probes together, Figure 2).
-  const int batch = static_cast<int>(
-      rng_.uniform(static_cast<std::uint64_t>(config_.stage2_batch_min),
-                   static_cast<std::uint64_t>(config_.stage2_batch_max)));
+  const int batch = static_cast<int>(rng_.uniform(kStage2BatchMin, kStage2BatchMax));
   static const std::vector<double> kTypeWeights = {
       0.27,   // R3
       0.27,   // R4
@@ -406,11 +428,11 @@ void Gfw::stage2_tick(net::Endpoint server) {
     // Spread the batch across the interval rather than bursting.
     const double spread = rng_.uniform01();
     schedule_probe(server, type,
-                   net::from_seconds(net::to_seconds(config_.stage2_interval) * spread),
+                   net::from_seconds(net::to_seconds(kStage2Interval) * spread),
                    payload_index);
   }
 
-  loop.schedule_after(config_.stage2_interval, [this, server] { stage2_tick(server); });
+  loop.schedule_after(kStage2Interval, [this, server] { stage2_tick(server); });
 }
 
 }  // namespace gfwsim::gfw

@@ -46,54 +46,23 @@ struct GfwConfig {
 
   ClassifierConfig classifier;
   BlockingConfig blocking;
-  ProberPoolConfig pool;
 
-  bool enable_active_probing = true;
   // Ablation arm: when false, stage-2 probes are sent unconditionally
   // alongside stage 1 (contradicting the observed gating).
   bool enable_staging = true;
 
-  // Bounded probe admission (resource governance): caps concurrent
-  // in-flight probes. A probe launched at the cap waits in a bounded
-  // FIFO admission queue (depth = the same cap) and is re-launched as
-  // in-flight probes finalize; a probe arriving with the queue also full
-  // is shed deterministically and counted per server/region. 0 (the
-  // default) leaves admission unbounded and the queue machinery inert.
-  std::size_t probe_queue_cap = 0;
-
-  // The GFW's own probe timeout ("usually less than 10 seconds").
-  net::Duration probe_timeout = net::seconds(8);
-
-  // Probe robustness on lossy paths (active only when the network's ARQ
-  // layer is on, i.e. a FaultProfile is enabled): a probe connection that
-  // fails to establish is relaunched with exponential backoff while the
-  // probe window allows, up to this many extra attempts. Probe
-  // connections override the network ArqConfig with `probe_arq` so a
-  // dead path fails fast enough that a retry still fits inside
-  // probe_timeout (the paper's probers give up in "usually less than 10
-  // seconds" total, section 5).
-  int probe_connect_retries = 2;
-  net::Duration probe_retry_backoff = net::seconds(1);
+  // Probe connections override the network ArqConfig with `probe_arq`
+  // (active only when the network's ARQ layer is on, i.e. a FaultProfile
+  // is enabled), so a dead path fails fast enough that a connect retry
+  // still fits inside the probe timeout (gfw.cpp).
   net::ArqConfig probe_arq{.rto = net::milliseconds(500),
                            .max_data_retries = 3,
                            .syn_timeout = net::seconds(1),
                            .max_syn_retries = 1,
                            .idle_timeout = net::Duration{}};
 
-  // Stage-1 plan per flagged connection.
-  double extra_r1_probability = 0.5;   // chance of each additional R1
-  int max_replays_per_payload = 47;
-  double r2_probability = 0.55;        // chance stage 1 includes an R2
-  double nr2_probability = 0.75;       // chance stage 1 includes an NR2
-
-  // Stage-2 cadence: a few probes per hour while the window is open.
-  net::Duration stage2_interval = net::minutes(25);
-  int stage2_batch_min = 1;
-  int stage2_batch_max = 3;
-  net::Duration stage2_duration = net::hours(48);
-
-  // Evidence weights by reaction.
-  double evidence_data = 2.0;
+  // Evidence weights of the non-data reactions (a data reply's weight is
+  // fixed in gfw.cpp).
   double evidence_rst = 0.30;
   double evidence_fin = 0.30;
   double evidence_timeout = 0.05;
@@ -149,10 +118,16 @@ class Gfw : public net::Middlebox {
 
   // Attaches the shard's resource governor: every probe-log record is
   // metered as one kProbeRecords unit. Null (the default) meters
-  // nothing. The governor must outlive the attachment.
-  void set_governor(net::ResourceGovernor* governor) { governor_ = governor; }
+  // nothing. The governor must outlive the attachment. probe_queue_cap
+  // caps in-flight probes: a probe launched at the cap waits in a FIFO
+  // admission queue of the same depth, and one arriving with the queue
+  // also full is shed and counted per server. 0 = unbounded.
+  void set_governor(net::ResourceGovernor* governor, std::size_t probe_queue_cap) {
+    governor_ = governor;
+    probe_queue_cap_ = probe_queue_cap;
+  }
 
-  // Shed-policy observability (all zero when probe_queue_cap is 0).
+  // Shed-policy observability (all zero when probe_queue_cap_ is 0).
   // Probes dropped because both the in-flight cap and the admission
   // queue were full.
   std::uint64_t probes_shed() const { return probes_shed_; }
@@ -202,7 +177,7 @@ class Gfw : public net::Middlebox {
     bool responded_with_data = false;
   };
 
-  // A probe waiting for an in-flight slot (probe_queue_cap > 0 only).
+  // A probe waiting for an in-flight slot (probe_queue_cap_ > 0 only).
   struct PendingProbe {
     net::Endpoint server;
     probesim::ProbeType type;
@@ -251,8 +226,9 @@ class Gfw : public net::Middlebox {
   SlotTable<ProbeAttempt> probes_;
 
   // Resource governance (inert while governor_ is null and
-  // probe_queue_cap is 0).
+  // probe_queue_cap_ is 0).
   net::ResourceGovernor* governor_ = nullptr;
+  std::size_t probe_queue_cap_ = 0;
   std::deque<PendingProbe> admission_queue_;
   std::uint64_t probes_shed_ = 0;
   std::uint64_t probes_deferred_ = 0;

@@ -4,31 +4,51 @@
 
 namespace gfwsim::gfw {
 
-const std::vector<AsProfile>& default_as_profiles() {
-  // Weights are the unique-address counts from Table 3; prefixes are
-  // synthetic /16s standing in for each AS's address space.
-  static const std::vector<AsProfile> profiles = {
-      {4837, "CHINA169-BACKBONE CNCGROUP China169 Backbone", 6262, net::Ipv4(202, 96, 0, 0)},
-      {4134, "CHINANET-BACKBONE No.31, Jin-rong Street", 5188, net::Ipv4(218, 30, 0, 0)},
-      {17622, "CNCGROUP-GZ China Unicom Guangzhou network", 315, net::Ipv4(58, 248, 0, 0)},
-      {17621, "CNCGROUP-SH China Unicom Shanghai network", 263, net::Ipv4(112, 64, 0, 0)},
-      {17816, "CHINA169-GZ China Unicom IP network", 104, net::Ipv4(113, 128, 0, 0)},
-      {4847, "CNIX-AP China Networks Inter-Exchange", 101, net::Ipv4(124, 235, 0, 0)},
-      {58563, "CHINANET Hubei", 44, net::Ipv4(175, 42, 0, 0)},
-      {17638, "CHINATELECOM Tianjin", 17, net::Ipv4(221, 213, 0, 0)},
-      {9808, "CMNET-GD Guangdong Mobile", 2, net::Ipv4(120, 192, 0, 0)},
-      {4812, "CHINANET-SH-AP China Telecom Shanghai", 1, net::Ipv4(116, 224, 0, 0)},
-      {24400, "CMNET-V4SHANGHAI-AS-AP Shanghai Mobile", 1, net::Ipv4(117, 184, 0, 0)},
-      {56046, "CMNET-JIANGSU-AP China Mobile Jiangsu", 1, net::Ipv4(223, 111, 0, 0)},
-      {56047, "CMNET-HUNAN-AP China Mobile Hunan", 1, net::Ipv4(223, 144, 0, 0)},
-  };
-  return profiles;
-}
+namespace {
 
-ProberPool::ProberPool(net::Network& net, ProberPoolConfig config, std::uint64_t seed)
-    : net_(net), config_(std::move(config)), rng_(seed) {
-  as_weights_.reserve(config_.as_profiles.size());
-  for (const auto& profile : config_.as_profiles) as_weights_.push_back(profile.weight);
+// Table 3: the prober addresses' ASes, weighted by their unique-address
+// counts; prefixes are synthetic /16s standing in for each AS's space.
+struct AsProfile {
+  int as_number;
+  const char* name;
+  double weight;
+  net::Ipv4 prefix;
+};
+constexpr AsProfile kAsProfiles[] = {
+    {4837, "CHINA169-BACKBONE CNCGROUP China169 Backbone", 6262, net::Ipv4(202, 96, 0, 0)},
+    {4134, "CHINANET-BACKBONE No.31, Jin-rong Street", 5188, net::Ipv4(218, 30, 0, 0)},
+    {17622, "CNCGROUP-GZ China Unicom Guangzhou network", 315, net::Ipv4(58, 248, 0, 0)},
+    {17621, "CNCGROUP-SH China Unicom Shanghai network", 263, net::Ipv4(112, 64, 0, 0)},
+    {17816, "CHINA169-GZ China Unicom IP network", 104, net::Ipv4(113, 128, 0, 0)},
+    {4847, "CNIX-AP China Networks Inter-Exchange", 101, net::Ipv4(124, 235, 0, 0)},
+    {58563, "CHINANET Hubei", 44, net::Ipv4(175, 42, 0, 0)},
+    {17638, "CHINATELECOM Tianjin", 17, net::Ipv4(221, 213, 0, 0)},
+    {9808, "CMNET-GD Guangdong Mobile", 2, net::Ipv4(120, 192, 0, 0)},
+    {4812, "CHINANET-SH-AP China Telecom Shanghai", 1, net::Ipv4(116, 224, 0, 0)},
+    {24400, "CMNET-V4SHANGHAI-AS-AP Shanghai Mobile", 1, net::Ipv4(117, 184, 0, 0)},
+    {56046, "CMNET-JIANGSU-AP China Mobile Jiangsu", 1, net::Ipv4(223, 111, 0, 0)},
+    {56047, "CMNET-HUNAN-AP China Mobile Hunan", 1, net::Ipv4(223, 144, 0, 0)},
+};
+
+// Lognormal parameters for each address's total probe budget (Figure 3):
+// the mean is ~4.2 probes/IP with <25% single-use and a max around 44.
+constexpr double kBudgetLogMean = 1.05;
+constexpr double kBudgetLogStddev = 0.9;
+constexpr int kBudgetCap = 47;
+// How many addresses are concurrently "hot".
+constexpr std::size_t kActiveSetSize = 64;
+// Source ports (Figure 5): ~90% in the Linux default ephemeral range, the
+// rest anywhere in [1212, 65237] outside it (1212 is the observed minimum).
+constexpr double kLinuxEphemeralFraction = 0.90;
+constexpr std::uint16_t kEphemeralLow = 32768, kEphemeralHigh = 60999;
+constexpr std::uint16_t kOtherLow = 1212, kOtherHigh = 65237;
+// IP TTL within 46-50 (section 3.4).
+constexpr std::uint8_t kTtlMin = 46, kTtlMax = 50;
+
+}  // namespace
+
+ProberPool::ProberPool(net::Network& net, std::uint64_t seed) : net_(net), rng_(seed) {
+  for (const AsProfile& profile : kAsProfiles) as_weights_.push_back(profile.weight);
 
   // Figure 6: at least seven shared TSval processes. One 250 Hz process
   // stamps the great majority; five more 250 Hz processes and a rarely
@@ -50,7 +70,7 @@ ProberPool::ProberPool(net::Network& net, ProberPoolConfig config, std::uint64_t
 ProberPool::Identity ProberPool::create_identity() {
   Identity identity;
   for (;;) {
-    const auto& profile = config_.as_profiles[rng_.weighted_index(as_weights_)];
+    const auto& profile = kAsProfiles[rng_.weighted_index(as_weights_)];
     const std::uint32_t host_part = static_cast<std::uint32_t>(rng_.uniform(1, 0xfffe));
     identity.ip = net::Ipv4(profile.prefix.value | host_part);
     identity.asn = profile.as_number;
@@ -61,14 +81,13 @@ ProberPool::Identity ProberPool::create_identity() {
 }
 
 ProberPool::Identity ProberPool::acquire() {
-  if (active_.size() < config_.active_set_size) {
+  if (active_.size() < kActiveSetSize) {
     // Grow the hot set with a fresh identity and a lognormal probe budget.
     const double z = std::sqrt(-2.0 * std::log(std::max(1e-12, rng_.uniform01()))) *
                      std::cos(6.283185307179586 * rng_.uniform01());
     const int budget = std::min(
-        config_.budget_cap,
-        std::max(1, static_cast<int>(std::lround(
-                        std::exp(config_.budget_log_mean + config_.budget_log_stddev * z)))));
+        kBudgetCap, std::max(1, static_cast<int>(std::lround(
+                                    std::exp(kBudgetLogMean + kBudgetLogStddev * z)))));
     active_.push_back(ActiveEntry{create_identity(), budget});
   }
 
@@ -95,22 +114,20 @@ net::Host& ProberPool::host_for(const Identity& identity) {
 net::ConnectOptions ProberPool::connect_options(const Identity& identity, crypto::Rng& rng) {
   net::ConnectOptions options;
 
-  if (rng.bernoulli(config_.linux_ephemeral_fraction)) {
-    options.src_port = static_cast<std::uint16_t>(
-        rng.uniform(config_.ephemeral_low, config_.ephemeral_high));
+  if (rng.bernoulli(kLinuxEphemeralFraction)) {
+    options.src_port = static_cast<std::uint16_t>(rng.uniform(kEphemeralLow, kEphemeralHigh));
   } else {
-    // The non-ephemeral tail: anywhere in [other_low, other_high] but
+    // The non-ephemeral tail: anywhere in [kOtherLow, kOtherHigh] but
     // outside the Linux range (otherwise the 90/10 split would skew).
-    const std::uint64_t below = config_.ephemeral_low - config_.other_low;
-    const std::uint64_t above = config_.other_high - config_.ephemeral_high;
+    const std::uint64_t below = kEphemeralLow - kOtherLow;
+    const std::uint64_t above = kOtherHigh - kEphemeralHigh;
     const std::uint64_t pick = rng.uniform(0, below + above - 1);
     options.src_port = static_cast<std::uint16_t>(
-        pick < below ? config_.other_low + pick
-                     : config_.ephemeral_high + 1 + (pick - below));
+        pick < below ? kOtherLow + pick : kEphemeralHigh + 1 + (pick - below));
   }
 
   net::HeaderProfile header;
-  header.ttl = static_cast<std::uint8_t>(rng.uniform(config_.ttl_min, config_.ttl_max));
+  header.ttl = static_cast<std::uint8_t>(rng.uniform(kTtlMin, kTtlMax));
   const int process = identity.tsval_process;
   header.tsval = [this, process](net::TimePoint now) { return tsval_at(process, now); };
   // No clear pattern in prober IP IDs (section 3.4): random per segment.

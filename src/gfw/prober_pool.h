@@ -16,7 +16,6 @@
 //     channel showing the probers are centrally controlled.
 #pragma once
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -25,42 +24,15 @@
 
 namespace gfwsim::gfw {
 
-struct AsProfile {
-  int as_number;
-  std::string name;
-  double weight;        // relative share of prober addresses (Table 3)
-  net::Ipv4 prefix;     // synthetic /16 the pool allocates from
-};
-
-// The Table 3 distribution.
-const std::vector<AsProfile>& default_as_profiles();
-
 struct TsvalProcess {
   double rate_hz;           // counter frequency (250 or 1000)
   std::uint32_t offset;     // counter value at simulation time zero
   double weight;            // share of probes stamped by this process
 };
 
-struct ProberPoolConfig {
-  std::vector<AsProfile> as_profiles = default_as_profiles();
-  // Lognormal parameters for each address's total probe budget; tuned so
-  // the mean is ~4.2 probes/IP with <25% single-use and a max around 44.
-  double budget_log_mean = 1.05;
-  double budget_log_stddev = 0.9;
-  int budget_cap = 47;
-  // How many addresses are concurrently "hot".
-  std::size_t active_set_size = 64;
-  // Source-port behaviour (Figure 5).
-  double linux_ephemeral_fraction = 0.90;
-  std::uint16_t ephemeral_low = 32768, ephemeral_high = 60999;
-  std::uint16_t other_low = 1212, other_high = 65237;
-  // TTL range (section 3.4).
-  std::uint8_t ttl_min = 46, ttl_max = 50;
-};
-
 class ProberPool {
  public:
-  ProberPool(net::Network& net, ProberPoolConfig config, std::uint64_t seed);
+  ProberPool(net::Network& net, std::uint64_t seed);
 
   struct Identity {
     net::Ipv4 ip;
@@ -101,7 +73,6 @@ class ProberPool {
   Identity create_identity();
 
   net::Network& net_;
-  ProberPoolConfig config_;
   crypto::Rng rng_;
   std::vector<double> as_weights_;
   std::vector<TsvalProcess> tsval_processes_;

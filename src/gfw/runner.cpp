@@ -240,6 +240,7 @@ ShardRun run_shard_supervised(const Scenario& scenario, std::uint32_t shard,
 }
 
 CampaignResult ShardedRunner::run(const Scenario& scenario) {
+  validate(scenario);
   const std::uint32_t shards = std::max<std::uint32_t>(1, options_.shards);
   const unsigned threads =
       static_cast<unsigned>(std::min<std::uint64_t>(resolved_threads(), shards));

@@ -11,10 +11,16 @@
 // policy (serial vs sharded-parallel) is the Runner layer's (gfw/runner.h).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "client/ss_client.h"
@@ -82,8 +88,8 @@ struct Scenario {
   // replay identically for any thread or worker count.
   struct ResourceConfig {
     net::ResourceLimits limits;
-    // Concurrent in-flight probe cap + admission-queue depth
-    // (GfwConfig::probe_queue_cap); 0 = unbounded.
+    // Concurrent in-flight probe cap + admission-queue depth; the World
+    // hands it to Gfw::set_governor. 0 = unbounded.
     std::size_t probe_queue_cap = 0;
     // Per-directed-path in-flight segment cap (Network::set_queue_cap);
     // overflow drops count under DropCause::kQueueOverflow. 0 = off.
@@ -111,7 +117,9 @@ struct Scenario {
 
   // Classifier acceleration: campaigns run fewer connections than the
   // paper's four months, so the trigger rate is scaled up to keep probe
-  // counts statistically useful while every *shape* is preserved.
+  // counts statistically useful while every *shape* is preserved. The
+  // World copies it into gfw.classifier.base_rate, which must stay at
+  // its default.
   double classifier_base_rate = 0.05;
 
   // Test-only failure injection for the supervision layer (crash
@@ -168,5 +176,147 @@ struct Scenario {
   // Base seed; shard i runs with shard_seed(base_seed, i) (gfw/runner.h).
   std::uint64_t base_seed = 0xCA4417A16;
 };
+
+// Refuses gfw.classifier.base_rate, the World's copy of classifier_base_rate.
+// The World and both runners call it first: a bad Scenario fails once.
+inline void validate(const Scenario& scenario) {
+  if (scenario.gfw.classifier.base_rate != ClassifierConfig{}.base_rate) {
+    throw std::invalid_argument(
+        "Scenario: set classifier_base_rate, not gfw.classifier.base_rate");
+  }
+}
+
+// ---- Rows: every value a Scenario can set, declared once --------------------
+//
+// Each config struct a Scenario reaches lists its members once, as
+// {name, member pointer} rows, the way gfw/runner.h declares its counters.
+// scenario_fingerprint (gfw/checkpoint.cpp) and its test walk these tables
+// instead of naming fields. A skip row is a member the fingerprint leaves
+// out on purpose; a type without a table is a leaf.
+
+template <typename S, typename T, bool Mixed = true>
+struct Row {
+  static constexpr bool mixed = Mixed;
+  const char* name;
+  T S::*member;
+};
+
+template <typename S>
+inline constexpr auto kRows = std::tuple<>{};
+template <typename S>
+concept HasRows = std::tuple_size_v<std::remove_cvref_t<decltype(kRows<S>)>> != 0;
+
+// Leaf kinds for the walkers of the tables (the fingerprint and its test):
+// is T an instance of Of (std::optional, std::vector, std::map, ...)?
+template <typename T, template <typename...> class Of>
+inline constexpr bool kIs = false;
+template <template <typename...> class Of, typename... Args>
+inline constexpr bool kIs<Of<Args...>, Of> = true;
+template <typename T>
+inline constexpr bool kIsArray = false;
+template <typename T, std::size_t N>
+inline constexpr bool kIsArray<std::array<T, N>> = true;
+
+namespace detail {
+// S{AnyMember x N} is valid exactly while N <= S's member count.
+struct AnyMember {
+  template <typename T>
+  operator T() const;
+};
+template <typename S, typename... Members>
+constexpr std::size_t member_count() {
+  if constexpr (requires { S{Members{}..., AnyMember{}}; }) {
+    return member_count<S, Members..., AnyMember>();
+  }
+  return sizeof...(Members);
+}
+// No two rows of a table name the same member.
+template <typename Rows>
+constexpr bool distinct_rows(const Rows& rows) {
+  return std::apply(
+      [](const auto&... row) {
+        const std::string_view names[] = {row.name...};
+        return std::ranges::all_of(
+            names, [&](std::string_view n) { return std::ranges::count(names, n) == 1; });
+      },
+      rows);
+}
+}  // namespace detail
+
+// Calls f(row) for each row of S's table, in table order.
+template <typename S, typename F>
+constexpr void for_each_row(F&& f) {
+  std::apply([&](const auto&... row) { (f(row), ...); }, kRows<S>);
+}
+
+// GFWSIM_ROWS(S, rows...) declares S's table; a row's name is its
+// member's. Its static_asserts are the tripwire: a member added to S
+// without a row (or a skip row), or a member listed twice, fails the
+// build.
+#define GFWSIM_ROWS(Type, ...)                                                      \
+  template <>                                                                       \
+  inline constexpr auto kRows<Type> = [] {                                          \
+    using S = Type;                                                                 \
+    constexpr std::tuple rows{__VA_ARGS__};                                         \
+    static_assert(detail::distinct_rows(rows), "a member of " #Type " has two rows"); \
+    static_assert(std::tuple_size_v<decltype(rows)> == detail::member_count<S>(),   \
+                  "every member of " #Type " needs a row");                         \
+    return rows;                                                                    \
+  }()
+#define GFWSIM_ROW(m) Row{#m, &S::m}
+#define GFWSIM_SKIP(m) Row<S, decltype(S::m), false>{#m, &S::m}
+
+// debug_fail_shard is test-only failure injection: a rerun with the fault
+// off must resume the faulted run's journal.
+GFWSIM_ROWS(Scenario, GFWSIM_ROW(server), GFWSIM_ROW(raw_traffic), GFWSIM_ROW(client),
+            GFWSIM_ROW(traffic), GFWSIM_ROW(duration), GFWSIM_ROW(connection_interval),
+            GFWSIM_ROW(server_inside_china), GFWSIM_ROW(gfw), GFWSIM_ROW(resources),
+            GFWSIM_ROW(faults), GFWSIM_ROW(arq), GFWSIM_ROW(use_brdgrd), GFWSIM_ROW(brdgrd),
+            GFWSIM_ROW(classifier_base_rate), GFWSIM_SKIP(debug_fail_shard),
+            GFWSIM_ROW(fleet), GFWSIM_ROW(base_seed));
+GFWSIM_ROWS(ServerSpec, GFWSIM_ROW(server), GFWSIM_ROW(port), GFWSIM_ROW(ip),
+            GFWSIM_ROW(inside_china), GFWSIM_ROW(region), GFWSIM_ROW(use_brdgrd),
+            GFWSIM_ROW(brdgrd), GFWSIM_ROW(traffic), GFWSIM_ROW(connection_interval),
+            GFWSIM_ROW(raw_traffic), GFWSIM_ROW(client), GFWSIM_ROW(latency),
+            GFWSIM_ROW(faults));
+GFWSIM_ROWS(probesim::ServerSetup, GFWSIM_ROW(impl), GFWSIM_ROW(cipher), GFWSIM_ROW(password));
+// The World fills in an unset is_domestic. classifier.base_rate is its
+// copy of classifier_base_rate, so validate() refuses a Scenario that
+// sets it, and the fingerprint skips it.
+GFWSIM_ROWS(GfwConfig, GFWSIM_ROW(is_domestic), GFWSIM_ROW(classifier), GFWSIM_ROW(blocking),
+            GFWSIM_ROW(enable_staging), GFWSIM_ROW(probe_arq),
+            GFWSIM_ROW(evidence_rst), GFWSIM_ROW(evidence_fin), GFWSIM_ROW(evidence_timeout));
+GFWSIM_ROWS(ClassifierConfig, GFWSIM_ROW(use_length_feature), GFWSIM_ROW(use_entropy_feature),
+            GFWSIM_SKIP(base_rate));
+GFWSIM_ROWS(BlockingConfig, GFWSIM_ROW(confirmation_threshold), GFWSIM_ROW(block_probability),
+            GFWSIM_ROW(sensitive_block_probability), GFWSIM_ROW(block_by_ip_fraction),
+            GFWSIM_ROW(min_block_duration), GFWSIM_ROW(max_block_duration),
+            GFWSIM_ROW(region_policies));
+GFWSIM_ROWS(RegionPolicy, GFWSIM_ROW(block_probability),
+            GFWSIM_ROW(sensitive_block_probability));
+GFWSIM_ROWS(net::FaultProfile, GFWSIM_ROW(loss), GFWSIM_ROW(duplicate), GFWSIM_ROW(reorder),
+            GFWSIM_ROW(reorder_delay), GFWSIM_ROW(jitter), GFWSIM_ROW(outages),
+            GFWSIM_ROW(flap_period), GFWSIM_ROW(flap_down));
+GFWSIM_ROWS(net::LinkOutage, GFWSIM_ROW(start), GFWSIM_ROW(duration));
+GFWSIM_ROWS(net::ArqConfig, GFWSIM_ROW(rto), GFWSIM_ROW(max_data_retries),
+            GFWSIM_ROW(syn_timeout), GFWSIM_ROW(max_syn_retries), GFWSIM_ROW(idle_timeout));
+GFWSIM_ROWS(defense::BrdgrdConfig, GFWSIM_ROW(min_window), GFWSIM_ROW(max_window),
+            GFWSIM_ROW(randomize_window), GFWSIM_ROW(sticky_period),
+            GFWSIM_ROW(restore_after));
+GFWSIM_ROWS(client::ClientConfig, GFWSIM_ROW(cipher), GFWSIM_ROW(password),
+            GFWSIM_ROW(merge_header_and_data), GFWSIM_ROW(embed_timestamp));
+GFWSIM_ROWS(client::TrafficSpec, GFWSIM_ROW(kind), GFWSIM_ROW(sites), GFWSIM_ROW(min_len),
+            GFWSIM_ROW(max_len), GFWSIM_ROW(min_entropy), GFWSIM_ROW(max_entropy),
+            GFWSIM_ROW(custom));
+GFWSIM_ROWS(client::BrowsingTraffic::Site, GFWSIM_ROW(hostname), GFWSIM_ROW(https),
+            GFWSIM_ROW(weight));
+GFWSIM_ROWS(Scenario::ResourceConfig, GFWSIM_ROW(limits), GFWSIM_ROW(probe_queue_cap),
+            GFWSIM_ROW(path_queue_cap));
+GFWSIM_ROWS(net::ResourceLimits, GFWSIM_ROW(total_bytes), GFWSIM_ROW(unit_caps),
+            GFWSIM_ROW(fail_at_acquisition), GFWSIM_ROW(fail_probability));
+
+#undef GFWSIM_SKIP
+#undef GFWSIM_ROW
+#undef GFWSIM_ROWS
 
 }  // namespace gfwsim::gfw

@@ -54,6 +54,7 @@ World::World(const Scenario& scenario, std::uint64_t seed, std::uint32_t shard_i
       seed_(seed),
       shard_index_(shard_index),
       internet_(crypto::Rng(seed ^ 0x1e7)) {
+  validate(scenario_);
   build();
 }
 
@@ -154,11 +155,10 @@ void World::build() {
   GfwConfig gfw_config = scenario_.gfw;
   if (!gfw_config.is_domestic) gfw_config.is_domestic = default_is_domestic;
   gfw_config.classifier.base_rate = scenario_.classifier_base_rate;
-  if (scenario_.resources.probe_queue_cap != 0) {
-    gfw_config.probe_queue_cap = scenario_.resources.probe_queue_cap;
-  }
   gfw_ = std::make_unique<Gfw>(net_, std::move(gfw_config), seed_ ^ 0x6f3);
-  if (scenario_.resources.enabled()) gfw_->set_governor(&governor_);
+  if (scenario_.resources.enabled()) {
+    gfw_->set_governor(&governor_, scenario_.resources.probe_queue_cap);
+  }
   net_.add_middlebox(gfw_.get());
   if (explicit_fleet) {
     for (std::size_t i = 0; i < rigs_.size(); ++i) {

@@ -116,7 +116,6 @@ class Host {
   // may clamp the receive window) before the SYN/ACK is emitted.
   void listen(std::uint16_t port, Acceptor acceptor);
   void stop_listening(std::uint16_t port);
-  bool listening(std::uint16_t port) const { return listeners_.count(port) > 0; }
 
   std::shared_ptr<Connection> connect(Endpoint remote, ConnectionCallbacks callbacks,
                                       ConnectOptions options = {});

@@ -16,7 +16,6 @@ using Duration = std::chrono::nanoseconds;
 using TimePoint = std::chrono::nanoseconds;
 
 constexpr Duration nanoseconds(std::int64_t n) { return Duration(n); }
-constexpr Duration microseconds(std::int64_t n) { return Duration(n * 1000); }
 constexpr Duration milliseconds(std::int64_t n) { return Duration(n * 1000000); }
 constexpr Duration seconds(std::int64_t n) { return Duration(n * 1000000000); }
 constexpr Duration minutes(std::int64_t n) { return seconds(n * 60); }

@@ -7,15 +7,24 @@
 // campaign, torn tail).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
+#include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <typeinfo>
 #include <vector>
 
 #include "crypto/sha1.h"
 #include "gfw/checkpoint.h"
+#include "gfw/dist_runner.h"
+#include "gfw/world.h"
 #include "proxy/cipher.h"
 
 namespace gfwsim {
@@ -448,13 +457,13 @@ TEST(Checkpoint, ResumeRefusesAChangedFleet) {
   std::remove(path.c_str());
 }
 
-// The fleet scenario with every config struct the fingerprint mixes set
-// away from its default in both places it appears: scenario-wide and in
-// a fleet override.
+// The fleet scenario with every optional override of fleet[1] set and
+// every container holding an element, so that walking its leaves reaches
+// every row of every row table.
 gfw::Scenario configured_scenario() {
   gfw::Scenario scenario = small_fleet_scenario();
   const net::LinkOutage outage{net::minutes(10), net::minutes(5)};
-  scenario.faults.reorder_delay = net::milliseconds(80);
+  scenario.traffic.sites = {{"example.org", true, 1.0}};
   scenario.faults.outages = {outage};
   net::FaultProfile faults;
   faults.loss = 0.01;
@@ -466,157 +475,188 @@ gfw::Scenario configured_scenario() {
   return scenario;
 }
 
+template <typename S, typename R>
+using MemberType = std::remove_cvref_t<decltype(std::declval<S&>().*R{}.member)>;
+
+template <typename T>
+std::string row_id(const char* row) {
+  return std::string(typeid(T).name()) + "::" + row;
+}
+
+// Every row of every table a Scenario reaches, found by type alone.
+template <typename T>
+void collect_rows(std::set<std::string>& out) {
+  if constexpr (gfw::HasRows<T>) {
+    gfw::for_each_row<T>([&](const auto& row) {
+      out.insert(row_id<T>(row.name));
+      collect_rows<MemberType<T, std::remove_cvref_t<decltype(row)>>>(out);
+    });
+  } else if constexpr (gfw::kIs<T, std::optional> || gfw::kIs<T, std::vector> ||
+                       gfw::kIsArray<T>) {
+    collect_rows<typename T::value_type>(out);
+  } else if constexpr (gfw::kIs<T, std::map>) {
+    collect_rows<typename T::mapped_type>(out);
+  }
+}
+
+// Changes one leaf value so that its fingerprint rule must see it.
+template <typename T>
+void perturb_leaf(T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = !v;
+  } else if constexpr (std::is_enum_v<T>) {
+    v = static_cast<T>(static_cast<std::underlying_type_t<T>>(v) + 1);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    v = static_cast<T>(v + 1);
+  } else if constexpr (std::is_same_v<T, net::Duration>) {
+    v += net::Duration(1);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v += "x";
+  } else if constexpr (std::is_same_v<T, net::Ipv4>) {
+    v.value += 1;
+  } else if constexpr (std::is_same_v<T, const proxy::CipherSpec*>) {
+    const proxy::CipherSpec* aes = proxy::find_cipher("aes-256-gcm");
+    v = v == aes ? proxy::find_cipher("chacha20-ietf-poly1305") : aes;
+  } else if constexpr (gfw::kIs<T, std::function>) {
+    if (v) {
+      v = nullptr;
+    } else {
+      v = [](auto...) { return typename T::result_type{}; };
+    }
+  } else {
+    static_assert(std::is_same_v<T, gfw::Scenario::DebugFailShard>, "no perturbation rule");
+    v.enabled = true;
+    v.shard = 1;
+    v.stall = true;
+    v.after = net::minutes(5);
+    v.fail_attempts = 1;
+    v.die = true;
+  }
+}
+
+// Walks the leaves a Scenario's row tables reach, in table order, and
+// perturbs leaf number `target`. Optionals, vectors and maps are leaves
+// too (presence or size), and the walk also enters their contents.
+struct Perturbation {
+  explicit Perturbation(std::size_t leaf) : target(leaf) {}
+  std::size_t target;
+  std::size_t seen = 0;
+  bool done = false;
+  std::string path;    // the perturbed leaf
+  bool mixed = true;   // false: the leaf sits under a skip row
+  std::set<std::string> rows_reached;
+
+  bool hit(const std::string& at, bool under_mixed) {
+    if (done || seen++ != target) return false;
+    done = true;
+    path = at;
+    mixed = under_mixed;
+    return true;
+  }
+
+  template <typename T>
+  void visit(T& v, const std::string& at, bool under_mixed) {
+    if (done) return;
+    if constexpr (gfw::HasRows<T>) {
+      gfw::for_each_row<T>([&](const auto& row) {
+        rows_reached.insert(row_id<T>(row.name));
+        visit(v.*row.member, at + "." + row.name, under_mixed && row.mixed);
+      });
+    } else if constexpr (gfw::kIs<T, std::optional>) {
+      if (hit(at + ".has_value", under_mixed)) {
+        if (v) v.reset(); else v.emplace();
+      } else if (v) {
+        visit(*v, at, under_mixed);
+      }
+    } else if constexpr (gfw::kIs<T, std::vector> || gfw::kIs<T, std::map>) {
+      if (hit(at + ".size", under_mixed)) {
+        if constexpr (gfw::kIs<T, std::vector>) {
+          v.emplace_back();
+        } else {
+          v.try_emplace("perturbed");
+        }
+        return;
+      }
+      std::size_t i = 0;
+      for (auto& element : v) {
+        if constexpr (gfw::kIs<T, std::map>) {
+          visit(element.second, at + "[" + element.first + "]", under_mixed);
+        } else {
+          visit(element, at + "[" + std::to_string(i++) + "]", under_mixed);
+        }
+      }
+    } else if constexpr (gfw::kIsArray<T>) {
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        visit(v[i], at + "[" + std::to_string(i) + "]", under_mixed);
+      }
+    } else if (hit(at, under_mixed)) {
+      perturb_leaf(v);
+    }
+  }
+};
+
 TEST(Checkpoint, FingerprintCoversEveryConfigStruct) {
-  // Each of these fields changes what a shard computes, so a journal
-  // written before the change must not be resumed after it.
-  struct Mutation {
-    const char* field;
-    std::function<void(gfw::Scenario&)> apply;
-  };
-  const std::vector<Mutation> mutations = {
-      {"traffic.kind",
-       [](gfw::Scenario& s) { s.traffic = client::TrafficSpec::random_exp2(); }},
-      {"traffic.sites",
-       [](gfw::Scenario& s) { s.traffic.sites.push_back({"example.org", true, 1.0}); }},
-      {"traffic.max_len", [](gfw::Scenario& s) { s.traffic.max_len = 999; }},
-      {"traffic.min_entropy", [](gfw::Scenario& s) { s.traffic.min_entropy = 6.5; }},
-      {"traffic.custom",
-       [](gfw::Scenario& s) {
-         s.traffic.custom = [](std::uint32_t) {
-           return std::unique_ptr<client::TrafficModel>();
-         };
-       }},
-      {"gfw.classifier.use_length_feature",
-       [](gfw::Scenario& s) { s.gfw.classifier.use_length_feature = false; }},
-      {"gfw.classifier.use_entropy_feature",
-       [](gfw::Scenario& s) { s.gfw.classifier.use_entropy_feature = false; }},
-      {"gfw.blocking.confirmation_threshold",
-       [](gfw::Scenario& s) { s.gfw.blocking.confirmation_threshold = 2.5; }},
-      {"gfw.blocking.block_probability",
-       [](gfw::Scenario& s) { s.gfw.blocking.block_probability = 0.0; }},
-      {"gfw.blocking.sensitive_block_probability",
-       [](gfw::Scenario& s) { s.gfw.blocking.sensitive_block_probability = 0.0; }},
-      {"gfw.blocking.block_by_ip_fraction",
-       [](gfw::Scenario& s) { s.gfw.blocking.block_by_ip_fraction = 0.5; }},
-      {"gfw.blocking.min_block_duration",
-       [](gfw::Scenario& s) { s.gfw.blocking.min_block_duration = net::hours(1); }},
-      {"gfw.blocking.max_block_duration",
-       [](gfw::Scenario& s) { s.gfw.blocking.max_block_duration = net::hours(2); }},
-      {"gfw.blocking.region_policies",
-       [](gfw::Scenario& s) { s.gfw.blocking.region_policies["unicom"].block_probability = 1.0; }},
-      {"faults.reorder_delay",
-       [](gfw::Scenario& s) { s.faults.reorder_delay = net::milliseconds(90); }},
-      {"faults.flap_period", [](gfw::Scenario& s) { s.faults.flap_period = net::hours(1); }},
-      {"faults.flap_down", [](gfw::Scenario& s) { s.faults.flap_down = net::minutes(1); }},
-      {"faults.outages[0].start",
-       [](gfw::Scenario& s) { s.faults.outages[0].start = net::minutes(20); }},
-      {"faults.outages[0].duration",
-       [](gfw::Scenario& s) { s.faults.outages[0].duration = net::minutes(6); }},
-      {"fleet[1].faults.reorder_delay",
-       [](gfw::Scenario& s) { s.fleet[1].faults->reorder_delay = net::milliseconds(90); }},
-      {"fleet[1].faults.flap_period",
-       [](gfw::Scenario& s) { s.fleet[1].faults->flap_period = net::hours(1); }},
-      {"fleet[1].faults.flap_down",
-       [](gfw::Scenario& s) { s.fleet[1].faults->flap_down = net::minutes(1); }},
-      {"fleet[1].faults.outages[0].start",
-       [](gfw::Scenario& s) { s.fleet[1].faults->outages[0].start = net::minutes(20); }},
-      {"fleet[1].traffic.sites",
-       [](gfw::Scenario& s) { s.fleet[1].traffic->sites.push_back({"example.org", true, 1.0}); }},
-      {"fleet[1].traffic.max_entropy",
-       [](gfw::Scenario& s) { s.fleet[1].traffic->max_entropy = 7.5; }},
-      {"arq.rto", [](gfw::Scenario& s) { s.arq.rto = net::milliseconds(700); }},
-      {"arq.max_data_retries", [](gfw::Scenario& s) { s.arq.max_data_retries = 9; }},
-      {"arq.syn_timeout", [](gfw::Scenario& s) { s.arq.syn_timeout = net::seconds(3); }},
-      {"arq.max_syn_retries", [](gfw::Scenario& s) { s.arq.max_syn_retries = 1; }},
-      {"arq.idle_timeout", [](gfw::Scenario& s) { s.arq.idle_timeout = net::minutes(1); }},
-      {"brdgrd.min_window", [](gfw::Scenario& s) { s.brdgrd.min_window = 10; }},
-      {"brdgrd.max_window", [](gfw::Scenario& s) { s.brdgrd.max_window = 50; }},
-      {"brdgrd.randomize_window", [](gfw::Scenario& s) { s.brdgrd.randomize_window = false; }},
-      {"brdgrd.sticky_period",
-       [](gfw::Scenario& s) { s.brdgrd.sticky_period = net::hours(2); }},
-      {"brdgrd.restore_after",
-       [](gfw::Scenario& s) { s.brdgrd.restore_after = net::milliseconds(900); }},
-      {"brdgrd.restored_window", [](gfw::Scenario& s) { s.brdgrd.restored_window = 4096; }},
-      {"client.cipher",
-       [](gfw::Scenario& s) { s.client.cipher = proxy::find_cipher("aes-256-gcm"); }},
-      {"client.password", [](gfw::Scenario& s) { s.client.password = "hunter2"; }},
-      {"client.merge_header_and_data",
-       [](gfw::Scenario& s) { s.client.merge_header_and_data = true; }},
-      {"client.embed_timestamp", [](gfw::Scenario& s) { s.client.embed_timestamp = true; }},
-      {"fleet[1].client.cipher",
-       [](gfw::Scenario& s) {
-         s.fleet[1].client->cipher = proxy::find_cipher("aes-128-gcm");
-       }},
-      {"fleet[1].client.password",
-       [](gfw::Scenario& s) { s.fleet[1].client->password = "x"; }},
-      {"fleet[1].client.merge_header_and_data",
-       [](gfw::Scenario& s) { s.fleet[1].client->merge_header_and_data = true; }},
-      {"fleet[1].client.embed_timestamp",
-       [](gfw::Scenario& s) { s.fleet[1].client->embed_timestamp = true; }},
-      {"fleet[1].brdgrd.min_window",
-       [](gfw::Scenario& s) { s.fleet[1].brdgrd.min_window = 5; }},
-      {"fleet[1].brdgrd.max_window",
-       [](gfw::Scenario& s) { s.fleet[1].brdgrd.max_window = 60; }},
-      {"fleet[1].brdgrd.randomize_window",
-       [](gfw::Scenario& s) { s.fleet[1].brdgrd.randomize_window = false; }},
-      {"fleet[1].brdgrd.sticky_period",
-       [](gfw::Scenario& s) { s.fleet[1].brdgrd.sticky_period = net::hours(3); }},
-      {"fleet[1].brdgrd.restore_after",
-       [](gfw::Scenario& s) { s.fleet[1].brdgrd.restore_after = net::seconds(1); }},
-      {"fleet[1].brdgrd.restored_window",
-       [](gfw::Scenario& s) { s.fleet[1].brdgrd.restored_window = 8192; }},
-      {"gfw.is_domestic",
-       [](gfw::Scenario& s) { s.gfw.is_domestic = [](net::Ipv4) { return true; }; }},
-      {"gfw.pool.as_profiles",
-       [](gfw::Scenario& s) { s.gfw.pool.as_profiles[0].weight += 1.0; }},
-      {"gfw.pool.budget_log_mean", [](gfw::Scenario& s) { s.gfw.pool.budget_log_mean = 2.0; }},
-      {"gfw.pool.budget_log_stddev",
-       [](gfw::Scenario& s) { s.gfw.pool.budget_log_stddev = 0.1; }},
-      {"gfw.pool.budget_cap", [](gfw::Scenario& s) { s.gfw.pool.budget_cap = 10; }},
-      {"gfw.pool.active_set_size", [](gfw::Scenario& s) { s.gfw.pool.active_set_size = 8; }},
-      {"gfw.pool.linux_ephemeral_fraction",
-       [](gfw::Scenario& s) { s.gfw.pool.linux_ephemeral_fraction = 0.5; }},
-      {"gfw.pool.ephemeral_low", [](gfw::Scenario& s) { s.gfw.pool.ephemeral_low = 40000; }},
-      {"gfw.pool.ephemeral_high", [](gfw::Scenario& s) { s.gfw.pool.ephemeral_high = 50000; }},
-      {"gfw.pool.other_low", [](gfw::Scenario& s) { s.gfw.pool.other_low = 2000; }},
-      {"gfw.pool.other_high", [](gfw::Scenario& s) { s.gfw.pool.other_high = 9000; }},
-      {"gfw.pool.ttl_min", [](gfw::Scenario& s) { s.gfw.pool.ttl_min = 40; }},
-      {"gfw.pool.ttl_max", [](gfw::Scenario& s) { s.gfw.pool.ttl_max = 60; }},
-      {"gfw.enable_active_probing",
-       [](gfw::Scenario& s) { s.gfw.enable_active_probing = false; }},
-      {"gfw.enable_staging", [](gfw::Scenario& s) { s.gfw.enable_staging = false; }},
-      {"gfw.probe_queue_cap", [](gfw::Scenario& s) { s.gfw.probe_queue_cap = 3; }},
-      {"gfw.probe_timeout", [](gfw::Scenario& s) { s.gfw.probe_timeout = net::seconds(9); }},
-      {"gfw.probe_connect_retries", [](gfw::Scenario& s) { s.gfw.probe_connect_retries = 0; }},
-      {"gfw.probe_retry_backoff",
-       [](gfw::Scenario& s) { s.gfw.probe_retry_backoff = net::seconds(2); }},
-      {"gfw.probe_arq.rto",
-       [](gfw::Scenario& s) { s.gfw.probe_arq.rto = net::milliseconds(250); }},
-      {"gfw.probe_arq.max_syn_retries",
-       [](gfw::Scenario& s) { s.gfw.probe_arq.max_syn_retries = 3; }},
-      {"gfw.extra_r1_probability",
-       [](gfw::Scenario& s) { s.gfw.extra_r1_probability = 0.25; }},
-      {"gfw.max_replays_per_payload",
-       [](gfw::Scenario& s) { s.gfw.max_replays_per_payload = 5; }},
-      {"gfw.r2_probability", [](gfw::Scenario& s) { s.gfw.r2_probability = 0.1; }},
-      {"gfw.nr2_probability", [](gfw::Scenario& s) { s.gfw.nr2_probability = 0.1; }},
-      {"gfw.stage2_interval",
-       [](gfw::Scenario& s) { s.gfw.stage2_interval = net::minutes(5); }},
-      {"gfw.stage2_batch_min", [](gfw::Scenario& s) { s.gfw.stage2_batch_min = 2; }},
-      {"gfw.stage2_batch_max", [](gfw::Scenario& s) { s.gfw.stage2_batch_max = 6; }},
-      {"gfw.stage2_duration", [](gfw::Scenario& s) { s.gfw.stage2_duration = net::hours(1); }},
-      {"gfw.evidence_data", [](gfw::Scenario& s) { s.gfw.evidence_data = 1.0; }},
-      {"gfw.evidence_rst", [](gfw::Scenario& s) { s.gfw.evidence_rst = 0.5; }},
-      {"gfw.evidence_fin", [](gfw::Scenario& s) { s.gfw.evidence_fin = 0.5; }},
-      {"gfw.evidence_timeout", [](gfw::Scenario& s) { s.gfw.evidence_timeout = 0.5; }},
-  };
+  // Perturb every leaf under every row, one at a time: a journal written
+  // before a change to a mixed leaf must not be resumed after it, and a
+  // change under a skip row must not refuse a resume.
   const std::uint64_t base = gfw::scenario_fingerprint(configured_scenario());
   EXPECT_EQ(base, gfw::scenario_fingerprint(configured_scenario()));
-  for (const Mutation& mutation : mutations) {
+  std::set<std::string> rows_reached;
+  std::vector<std::string> skipped;
+  for (std::size_t target = 0;; ++target) {
     gfw::Scenario changed = configured_scenario();
-    mutation.apply(changed);
-    EXPECT_NE(gfw::scenario_fingerprint(changed), base) << mutation.field;
+    Perturbation p(target);
+    p.visit(changed, "scenario", true);
+    rows_reached.insert(p.rows_reached.begin(), p.rows_reached.end());
+    if (!p.done) break;
+    if (p.mixed) {
+      EXPECT_NE(gfw::scenario_fingerprint(changed), base) << p.path;
+    } else {
+      EXPECT_EQ(gfw::scenario_fingerprint(changed), base) << p.path;
+      skipped.push_back(p.path);
+    }
   }
+  std::set<std::string> every_row;
+  collect_rows<gfw::Scenario>(every_row);
+  EXPECT_EQ(rows_reached, every_row);
+  EXPECT_EQ(skipped, (std::vector<std::string>{"scenario.gfw.classifier.base_rate",
+                                               "scenario.debug_fail_shard"}));
+}
+
+// gfw.classifier.base_rate is the World's copy of classifier_base_rate (a
+// skip row above). A Scenario that sets it is refused once, naming the
+// field to set instead, before any shard runs or any journal is written.
+template <typename Run>
+std::string campaign_error(Run run) {
+  try {
+    run();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WorldOwnedFields, ClassifierBaseRateIsRefusedBeforeAnyShardRuns) {
+  gfw::Scenario scenario = small_fleet_scenario();
+  scenario.gfw.classifier.base_rate = 0.5;
+  const std::string path = temp_path("world_owned.ckpt");
+  std::remove(path.c_str());
+  gfw::ShardedRunnerOptions options(/*shards=*/2, /*threads=*/1);
+  options.checkpoint_path = path;
+  gfw::ShardedRunner runner(options);
+  int shards_started = 0;
+  runner.set_before_run([&](gfw::World&, std::uint32_t) { ++shards_started; });
+  const std::string sharded = campaign_error([&] { runner.run(scenario); });
+  EXPECT_NE(sharded.find("classifier_base_rate"), std::string::npos);
+  EXPECT_EQ(shards_started, 0);
+  EXPECT_FALSE(gfw::checkpoint_exists(path));
+
+  gfw::DistRunnerOptions dist;
+  dist.shards = 2;
+  dist.workers = 1;
+  const std::string forked = campaign_error([&] { gfw::DistRunner(dist).run(scenario); });
+  EXPECT_EQ(forked, sharded);
+  EXPECT_EQ(campaign_error([&] { gfw::World(scenario, scenario.base_seed); }), sharded);
 }
 
 TEST(Checkpoint, ResumeRefusesAChangedTrafficSpec) {

@@ -9,7 +9,7 @@ namespace {
 struct PoolFixture : ::testing::Test {
   net::EventLoop loop;
   net::Network net{loop};
-  ProberPool pool{net, ProberPoolConfig{}, 0xAB};
+  ProberPool pool{net, 0xAB};
   crypto::Rng rng{0xCD};
 };
 
