@@ -3,17 +3,21 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -39,10 +43,15 @@ constexpr std::uint8_t kMsgHeartbeat = 'H';   // liveness; events sampled
 constexpr std::uint8_t kMsgShardStart = 'S';  // shard = starting shard
 constexpr std::uint8_t kMsgShardDone = 'D';   // shard completed + journaled
 constexpr std::uint8_t kMsgShardFailed = 'F';  // shard quarantined in-worker
+constexpr std::uint8_t kMsgNext = 'N';        // idle; blocks for an assignment
 constexpr std::uint32_t kNoShard = 0xFFFFFFFFu;
 
+// Coordinator → worker, one 8-byte reply per 'N' on the worker's own
+// assignment channel: u32 shard, u32 attempt base. kNoShard = exit 0.
+constexpr std::size_t kAssignSize = 8;
+
 // Worker exit codes the coordinator understands.
-constexpr int kExitOk = 0;           // range finished
+constexpr int kExitOk = 0;           // told kNoShard: nothing left to run
 constexpr int kExitJournal = 2;      // could not open/write the slot journal
 constexpr int kExitInterrupted = 3;  // SIGTERM honored between shards
 
@@ -101,21 +110,39 @@ void send_msg(int fd, std::uint8_t tag, std::uint32_t shard, std::uint64_t event
 volatile std::sig_atomic_t g_worker_stop = 0;
 void worker_term_handler(int) { g_worker_stop = 1; }
 
+// Blocks for the coordinator's reply to an 'N' and returns the assigned
+// shard. EOF (the coordinator is gone) reads as kNoShard.
+std::uint32_t recv_assignment(int fd, int& attempt_base) {
+  std::uint8_t buf[kAssignSize];
+  std::size_t got = 0;
+  while (got < kAssignSize) {
+    const ssize_t n = ::read(fd, buf + got, kAssignSize - got);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      return kNoShard;
+    }
+  }
+  attempt_base = static_cast<int>(load_le32(buf + 4));
+  return load_le32(buf);
+}
+
 // Everything a worker needs, captured in coordinator memory immediately
-// before fork(): the child reads the fork-time snapshot, so the
-// scenario, hooks, and skip/attempt state need no serialization at all.
+// before fork(): the child reads the fork-time snapshot, so the scenario,
+// hooks and first assignment need no serialization and no round trip.
 struct WorkerConfig {
   const Scenario* scenario = nullptr;
   const ShardHook* before = nullptr;
   const ShardHook* after = nullptr;
   std::string journal_path;
   CheckpointHeader header;
-  std::uint32_t range_lo = 0;
-  std::uint32_t range_hi = 0;
-  const std::vector<char>* done = nullptr;  // completed or quarantined
-  const std::vector<int>* attempts = nullptr;  // spent in dead processes
+  std::uint32_t first_shard = kNoShard;
+  int first_attempt_base = 0;  // attempts the shard spent in dead processes
   int max_attempts = 1;
   int hb_fd = -1;
+  int assign_fd = -1;  // the worker's end of its assignment channel
   std::chrono::milliseconds heartbeat_interval{25};
   std::chrono::milliseconds stall_timeout{0};
   // Slot index, recorded in the kind-5 worker-io frame.
@@ -145,6 +172,43 @@ void apply_rlimit(int resource, std::uint64_t value) {
     }
   }
 }
+
+// Sends a heartbeat every `interval` until destroyed. The destructor wakes
+// the thread through a condition variable and joins it, so a finishing
+// worker does not wait out an interval before it can be reaped, and an
+// exception leaving the shard loop never destroys a joinable thread.
+class Heartbeat {
+ public:
+  Heartbeat(int fd, std::chrono::milliseconds interval,
+            const std::atomic<std::uint32_t>& shard, const net::LoopProgress& progress,
+            WorkerIoStats& io)
+      : thread_([this, fd, interval, &shard, &progress, &io] {
+          std::unique_lock lock(mutex_);
+          while (!stop_) {
+            lock.unlock();
+            send_msg(fd, kMsgHeartbeat, shard.load(std::memory_order_relaxed),
+                     progress.events.load(std::memory_order_relaxed), &io);
+            lock.lock();
+            wake_.wait_for(lock, interval, [this] { return stop_; });
+          }
+        }) {}
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
+  ~Heartbeat() {
+    {
+      const std::lock_guard lock(mutex_);
+      stop_ = true;
+    }
+    wake_.notify_one();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  bool stop_ = false;  // guarded by mutex_
+  std::thread thread_;  // last: starts once the members it reads exist
+};
 
 [[noreturn]] void worker_main(const WorkerConfig& cfg) {
   std::signal(SIGTERM, worker_term_handler);
@@ -193,28 +257,17 @@ void apply_rlimit(int resource, std::uint64_t value) {
 
     net::LoopProgress progress;
     std::atomic<std::uint32_t> current_shard{kNoShard};
-    std::atomic<bool> hb_stop{false};
-    std::thread heartbeat([&] {
-      while (!hb_stop.load(std::memory_order_relaxed)) {
-        send_msg(cfg.hb_fd, kMsgHeartbeat,
-                 current_shard.load(std::memory_order_relaxed),
-                 progress.events.load(std::memory_order_relaxed), &io);
-        std::this_thread::sleep_for(cfg.heartbeat_interval);
-      }
-    });
+    std::optional<Heartbeat> heartbeat;
+    heartbeat.emplace(cfg.hb_fd, cfg.heartbeat_interval, current_shard, progress, io);
 
-    for (std::uint32_t shard = cfg.range_lo; shard < cfg.range_hi; ++shard) {
-      if ((*cfg.done)[shard]) continue;
-      if (g_worker_stop != 0) {
-        exit_code = kExitInterrupted;
-        break;
-      }
+    std::uint32_t shard = cfg.first_shard;
+    int attempt_base = cfg.first_attempt_base;
+    while (shard != kNoShard && g_worker_stop == 0) {
       current_shard.store(shard, std::memory_order_relaxed);
-      send_msg(cfg.hb_fd, kMsgShardStart, shard,
-               static_cast<std::uint64_t>((*cfg.attempts)[shard]), &io);
+      send_msg(cfg.hb_fd, kMsgShardStart, shard, static_cast<std::uint64_t>(attempt_base),
+               &io);
       ShardRun run = run_shard_supervised(
-          *cfg.scenario, shard, cfg.max_attempts,
-          /*attempt_base=*/(*cfg.attempts)[shard],
+          *cfg.scenario, shard, cfg.max_attempts, attempt_base,
           watchdog ? &*watchdog : nullptr, *cfg.before, *cfg.after, &progress);
       if (run.failure) writer->append_failure(*run.failure);
       if (run.completed) {
@@ -226,10 +279,12 @@ void apply_rlimit(int resource, std::uint64_t value) {
                  progress.events.load(std::memory_order_relaxed), &io);
       }
       current_shard.store(kNoShard, std::memory_order_relaxed);
+      if (g_worker_stop != 0) break;
+      send_msg(cfg.hb_fd, kMsgNext, shard, 0, &io);
+      shard = recv_assignment(cfg.assign_fd, attempt_base);
     }
     if (g_worker_stop != 0) exit_code = kExitInterrupted;
-    hb_stop.store(true, std::memory_order_relaxed);
-    heartbeat.join();
+    heartbeat.reset();
     // IO degradation verdict, journaled after the heartbeat thread has
     // stopped touching the counters — and only when something actually
     // degraded, so clean journals gain no bytes.
@@ -250,10 +305,10 @@ void apply_rlimit(int resource, std::uint64_t value) {
 struct WorkerProc {
   pid_t pid = -1;
   int slot = -1;
-  int fd = -1;  // heartbeat pipe, read end (nonblocking)
-  std::uint32_t range_lo = 0;
-  std::uint32_t range_hi = 0;
-  std::uint32_t in_flight = kNoShard;
+  int fd = -1;      // heartbeat pipe, read end (nonblocking)
+  int assign = -1;  // assignment channel, coordinator's end
+  std::uint32_t in_flight = kNoShard;  // set when the shard is assigned
+  bool started = false;                // 'S' seen for in_flight
   Clock::time_point last_msg;
   bool term_sent = false;
   Clock::time_point term_deadline;
@@ -262,6 +317,25 @@ struct WorkerProc {
   std::vector<std::uint8_t> rxbuf;
   bool alive = true;
 };
+
+// A pipe (heartbeats) or a socket pair (assignments), retrying with
+// backoff under fd exhaustion: a coordinator briefly out of descriptors
+// (EMFILE/ENFILE, e.g. dead workers' ends not yet closed by a racing
+// reap) should wait for the pressure to clear, not abort the campaign.
+// The assignment channel is a socket so that a reply to a worker that
+// just died can be sent with MSG_NOSIGNAL.
+void open_channel(int fds[2], bool socket) {
+  for (int attempt = 0;; ++attempt) {
+    if ((socket ? ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) : ::pipe(fds)) == 0) return;
+    const bool fd_exhaustion = errno == EMFILE || errno == ENFILE || errno == EINTR;
+    if (!fd_exhaustion || attempt >= 5) {
+      throw std::runtime_error(std::string("DistRunner: ") +
+                               (socket ? "socketpair" : "pipe") +
+                               " failed: " + std::strerror(errno));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1 << attempt));
+  }
+}
 
 std::string signal_text(int sig) {
   const char* name = strsignal(sig);
@@ -312,12 +386,14 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     return prefix + ".worker" + std::to_string(slot);
   };
 
-  // Shared campaign state. `done` doubles as the workers' skip set
-  // (completed OR quarantined); `completed` marks shards whose results
-  // are expected in a journal.
+  // Campaign state, owned by the coordinator alone. `done` = completed OR
+  // quarantined; `home[shard]` is the slot whose journal holds a
+  // completed shard's results (-1: not completed); `pool` holds the undone
+  // shards no live worker holds, handed out lowest index first.
   std::vector<char> done(shards, 0);
-  std::vector<char> completed(shards, 0);
+  std::vector<int> home(shards, -1);
   std::vector<int> attempts(shards, 0);
+  std::set<std::uint32_t> pool;
   // Process-level failure records (worker deaths); journal kind-3 frames
   // are folded in at merge time and win ties.
   std::map<std::uint32_t, ShardFailure> death_failures;
@@ -341,11 +417,11 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     require_same_campaign(ck.header, header, path);
     for (const auto& [index, shard_checkpoint] : ck.shards) {
       done[index] = 1;
-      completed[index] = 1;
+      home[index] = slot;
     }
     for (const ShardFailure& f : ck.failures) {
       attempts[f.shard_index] = std::max(attempts[f.shard_index], f.attempts);
-      if (f.quarantined && !completed[f.shard_index]) done[f.shard_index] = 1;
+      if (f.quarantined && home[f.shard_index] < 0) done[f.shard_index] = 1;
     }
     return true;
   };
@@ -356,6 +432,9 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     } else {
       std::remove(journal_path(static_cast<int>(slot)).c_str());
     }
+  }
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    if (!done[s]) pool.insert(pool.end(), s);
   }
 
   // Best-effort persistence of a process-death verdict into the dead
@@ -391,55 +470,33 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
   std::vector<WorkerProc> procs;
   procs.reserve(workers * 2);
 
-  // Static contiguous scatter: worker w owns [w*S/W, (w+1)*S/W). Static
-  // ranges are what make the slot journal both spill file and
-  // checkpoint: every shard has exactly one home journal.
-  const auto range_lo = [&](unsigned slot) {
-    return static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(slot) * shards / workers);
-  };
-
+  // Forks a worker into `slot` with the pool's lowest shard as its first
+  // assignment, handed over through the fork-time WorkerConfig snapshot:
+  // the first World is built without waiting on a round trip. Callers
+  // guarantee a non-empty pool.
   const auto spawn = [&](int slot) {
-    // A replacement may be adopting a journal its predecessor tore or
-    // corrupted mid-write; validate it now. If the journal had to be
-    // deleted, un-complete the range's shards so they re-run (static
-    // ranges: every completed shard in this range lived in this file).
-    if (!sanitize_journal(slot) ) {
-      for (std::uint32_t s = range_lo(static_cast<unsigned>(slot));
-           s < range_lo(static_cast<unsigned>(slot) + 1); ++s) {
-        if (completed[s]) {
-          completed[s] = 0;
-          done[s] = 0;
-        }
-      }
+    int hb[2];
+    int assign[2];
+    open_channel(hb, /*socket=*/false);
+    try {
+      open_channel(assign, /*socket=*/true);
+    } catch (...) {
+      ::close(hb[0]);
+      ::close(hb[1]);
+      throw;
     }
-    // Heartbeat pipe, with retry-with-backoff under fd exhaustion: a
-    // coordinator briefly out of descriptors (EMFILE/ENFILE — e.g. many
-    // dead workers' read ends not yet closed by a racing reap) should
-    // wait for the pressure to clear, not abort the campaign.
-    int fds[2];
-    for (int attempt = 0;; ++attempt) {
-      if (::pipe(fds) == 0) break;
-      const bool fd_exhaustion =
-          errno == EMFILE || errno == ENFILE || errno == EINTR;
-      if (!fd_exhaustion || attempt >= 5) {
-        throw std::runtime_error("DistRunner: pipe failed: " +
-                                 std::string(std::strerror(errno)));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1 << attempt));
-    }
+    const std::uint32_t first = pool.extract(pool.begin()).value();
     WorkerConfig cfg;
     cfg.scenario = &scenario;
     cfg.before = &before_;
     cfg.after = &after_;
     cfg.journal_path = journal_path(slot);
     cfg.header = header;
-    cfg.range_lo = range_lo(static_cast<unsigned>(slot));
-    cfg.range_hi = range_lo(static_cast<unsigned>(slot) + 1);
-    cfg.done = &done;
-    cfg.attempts = &attempts;
+    cfg.first_shard = first;
+    cfg.first_attempt_base = attempts[first];
     cfg.max_attempts = max_attempts;
-    cfg.hb_fd = fds[1];
+    cfg.hb_fd = hb[1];
+    cfg.assign_fd = assign[1];
     cfg.heartbeat_interval = options_.heartbeat_interval;
     cfg.stall_timeout = options_.stall_timeout;
     cfg.worker_id = static_cast<std::uint32_t>(slot);
@@ -449,33 +506,55 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
 
     const pid_t pid = ::fork();
     if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      throw std::runtime_error("DistRunner: fork failed: " +
-                               std::string(std::strerror(errno)));
+      const int err = errno;
+      for (const int fd : {hb[0], hb[1], assign[0], assign[1]}) ::close(fd);
+      throw std::runtime_error("DistRunner: fork failed: " + std::string(std::strerror(err)));
     }
     if (pid == 0) {
-      ::close(fds[0]);
+      // Keep only this worker's own ends. A sibling's coordinator-side
+      // end held open here would stop that sibling from seeing EOF on
+      // its assignment channel, or SIGPIPE on its heartbeat pipe, when
+      // the coordinator dies.
+      for (const WorkerProc& p : procs) {
+        if (p.fd >= 0) ::close(p.fd);
+        if (p.assign >= 0) ::close(p.assign);
+      }
+      ::close(hb[0]);
+      ::close(assign[0]);
       worker_main(cfg);  // noreturn; child sees the fork-time snapshot
     }
-    ::close(fds[1]);
-    ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
+    ::close(hb[1]);
+    ::close(assign[1]);
+    ::fcntl(hb[0], F_SETFL, O_NONBLOCK);
 
     WorkerProc proc;
     proc.pid = pid;
     proc.slot = slot;
-    proc.fd = fds[0];
-    proc.range_lo = cfg.range_lo;
-    proc.range_hi = cfg.range_hi;
+    proc.fd = hb[0];
+    proc.assign = assign[0];
+    proc.in_flight = first;
     proc.last_msg = Clock::now();
     procs.push_back(std::move(proc));
   };
 
-  const auto range_pending = [&](const WorkerProc& w) {
-    for (std::uint32_t s = w.range_lo; s < w.range_hi; ++s) {
-      if (!done[s]) return true;
+  // Answers a worker's 'N' with the pool's lowest shard, or kNoShard once
+  // the pool is empty or the campaign is interrupted. A worker already
+  // reaped (handle_death drains its last messages) is answered with
+  // nothing. One that died since it asked but is not reaped yet makes the
+  // send fail with EPIPE (MSG_NOSIGNAL: no SIGPIPE), which is ignored
+  // because waitpid reports the death.
+  const auto assign_next = [&](WorkerProc& w) {
+    w.in_flight = kNoShard;
+    w.started = false;
+    if (!w.alive) return;
+    if (!pool.empty() && !interrupt_seen) w.in_flight = pool.extract(pool.begin()).value();
+    std::uint8_t reply[kAssignSize];
+    store_le32(reply, w.in_flight);
+    store_le32(reply + 4, w.in_flight == kNoShard
+                              ? 0u
+                              : static_cast<std::uint32_t>(attempts[w.in_flight]));
+    while (::send(w.assign, reply, sizeof reply, MSG_NOSIGNAL) < 0 && errno == EINTR) {
     }
-    return false;
   };
 
   // Attribute a worker death to its in-flight shard: the attempt that
@@ -483,7 +562,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
   // budget quarantines the shard exactly like repeated throws do.
   const auto attribute_death = [&](WorkerProc& w, FailureKind kind,
                                    const std::string& what) {
-    if (w.in_flight == kNoShard) return;
+    if (w.in_flight == kNoShard || !w.started) return;
     const std::uint32_t shard = w.in_flight;
     ++attempts[shard];  // the attempt that died with the process
     ShardFailure f;
@@ -513,7 +592,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
         case kMsgHeartbeat:
           break;
         case kMsgShardStart:
-          w.in_flight = shard;
+          w.started = true;
           ++w.shard_starts;
           if (!chaos_fired && w.slot == chaos_slot &&
               w.shard_starts >= options_.chaos_kill_after_shards) {
@@ -524,7 +603,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
         case kMsgShardDone:
           if (shard < shards) {
             done[shard] = 1;
-            completed[shard] = 1;
+            home[shard] = w.slot;
             // A shard that burned attempts in dead processes and then
             // completed is a RECOVERY: count the attempt that succeeded
             // (journaled death frames only count the ones that died).
@@ -542,6 +621,9 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
             attempts[shard] = std::max(attempts[shard], max_attempts);
           }
           w.in_flight = kNoShard;
+          break;
+        case kMsgNext:
+          assign_next(w);
           break;
         default:
           break;  // unknown tags are skippable, like unknown frame kinds
@@ -575,13 +657,15 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
   const auto handle_death = [&](std::size_t idx, int status) {
     WorkerProc& w = procs[idx];
     // Process everything the worker said before it died, THEN attribute:
-    // a 'D' that raced the death must clear in_flight first.
+    // a 'D' that raced the death must clear in_flight first. It is
+    // marked dead first so that a last 'N' gets no shard.
+    w.alive = false;
     read_pipe(w);
     ::close(w.fd);
+    ::close(w.assign);
     w.fd = -1;
-    w.alive = false;
+    w.assign = -1;
 
-    bool respawnable = false;
     if (WIFSIGNALED(status)) {
       const int sig = WTERMSIG(status);
       // waitpid attribution of resource-limit deaths: SIGXCPU is the
@@ -607,37 +691,48 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
         attribute_death(w, FailureKind::kCrash,
                         "worker killed by signal " + signal_text(sig));
       }
-      respawnable = true;
     } else if (WIFEXITED(status)) {
       const int code = WEXITSTATUS(status);
       if (code != kExitOk && code != kExitInterrupted) {
         attribute_death(w, FailureKind::kExit,
                         "worker exited with status " + std::to_string(code));
-        respawnable = true;
-      } else if (!interrupt_seen) {
-        // A graceful exit nobody asked for: the stall ladder SIGTERMed a
-        // worker that then recovered, journaled its in-flight shard, and
-        // stopped between shards (exit 3) — or a worker stopped early
-        // for any other reason. Nothing failed, but the undone rest of
-        // its range must be re-run, not abandoned to a false "lost
-        // without a journal record" quarantine at merge time.
-        respawnable = true;
       }
+      // Exit 0 (told kNoShard) or 3 (a SIGTERM honoured between shards)
+      // failed nothing; a shard it was assigned but never ran is simply
+      // returned below.
     }
-    if (!respawnable || interrupt_seen) return;
-    if (!range_pending(w)) return;
+
+    // The held shard goes back to the pool. The worker may have died
+    // mid-append, so its journal is re-validated first; a journal that
+    // had to be deleted returns every shard whose results lived in it.
     const int slot = w.slot;
-    const std::uint32_t lo = w.range_lo;
-    const std::uint32_t hi = w.range_hi;
+    const std::uint32_t held = w.in_flight;
+    if (held != kNoShard) {
+      if (!sanitize_journal(slot)) {
+        for (std::uint32_t s = 0; s < shards; ++s) {
+          if (home[s] != slot) continue;
+          home[s] = -1;
+          done[s] = 0;
+          pool.insert(s);
+        }
+      }
+      if (!done[held]) pool.insert(held);
+    }
+
+    // A respawn happens when undone shards are left that no live worker
+    // holds. Live workers drain the pool too, so only when none is left
+    // does an exhausted respawn budget quarantine what remains, instead
+    // of forking forever.
+    if (interrupt_seen || pool.empty()) return;
     if (respawns_used < respawn_limit) {
       ++respawns_used;
       spawn(slot);  // may reallocate `procs`; `w` is dangling past here
       return;
     }
-    // Graceful degradation: out of respawn budget. Quarantine what is
-    // left of the range instead of forking forever.
-    for (std::uint32_t s = lo; s < hi; ++s) {
-      if (done[s]) continue;
+    if (std::any_of(procs.begin(), procs.end(), [](const WorkerProc& p) { return p.alive; })) {
+      return;
+    }
+    for (const std::uint32_t s : pool) {
       ShardFailure f;
       f.shard_index = s;
       f.seed = shard_seed(scenario.base_seed, s);
@@ -651,6 +746,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
       death_failures[s] = f;
       journal_death(slot, f);
     }
+    pool.clear();
   };
 
   // Tear down the private temp dir (operator-provided prefixes persist;
@@ -676,13 +772,15 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
       while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
       }
       if (w.fd >= 0) ::close(w.fd);
+      if (w.assign >= 0) ::close(w.assign);
       w.fd = -1;
+      w.assign = -1;
       w.alive = false;
     }
   };
 
   try {
-    for (unsigned slot = 0; slot < workers; ++slot) {
+    for (unsigned slot = 0; slot < workers && !pool.empty(); ++slot) {
       spawn(static_cast<int>(slot));
     }
 
@@ -700,14 +798,10 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
       if (!any_alive) break;
 
       ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), /*timeout_ms=*/20);
-      for (WorkerProc& w : procs) {
-        if (w.alive) read_pipe(w);
-      }
-
-      const auto now = Clock::now();
 
       // Operator interrupt: tell everyone once; workers finish their
-      // in-flight shard, journal it, and exit 3.
+      // in-flight shard, journal it, and exit 3. Checked before the pipes
+      // are read, so no 'N' read after the flag is answered with a shard.
       if (interrupt != nullptr &&
           interrupt->load(std::memory_order_relaxed) != 0) {
         interrupt_seen = true;
@@ -718,6 +812,11 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
           interrupt_sent = true;
         }
       }
+
+      for (WorkerProc& w : procs) {
+        if (w.alive) read_pipe(w);
+      }
+      const auto now = Clock::now();
 
       // Heartbeat-deadline ladder: silence → SIGTERM → grace → SIGKILL.
       // Message ARRIVAL is the liveness signal (a SIGSTOPped or D-state

@@ -2,23 +2,33 @@
 //
 // The threaded ShardedRunner contains exceptions and stalls, but a
 // worker that segfaults, gets OOM-killed, or wedges inside a syscall
-// takes the whole campaign with it. DistRunner scatters the shard range
-// across forked WORKER PROCESSES so the campaign survives anything the
-// OS can do to one of them, then gathers results through checkpoint
-// journals into the exact same shard-ordered, bit-identical merge.
+// takes the whole campaign with it. DistRunner hands the shards out to
+// forked WORKER PROCESSES so the campaign survives anything the OS can
+// do to one of them, then gathers results through checkpoint journals
+// into the exact same shard-ordered, bit-identical merge.
 //
-// Topology (one coordinator, W workers, static ranges):
+// Topology (one coordinator, W workers, shards pulled one at a time):
 //
-//   coordinator ──fork──▶ worker 0  owns shards [0, S/W)      journal .worker0
-//               ──fork──▶ worker 1  owns shards [S/W, 2S/W)   journal .worker1
+//   coordinator ──fork(first shard 0)──▶ worker 0  journal .worker0
+//               ──fork(first shard 1)──▶ worker 1  journal .worker1
 //               ──fork──▶ ...
+//   worker ──'N' (heartbeat pipe)──▶ coordinator ──{shard, attempt base}──▶ worker
 //
 //   * Workers inherit the Scenario by address space (fork, not exec) —
 //     no scenario serialization, bit-identical inputs by construction.
+//     A worker's first shard (the pool's lowest) rides in that fork-time
+//     snapshot, so the first World is built without a round trip.
+//   * After each shard a worker sends 'N' and blocks on its own
+//     assignment channel for the next shard; kNoShard tells it to exit.
+//     The coordinator alone owns which shards are done, which are in
+//     flight and how many attempts each has spent, and answers with the
+//     lowest shard that is neither done nor held by a live worker. A
+//     slow shard or a slow vCPU therefore holds back only its own worker.
 //   * Each worker journals completed shards (and supervision verdicts)
 //     to its own slot file `<prefix>.worker<slot>` using the
 //     gfw/checkpoint.h format: the journal is simultaneously the result
-//     spill file and the crash-recovery checkpoint.
+//     spill file and the crash-recovery checkpoint. Any shard may land in
+//     any slot's journal; the coordinator records which one.
 //   * Each worker reports liveness over a heartbeat pipe (13-byte
 //     messages: tag, shard, event counter). Writes are < PIPE_BUF, so
 //     they are atomic even with the heartbeat thread and the shard
@@ -31,18 +41,17 @@
 //      ShardFailure: kStall when the coordinator initiated the kill,
 //      kCrash when the worker died on a signal (segfault, OOM killer,
 //      external SIGKILL), kExit on a nonzero exit status.
-//   4. A replacement worker is forked for the same slot. It opens the
-//      dead worker's journal in append mode (torn tails from the death
-//      are truncated), skips every shard the coordinator knows is done
-//      or quarantined, and resumes with GLOBAL attempt numbering — the
-//      dead process's attempts count against the shard's retry budget,
-//      and a shard that keeps killing workers is quarantined just like
-//      a shard that keeps throwing. A worker that a ladder SIGTERM
-//      caught mid-shard but which recovered — journaled the shard and
-//      exited gracefully — is also replaced while range shards remain:
-//      nothing failed, but its undone shards must still run.
-//   5. A journal the preload pass cannot parse (CheckpointError: CRC
-//      mismatch, insane length) is deleted and its shards re-run —
+//   4. The dead worker's shard goes back to the pool, and any worker may
+//      run it next, with GLOBAL attempt numbering — the dead process's
+//      attempts count against the shard's retry budget, and a shard
+//      that keeps killing workers is quarantined just like a shard that
+//      keeps throwing. A worker that died holding a shard may have torn
+//      its journal mid-append, so that journal is re-validated. When
+//      undone shards are left that no live worker holds, a replacement
+//      is forked into the slot; it appends to the same journal (torn
+//      tails from the death are truncated).
+//   5. A journal that cannot be parsed (CheckpointError: CRC mismatch,
+//      insane length) is deleted and the shards it held re-run —
 //      corrupt bytes never reach the merge.
 //
 // Merge contract: identical to ShardedRunner. Completed shards are
@@ -101,10 +110,11 @@ struct DistRunnerOptions {
   // journals.
   const std::atomic<int>* interrupt = nullptr;
 
-  // Deterministic chaos injection (bench --worker-kill-after): after the
-  // chaos worker announces its Nth shard start, the coordinator sends it
-  // `chaos_signal`. Counting shard STARTS instead of wall time makes the
-  // kill site reproducible. 0 disables chaos.
+  // Chaos injection (bench --worker-kill-after): after the chaos worker
+  // announces its Nth shard start, the coordinator sends it
+  // `chaos_signal`. Only a worker's first shard is fixed at fork, so
+  // only N = 1 has a reproducible kill site; later shards go to whichever
+  // worker asks first. 0 disables chaos.
   int chaos_kill_after_shards = 0;
   // SIGKILL models a crash/OOM kill; SIGSTOP models a wedged process
   // (no heartbeats, not dead) and requires stall_timeout > 0 to ever be
@@ -127,8 +137,8 @@ struct DistRunnerOptions {
 
   // Safety valve on replacement forks. 0 derives a generous default
   // (every shard could burn its whole retry budget as a process death).
-  // When the budget runs out, remaining shards of the dead worker's
-  // range are quarantined instead of forking forever.
+  // When the budget runs out and no worker is left alive, the shards
+  // still in the pool are quarantined instead of forking forever.
   int worker_respawn_limit = 0;
 };
 

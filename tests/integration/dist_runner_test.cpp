@@ -6,19 +6,24 @@
 // through the checkpoint shard codec, so it covers every summary field,
 // every per-server row, and every probe record.
 //
-// Chaos is injected deterministically: the coordinator counts shard
-// START announcements and signals the chaos worker after the Nth, so
-// the kill site is reproducible rather than racing wall clocks.
+// Chaos is injected at a shard boundary: the coordinator counts shard
+// START announcements and signals the chaos worker after the Nth. A
+// worker's first shard is fixed when it is forked, so the chaos here
+// (N = 1) kills at a reproducible site rather than racing wall clocks.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crypto/sha1.h"
@@ -108,6 +113,35 @@ void remove_journals(const std::string& prefix, unsigned workers) {
     std::remove((prefix + ".worker" + std::to_string(slot)).c_str());
   }
 }
+
+// A counter in MAP_SHARED memory. Hooks run in forked workers, so only
+// shared pages carry a count from one worker's hooks to another's; it
+// orders shards across workers without guessing how long a shard takes.
+class SharedCounter {
+ public:
+  SharedCounter() {
+    void* page = ::mmap(nullptr, sizeof(std::atomic<int>), PROT_READ | PROT_WRITE,
+                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    if (page == MAP_FAILED) throw std::runtime_error("mmap failed");
+    count_ = new (page) std::atomic<int>(0);
+  }
+  SharedCounter(const SharedCounter&) = delete;
+  SharedCounter& operator=(const SharedCounter&) = delete;
+  ~SharedCounter() { ::munmap(count_, sizeof *count_); }
+
+  void bump() const { count_->fetch_add(1); }
+  // Blocks until the count reaches `n`; gives up after 30 s so that a
+  // broken runner fails the test's assertions instead of hanging it.
+  void wait_until(int n) const {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (count_->load() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+ private:
+  std::atomic<int>* count_ = nullptr;
+};
 
 TEST(DistRunner, UndisturbedRunMatchesInProcessRunByteForByte) {
   const gfw::Scenario scenario = fleet_scenario();
@@ -208,11 +242,10 @@ TEST(DistRunner, GracefullyExitingSigtermedWorkerIsReplacedNotAbandoned) {
 
   // SIGTERM mid-shard models a ladder rung-1 target that RECOVERS: the
   // handler only sets the stop flag, so the worker finishes and journals
-  // its in-flight shard, then exits with the graceful-interrupt code —
-  // leaving the rest of its static range undone. The campaign was never
-  // interrupted, so the coordinator must fork a replacement for the
-  // remainder instead of quarantining it as "lost without a journal
-  // record".
+  // its in-flight shard, then exits with the graceful-interrupt code
+  // instead of asking for another. The campaign was never interrupted, so
+  // the rest of the pool must still run (on the survivors or a
+  // replacement), not be quarantined as "lost without a journal record".
   gfw::DistRunnerOptions options = dist_options();
   options.chaos_kill_after_shards = 1;
   options.chaos_signal = SIGTERM;
@@ -309,6 +342,82 @@ TEST(DistRunner, FlakyProcessDeathRecoversWithGlobalAttemptNumbering) {
   EXPECT_EQ(campaign_digest(result), campaign_digest(reference));
 }
 
+TEST(DistRunner, OneSlowShardDoesNotHoldBackTheShardsAfterIt) {
+  // Workers pull shards, so the worker stuck on a slow shard 0 takes few
+  // others; the rest go to whichever worker is free. Shard 0 is held
+  // until four other shards have started, so at most three remain for its
+  // worker afterwards. Under a static scatter the slot holding shard 0
+  // would also hold shards 1-3.
+  const gfw::Scenario scenario = fleet_scenario();
+  const gfw::CampaignResult reference = in_process_reference(scenario);
+  const std::string prefix = journal_prefix("slow_shard");
+  remove_journals(prefix, 2);
+
+  gfw::DistRunnerOptions options = dist_options();
+  options.workers = 2;
+  options.journal_prefix = prefix;
+  options.keep_journals = true;
+  gfw::DistRunner runner(options);
+  const SharedCounter others_started;
+  runner.set_before_run([&](gfw::World&, std::uint32_t shard) {
+    if (shard == 0) {
+      others_started.wait_until(4);
+    } else {
+      others_started.bump();
+    }
+  });
+  const gfw::CampaignResult result = runner.run(scenario);
+  EXPECT_TRUE(result.complete());
+  EXPECT_EQ(campaign_digest(result), campaign_digest(reference));
+
+  std::size_t slots_holding_shard0 = 0;
+  for (unsigned slot = 0; slot < 2; ++slot) {
+    const gfw::Checkpoint journal =
+        gfw::load_checkpoint(prefix + ".worker" + std::to_string(slot));
+    if (journal.shards.count(0) == 0) continue;
+    ++slots_holding_shard0;
+    EXPECT_LT(journal.shards.size(), 4u) << "slot " << slot;
+  }
+  EXPECT_EQ(slots_holding_shard0, 1u);
+  remove_journals(prefix, 2);
+}
+
+TEST(DistRunner, LastShardsWorkerDyingAfterTheOthersExitedIsReplaced) {
+  // Shard 7 is handed out last, and its hook holds it back until the
+  // other seven shards have finished, so the other workers are told there
+  // is nothing left and exit. Its first attempt kills the worker; with no
+  // live worker left to take the returned shard, a replacement is forked
+  // and finishes it on global attempt 1.
+  gfw::Scenario scenario = fleet_scenario();
+  scenario.debug_fail_shard.enabled = true;
+  scenario.debug_fail_shard.shard = 7;
+  scenario.debug_fail_shard.after = net::hours(1);
+  scenario.debug_fail_shard.fail_attempts = 1;
+  scenario.debug_fail_shard.die = true;
+
+  gfw::DistRunner runner(dist_options());
+  const SharedCounter others_finished;
+  runner.set_before_run([&](gfw::World&, std::uint32_t shard) {
+    if (shard == 7) others_finished.wait_until(7);
+  });
+  runner.set_after_run([&](gfw::World&, std::uint32_t shard) {
+    if (shard != 7) others_finished.bump();
+  });
+  const gfw::CampaignResult result = runner.run(scenario);
+  EXPECT_TRUE(result.complete());
+  ASSERT_EQ(result.shards.size(), 8u);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0].shard_index, 7u);
+  EXPECT_FALSE(result.failures[0].quarantined);
+  EXPECT_EQ(result.failures[0].kind, gfw::FailureKind::kExit);
+  EXPECT_EQ(result.failures[0].attempts, 2);
+
+  gfw::Scenario armed = scenario;
+  armed.debug_fail_shard.fail_attempts = 0;
+  armed.debug_fail_shard.die = false;
+  EXPECT_EQ(campaign_digest(result), campaign_digest(in_process_reference(armed)));
+}
+
 TEST(DistRunner, ForeignCampaignJournalIsRefusedNotDeleted) {
   // A journal that parses but belongs to another campaign is not this
   // run's to discard: resume throws before any worker forks, and the
@@ -348,7 +457,7 @@ TEST(DistRunner, CorruptSlotJournalIsDiscardedAndItsRangeRerun) {
 
   // Flip a byte in the interior of worker 2's journal: the CRC check
   // turns silent corruption into a CheckpointError, and the resume pass
-  // responds by deleting the file and re-running its shard range.
+  // responds by deleting the file and re-running the shards it held.
   const std::string victim = prefix + ".worker2";
   {
     std::fstream file(victim, std::ios::binary | std::ios::in | std::ios::out);

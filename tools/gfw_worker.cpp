@@ -13,11 +13,13 @@
 //   gfw_worker --run --range LO:HI --journal PATH [--shards N]
 //              [--seed S] [--days D] [--shard-retries R]
 //     Manual scatter: run shards [LO, HI) of the standard campaign and
-//     append them to PATH. Naming the journals <prefix>.worker<slot>
-//     makes them gatherable by a resumed `bench_checkpoint --workers N
-//     --checkpoint <prefix> --resume` on the machine that merges.
-//     Re-running after a kill resumes from the journal (completed
-//     shards are skipped), mirroring the in-process DistRunner worker.
+//     append them to PATH. `--range` is the hand-scatter form: the
+//     operator fixes each invocation's static range, where DistRunner's
+//     own workers pull their shards from the coordinator one at a time.
+//     Naming the journals <prefix>.worker<slot> makes them gatherable by
+//     a resumed `bench_checkpoint --workers N --checkpoint <prefix>
+//     --resume` on the machine that merges. Re-running after a kill
+//     resumes from the journal (completed shards are skipped).
 //     Numeric values must be whole unsigned tokens; anything else exits 2.
 #include <climits>
 #include <cstdint>
