@@ -82,8 +82,8 @@ struct BenchOptions {
   double stall_timeout_s = 0.0;
 
   // Process isolation (gfw/dist_runner.h). 0 = threaded ShardedRunner;
-  // N > 0 scatters the shard range over N forked workers, with
-  // --checkpoint doubling as the slot-journal prefix.
+  // N > 0 runs the shards on N forked workers that pull them one at a
+  // time, with --checkpoint doubling as the slot-journal prefix.
   unsigned workers = 0;
   int worker_kill_after = 0;  // chaos kill trigger; 0 = no chaos
 

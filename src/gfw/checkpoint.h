@@ -145,7 +145,7 @@ struct Checkpoint {
   // append them; in-process journals have none).
   std::vector<ShardFailure> failures;
   // Kind-5 worker IO verdicts, in file order (distributed workers with
-  // degraded pipe/journal IO append them; clean runs have none).
+  // degraded channel/journal IO append them; clean runs have none).
   std::vector<WorkerIoStats> worker_io;
   // Bytes of a torn tail frame that were ignored (0 on a clean file).
   std::size_t torn_tail_bytes = 0;

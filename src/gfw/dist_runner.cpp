@@ -1,6 +1,5 @@
 #include "gfw/dist_runner.h"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -32,73 +31,74 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// ---- heartbeat pipe protocol ----------------------------------------------
+// ---- worker channel protocol ----------------------------------------------
+//
+// Each worker has one AF_UNIX SOCK_SEQPACKET socket pair with the
+// coordinator. Every send is one record and every recv returns exactly
+// one, so the heartbeat thread and the shard thread share the worker's
+// end without their messages ever interleaving.
 //
 // Worker → coordinator, fixed 13-byte little-endian messages:
 //   u8 tag, u32 shard, u64 event counter.
-// 13 < PIPE_BUF, so each write is atomic even though the heartbeat
-// thread and the shard thread share the fd — messages never interleave.
 constexpr std::size_t kMsgSize = 13;
 constexpr std::uint8_t kMsgHeartbeat = 'H';   // liveness; events sampled
 constexpr std::uint8_t kMsgShardStart = 'S';  // shard = starting shard
 constexpr std::uint8_t kMsgShardDone = 'D';   // shard completed + journaled
 constexpr std::uint8_t kMsgShardFailed = 'F';  // shard quarantined in-worker
-constexpr std::uint8_t kMsgNext = 'N';        // idle; blocks for an assignment
 constexpr std::uint32_t kNoShard = 0xFFFFFFFFu;
 
-// Coordinator → worker, one 8-byte reply per 'N' on the worker's own
-// assignment channel: u32 shard, u32 attempt base. kNoShard = exit 0.
+// Coordinator → worker, one 8-byte reply to each 'D' or 'F' (which is
+// therefore also the request for the next shard): u32 shard, u32 attempt
+// base. kNoShard = exit 0.
 constexpr std::size_t kAssignSize = 8;
+
+// How often each worker sends a heartbeat.
+constexpr std::chrono::milliseconds kHeartbeatInterval{25};
 
 // Worker exit codes the coordinator understands.
 constexpr int kExitOk = 0;           // told kNoShard: nothing left to run
 constexpr int kExitJournal = 2;      // could not open/write the slot journal
-constexpr int kExitInterrupted = 3;  // SIGTERM honored between shards
+constexpr int kExitInterrupted = 3;  // SIGTERM honored between shards, or orphaned
 
-// Hardened heartbeat write: EINTR and partial writes retry (a signal —
-// SIGTERM from the stall ladder, SIGXCPU nearing an rlimit — landing
-// mid-write must not silently eat a liveness message), transient
-// kernel-side refusals (EAGAIN/ENOBUFS/ENOMEM) get a bounded spin, and
-// only then is the message counted as irrecoverably dropped. If the
-// coordinator is gone the default SIGPIPE disposition terminates the
-// worker, which is exactly the orphan cleanup we want.
+// Hardened channel send: EINTR retries (a signal — SIGTERM from the
+// stall ladder, SIGXCPU nearing an rlimit — landing mid-send must not
+// silently eat a liveness message), transient kernel-side refusals
+// (EAGAIN/ENOBUFS/ENOMEM) get a bounded spin, and only then is the
+// message counted as irrecoverably dropped. EPIPE means the coordinator
+// is gone: a seqpacket send raises no SIGPIPE, so the orphaned worker
+// exits here.
 void send_msg(int fd, std::uint8_t tag, std::uint32_t shard, std::uint64_t events,
-              WorkerIoStats* io = nullptr) {
+              WorkerIoStats& io) {
   std::uint8_t buf[kMsgSize];
   buf[0] = tag;
   store_le32(buf + 1, shard);
   store_le64(buf + 5, events);
-  std::size_t sent = 0;
+  bool sent = false;
   bool retried = false;
   int transient_spins = 0;
-  while (sent < kMsgSize) {
-    const ssize_t n = ::write(fd, buf + sent, kMsgSize - sent);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      if (sent < kMsgSize) retried = true;  // partial: finish the message
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
+  while (!sent) {
+    if (::send(fd, buf, kMsgSize, MSG_NOSIGNAL) == static_cast<ssize_t>(kMsgSize)) {
+      sent = true;
+    } else if (errno == EPIPE) {
+      std::_Exit(kExitInterrupted);
+    } else if (errno == EINTR) {
       retried = true;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS ||
-                  errno == ENOMEM)) {
-      if (++transient_spins > 64) break;  // coordinator hopelessly behind
+    } else if ((errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS ||
+                errno == ENOMEM) &&
+               ++transient_spins <= 64) {
       retried = true;
       std::this_thread::sleep_for(std::chrono::microseconds(100));
-      continue;
+    } else {
+      break;  // EBADF and friends, or the coordinator hopelessly behind
     }
-    break;  // EBADF and friends: nothing to retry against
   }
-  if (io == nullptr) return;
   // The heartbeat thread and the shard loop both send, so the counters
   // are bumped atomically.
   static_assert(alignof(std::uint64_t) >= std::atomic_ref<std::uint64_t>::required_alignment);
-  if (sent < kMsgSize) {
-    std::atomic_ref(io->heartbeats_dropped).fetch_add(1, std::memory_order_relaxed);
+  if (!sent) {
+    std::atomic_ref(io.heartbeats_dropped).fetch_add(1, std::memory_order_relaxed);
   } else if (retried) {
-    std::atomic_ref(io->heartbeat_retries).fetch_add(1, std::memory_order_relaxed);
+    std::atomic_ref(io.heartbeat_retries).fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -110,21 +110,14 @@ void send_msg(int fd, std::uint8_t tag, std::uint32_t shard, std::uint64_t event
 volatile std::sig_atomic_t g_worker_stop = 0;
 void worker_term_handler(int) { g_worker_stop = 1; }
 
-// Blocks for the coordinator's reply to an 'N' and returns the assigned
-// shard. EOF (the coordinator is gone) reads as kNoShard.
+// Blocks for the coordinator's reply to a 'D' or 'F' and returns the
+// assigned shard. EOF (the coordinator is gone) reads as kNoShard.
 std::uint32_t recv_assignment(int fd, int& attempt_base) {
   std::uint8_t buf[kAssignSize];
-  std::size_t got = 0;
-  while (got < kAssignSize) {
-    const ssize_t n = ::read(fd, buf + got, kAssignSize - got);
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-    } else if (n < 0 && errno == EINTR) {
-      continue;
-    } else {
-      return kNoShard;
-    }
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof buf, 0)) < 0 && errno == EINTR) {
   }
+  if (n != static_cast<ssize_t>(kAssignSize)) return kNoShard;
   attempt_base = static_cast<int>(load_le32(buf + 4));
   return load_le32(buf);
 }
@@ -141,9 +134,7 @@ struct WorkerConfig {
   std::uint32_t first_shard = kNoShard;
   int first_attempt_base = 0;  // attempts the shard spent in dead processes
   int max_attempts = 1;
-  int hb_fd = -1;
-  int assign_fd = -1;  // the worker's end of its assignment channel
-  std::chrono::milliseconds heartbeat_interval{25};
+  int fd = -1;  // the worker's end of its channel
   std::chrono::milliseconds stall_timeout{0};
   // Slot index, recorded in the kind-5 worker-io frame.
   std::uint32_t worker_id = 0;
@@ -173,23 +164,22 @@ void apply_rlimit(int resource, std::uint64_t value) {
   }
 }
 
-// Sends a heartbeat every `interval` until destroyed. The destructor wakes
+// Sends a heartbeat every kHeartbeatInterval until destroyed. The destructor wakes
 // the thread through a condition variable and joins it, so a finishing
 // worker does not wait out an interval before it can be reaped, and an
 // exception leaving the shard loop never destroys a joinable thread.
 class Heartbeat {
  public:
-  Heartbeat(int fd, std::chrono::milliseconds interval,
-            const std::atomic<std::uint32_t>& shard, const net::LoopProgress& progress,
-            WorkerIoStats& io)
-      : thread_([this, fd, interval, &shard, &progress, &io] {
+  Heartbeat(int fd, const std::atomic<std::uint32_t>& shard,
+            const net::LoopProgress& progress, WorkerIoStats& io)
+      : thread_([this, fd, &shard, &progress, &io] {
           std::unique_lock lock(mutex_);
           while (!stop_) {
             lock.unlock();
             send_msg(fd, kMsgHeartbeat, shard.load(std::memory_order_relaxed),
-                     progress.events.load(std::memory_order_relaxed), &io);
+                     progress.events.load(std::memory_order_relaxed), io);
             lock.lock();
-            wake_.wait_for(lock, interval, [this] { return stop_; });
+            wake_.wait_for(lock, kHeartbeatInterval, [this] { return stop_; });
           }
         }) {}
   Heartbeat(const Heartbeat&) = delete;
@@ -212,8 +202,7 @@ class Heartbeat {
 
 [[noreturn]] void worker_main(const WorkerConfig& cfg) {
   std::signal(SIGTERM, worker_term_handler);
-  std::signal(SIGINT, SIG_IGN);   // the coordinator orchestrates interrupts
-  std::signal(SIGPIPE, SIG_DFL);  // die on heartbeat write if orphaned
+  std::signal(SIGINT, SIG_IGN);  // the coordinator orchestrates interrupts
 
   // OS-level budgets, applied before any journal or simulation work so
   // every allocation this process makes is under them. Deaths they cause
@@ -225,7 +214,7 @@ class Heartbeat {
 
   // IO degradation counters, journaled as a kind-5 frame at worker exit
   // (only when nonzero) so the coordinator and `gfw_worker --describe`
-  // can surface degraded-pipe runs.
+  // can surface degraded-channel runs.
   WorkerIoStats io;
   io.worker_id = cfg.worker_id;
   int exit_code = kExitOk;
@@ -258,30 +247,23 @@ class Heartbeat {
     net::LoopProgress progress;
     std::atomic<std::uint32_t> current_shard{kNoShard};
     std::optional<Heartbeat> heartbeat;
-    heartbeat.emplace(cfg.hb_fd, cfg.heartbeat_interval, current_shard, progress, io);
+    heartbeat.emplace(cfg.fd, current_shard, progress, io);
 
     std::uint32_t shard = cfg.first_shard;
     int attempt_base = cfg.first_attempt_base;
     while (shard != kNoShard && g_worker_stop == 0) {
       current_shard.store(shard, std::memory_order_relaxed);
-      send_msg(cfg.hb_fd, kMsgShardStart, shard, static_cast<std::uint64_t>(attempt_base),
-               &io);
+      send_msg(cfg.fd, kMsgShardStart, shard, static_cast<std::uint64_t>(attempt_base), io);
       ShardRun run = run_shard_supervised(
           *cfg.scenario, shard, cfg.max_attempts, attempt_base,
           watchdog ? &*watchdog : nullptr, *cfg.before, *cfg.after, &progress);
       if (run.failure) writer->append_failure(*run.failure);
-      if (run.completed) {
-        writer->append_shard(run.summary, run.log);
-        send_msg(cfg.hb_fd, kMsgShardDone, shard,
-                 progress.events.load(std::memory_order_relaxed), &io);
-      } else {
-        send_msg(cfg.hb_fd, kMsgShardFailed, shard,
-                 progress.events.load(std::memory_order_relaxed), &io);
-      }
+      if (run.completed) writer->append_shard(run.summary, run.log);
       current_shard.store(kNoShard, std::memory_order_relaxed);
+      send_msg(cfg.fd, run.completed ? kMsgShardDone : kMsgShardFailed, shard,
+               progress.events.load(std::memory_order_relaxed), io);
       if (g_worker_stop != 0) break;
-      send_msg(cfg.hb_fd, kMsgNext, shard, 0, &io);
-      shard = recv_assignment(cfg.assign_fd, attempt_base);
+      shard = recv_assignment(cfg.fd, attempt_base);
     }
     if (g_worker_stop != 0) exit_code = kExitInterrupted;
     heartbeat.reset();
@@ -305,33 +287,27 @@ class Heartbeat {
 struct WorkerProc {
   pid_t pid = -1;
   int slot = -1;
-  int fd = -1;      // heartbeat pipe, read end (nonblocking)
-  int assign = -1;  // assignment channel, coordinator's end
+  int fd = -1;  // channel, coordinator's end
   std::uint32_t in_flight = kNoShard;  // set when the shard is assigned
   bool started = false;                // 'S' seen for in_flight
   Clock::time_point last_msg;
-  bool term_sent = false;
   Clock::time_point term_deadline;
-  bool stall_initiated = false;  // WE killed it for heartbeat silence
+  bool stall_initiated = false;  // WE sent SIGTERM for heartbeat silence
   int shard_starts = 0;          // chaos trigger counter
-  std::vector<std::uint8_t> rxbuf;
   bool alive = true;
 };
 
-// A pipe (heartbeats) or a socket pair (assignments), retrying with
-// backoff under fd exhaustion: a coordinator briefly out of descriptors
-// (EMFILE/ENFILE, e.g. dead workers' ends not yet closed by a racing
-// reap) should wait for the pressure to clear, not abort the campaign.
-// The assignment channel is a socket so that a reply to a worker that
-// just died can be sent with MSG_NOSIGNAL.
-void open_channel(int fds[2], bool socket) {
+// A worker's channel, retrying with backoff under fd exhaustion: a
+// coordinator briefly out of descriptors (EMFILE/ENFILE, e.g. dead
+// workers' ends not yet closed by a racing reap) should wait for the
+// pressure to clear, not abort the campaign.
+void open_channel(int fds[2]) {
   for (int attempt = 0;; ++attempt) {
-    if ((socket ? ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) : ::pipe(fds)) == 0) return;
+    if (::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds) == 0) return;
     const bool fd_exhaustion = errno == EMFILE || errno == ENFILE || errno == EINTR;
     if (!fd_exhaustion || attempt >= 5) {
-      throw std::runtime_error(std::string("DistRunner: ") +
-                               (socket ? "socketpair" : "pipe") +
-                               " failed: " + std::strerror(errno));
+      throw std::runtime_error(std::string("DistRunner: socketpair failed: ") +
+                               std::strerror(errno));
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1 << attempt));
   }
@@ -426,7 +402,10 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     return true;
   };
 
-  for (unsigned slot = 0; slot < workers; ++slot) {
+  // Journals may sit in any slot below `shards` (workers are clamped to
+  // it): a resume reads them all, whatever worker count wrote them or
+  // gfw_worker named them for, and a fresh run clears them all.
+  for (std::uint32_t slot = 0; slot < shards; ++slot) {
     if (options_.resume) {
       sanitize_journal(static_cast<int>(slot));
     } else {
@@ -453,18 +432,16 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
   bool interrupt_seen = false;
   bool interrupt_sent = false;
 
-  const int chaos_slot =
-      options_.chaos_kill_after_shards <= 0
-          ? -1
-          : (options_.chaos_worker >= 0
-                 ? options_.chaos_worker % static_cast<int>(workers)
-                 : static_cast<int>(scenario.base_seed % workers));
+  const int chaos_slot = options_.chaos_kill_after_shards <= 0
+                             ? -1
+                             : static_cast<int>(scenario.base_seed % workers);
   bool chaos_fired = false;
 
-  const int respawn_limit =
-      options_.worker_respawn_limit > 0
-          ? options_.worker_respawn_limit
-          : static_cast<int>(shards) * max_attempts + static_cast<int>(workers);
+  // Safety valve on replacement forks: every shard could burn its whole
+  // retry budget as a process death. When the budget runs out and no
+  // worker is left alive, the shards still in the pool are quarantined
+  // instead of forking forever.
+  const int respawn_limit = static_cast<int>(shards) * max_attempts + static_cast<int>(workers);
   int respawns_used = 0;
 
   std::vector<WorkerProc> procs;
@@ -475,16 +452,8 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
   // the first World is built without waiting on a round trip. Callers
   // guarantee a non-empty pool.
   const auto spawn = [&](int slot) {
-    int hb[2];
-    int assign[2];
-    open_channel(hb, /*socket=*/false);
-    try {
-      open_channel(assign, /*socket=*/true);
-    } catch (...) {
-      ::close(hb[0]);
-      ::close(hb[1]);
-      throw;
-    }
+    int channel[2];
+    open_channel(channel);
     const std::uint32_t first = pool.extract(pool.begin()).value();
     WorkerConfig cfg;
     cfg.scenario = &scenario;
@@ -495,9 +464,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     cfg.first_shard = first;
     cfg.first_attempt_base = attempts[first];
     cfg.max_attempts = max_attempts;
-    cfg.hb_fd = hb[1];
-    cfg.assign_fd = assign[1];
-    cfg.heartbeat_interval = options_.heartbeat_interval;
+    cfg.fd = channel[1];
     cfg.stall_timeout = options_.stall_timeout;
     cfg.worker_id = static_cast<std::uint32_t>(slot);
     cfg.rlimit_as = options_.worker_rlimit_as;
@@ -507,42 +474,38 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     const pid_t pid = ::fork();
     if (pid < 0) {
       const int err = errno;
-      for (const int fd : {hb[0], hb[1], assign[0], assign[1]}) ::close(fd);
+      ::close(channel[0]);
+      ::close(channel[1]);
       throw std::runtime_error("DistRunner: fork failed: " + std::string(std::strerror(err)));
     }
     if (pid == 0) {
-      // Keep only this worker's own ends. A sibling's coordinator-side
-      // end held open here would stop that sibling from seeing EOF on
-      // its assignment channel, or SIGPIPE on its heartbeat pipe, when
-      // the coordinator dies.
+      // Keep only this worker's own end. A sibling's coordinator-side
+      // end held open here would stop that sibling from seeing EOF or
+      // EPIPE on its channel when the coordinator dies.
       for (const WorkerProc& p : procs) {
         if (p.fd >= 0) ::close(p.fd);
-        if (p.assign >= 0) ::close(p.assign);
       }
-      ::close(hb[0]);
-      ::close(assign[0]);
+      ::close(channel[0]);
       worker_main(cfg);  // noreturn; child sees the fork-time snapshot
     }
-    ::close(hb[1]);
-    ::close(assign[1]);
-    ::fcntl(hb[0], F_SETFL, O_NONBLOCK);
+    ::close(channel[1]);
 
     WorkerProc proc;
     proc.pid = pid;
     proc.slot = slot;
-    proc.fd = hb[0];
-    proc.assign = assign[0];
+    proc.fd = channel[0];
     proc.in_flight = first;
     proc.last_msg = Clock::now();
     procs.push_back(std::move(proc));
   };
 
-  // Answers a worker's 'N' with the pool's lowest shard, or kNoShard once
-  // the pool is empty or the campaign is interrupted. A worker already
-  // reaped (handle_death drains its last messages) is answered with
-  // nothing. One that died since it asked but is not reaped yet makes the
-  // send fail with EPIPE (MSG_NOSIGNAL: no SIGPIPE), which is ignored
-  // because waitpid reports the death.
+  // Answers a worker's 'D' or 'F' with the pool's lowest shard, or
+  // kNoShard once the pool is empty or the campaign is interrupted. A
+  // worker already reaped (handle_death drains its last messages) is
+  // answered with nothing. One that died since it asked but is not reaped
+  // yet makes the send fail with EPIPE, which is ignored because waitpid
+  // reports the death. A worker that sent its 'D' or 'F' on its way out
+  // after a SIGTERM never reads the reply; handle_death returns the shard.
   const auto assign_next = [&](WorkerProc& w) {
     w.in_flight = kNoShard;
     w.started = false;
@@ -553,7 +516,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     store_le32(reply + 4, w.in_flight == kNoShard
                               ? 0u
                               : static_cast<std::uint32_t>(attempts[w.in_flight]));
-    while (::send(w.assign, reply, sizeof reply, MSG_NOSIGNAL) < 0 && errno == EINTR) {
+    while (::send(w.fd, reply, sizeof reply, MSG_NOSIGNAL) < 0 && errno == EINTR) {
     }
   };
 
@@ -580,15 +543,17 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     journal_death(w.slot, f);
   };
 
-  // Parse every complete 13-byte message sitting in a worker's buffer.
-  const auto drain_messages = [&](WorkerProc& w) {
-    std::size_t off = 0;
-    while (w.rxbuf.size() - off >= kMsgSize) {
-      const std::uint8_t* msg = w.rxbuf.data() + off;
-      off += kMsgSize;
-      const std::uint8_t tag = msg[0];
+  // Handles every message queued on a worker's channel, one record per
+  // recv; stops at EAGAIN or at EOF (the worker is gone).
+  const auto read_channel = [&](WorkerProc& w) {
+    std::uint8_t msg[kMsgSize];
+    ssize_t n;
+    while ((n = ::recv(w.fd, msg, sizeof msg, MSG_DONTWAIT)) > 0 ||
+           (n < 0 && errno == EINTR)) {
+      if (n != static_cast<ssize_t>(kMsgSize)) continue;
+      w.last_msg = Clock::now();
       const std::uint32_t shard = load_le32(msg + 1);
-      switch (tag) {
+      switch (msg[0]) {
         case kMsgHeartbeat:
           break;
         case kMsgShardStart:
@@ -612,7 +577,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
               it->second.attempts = attempts[shard] + 1;
             }
           }
-          w.in_flight = kNoShard;
+          assign_next(w);
           break;
         case kMsgShardFailed:
           // Quarantined in-worker; the journal carries the kind-3 frame.
@@ -620,33 +585,11 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
             done[shard] = 1;
             attempts[shard] = std::max(attempts[shard], max_attempts);
           }
-          w.in_flight = kNoShard;
-          break;
-        case kMsgNext:
           assign_next(w);
           break;
         default:
           break;  // unknown tags are skippable, like unknown frame kinds
       }
-    }
-    if (off > 0) w.rxbuf.erase(w.rxbuf.begin(), w.rxbuf.begin() + off);
-  };
-
-  const auto read_pipe = [&](WorkerProc& w) {
-    std::uint8_t buf[4096];
-    bool any = false;
-    for (;;) {
-      const ssize_t n = ::read(w.fd, buf, sizeof buf);
-      if (n > 0) {
-        w.rxbuf.insert(w.rxbuf.end(), buf, buf + n);
-        any = true;
-        continue;
-      }
-      break;  // 0 = EOF (worker gone), -1 = EAGAIN/EINTR
-    }
-    if (any) {
-      w.last_msg = Clock::now();
-      drain_messages(w);
     }
   };
 
@@ -658,13 +601,11 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     WorkerProc& w = procs[idx];
     // Process everything the worker said before it died, THEN attribute:
     // a 'D' that raced the death must clear in_flight first. It is
-    // marked dead first so that a last 'N' gets no shard.
+    // marked dead first so that a last 'D' or 'F' gets no shard.
     w.alive = false;
-    read_pipe(w);
+    read_channel(w);
     ::close(w.fd);
-    ::close(w.assign);
     w.fd = -1;
-    w.assign = -1;
 
     if (WIFSIGNALED(status)) {
       const int sig = WTERMSIG(status);
@@ -760,10 +701,11 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     ::rmdir(tmpdir.c_str());
   };
 
-  // Exception guard: a throw after the first fork (pipe/fork failure in
-  // a respawn, a campaign-mismatch CheckpointError from sanitize) must
-  // not strand live children. SIGKILL — not SIGTERM — so SIGSTOPped
-  // workers are collected too, then reap and release the pipe fds.
+  // Exception guard: a throw after the first fork (socketpair/fork
+  // failure in a respawn, a campaign-mismatch CheckpointError from
+  // sanitize) must not strand live children. SIGKILL — not SIGTERM — so
+  // SIGSTOPped workers are collected too, then reap and release the
+  // channel fds.
   const auto abort_workers = [&]() noexcept {
     for (WorkerProc& w : procs) {
       if (!w.alive) continue;
@@ -772,9 +714,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
       while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
       }
       if (w.fd >= 0) ::close(w.fd);
-      if (w.assign >= 0) ::close(w.assign);
       w.fd = -1;
-      w.assign = -1;
       w.alive = false;
     }
   };
@@ -800,8 +740,9 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
       ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), /*timeout_ms=*/20);
 
       // Operator interrupt: tell everyone once; workers finish their
-      // in-flight shard, journal it, and exit 3. Checked before the pipes
-      // are read, so no 'N' read after the flag is answered with a shard.
+      // in-flight shard, journal it, and exit 3. Checked before the
+      // channels are read, so no request read after the flag is answered
+      // with a shard.
       if (interrupt != nullptr &&
           interrupt->load(std::memory_order_relaxed) != 0) {
         interrupt_seen = true;
@@ -814,7 +755,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
       }
 
       for (WorkerProc& w : procs) {
-        if (w.alive) read_pipe(w);
+        if (w.alive) read_channel(w);
       }
       const auto now = Clock::now();
 
@@ -825,14 +766,13 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
       if (options_.stall_timeout.count() > 0) {
         for (WorkerProc& w : procs) {
           if (!w.alive) continue;
-          if (!w.term_sent) {
+          if (!w.stall_initiated) {
             if (now - w.last_msg > options_.stall_timeout) {
               w.stall_initiated = true;
-              w.term_sent = true;
               w.term_deadline = now + options_.term_grace;
               ::kill(w.pid, SIGTERM);
             }
-          } else if (w.stall_initiated && now >= w.term_deadline) {
+          } else if (now >= w.term_deadline) {
             ::kill(w.pid, SIGKILL);  // takes down stopped processes too
             w.term_deadline = now + options_.term_grace;
           }
@@ -870,7 +810,7 @@ CampaignResult DistRunner::run(const Scenario& scenario) {
     }
   };
 
-  for (unsigned slot = 0; slot < workers; ++slot) {
+  for (std::uint32_t slot = 0; slot < shards; ++slot) {
     const std::string path = journal_path(static_cast<int>(slot));
     if (!checkpoint_exists(path)) continue;
     Checkpoint ck;

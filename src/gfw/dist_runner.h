@@ -12,14 +12,15 @@
 //   coordinator ──fork(first shard 0)──▶ worker 0  journal .worker0
 //               ──fork(first shard 1)──▶ worker 1  journal .worker1
 //               ──fork──▶ ...
-//   worker ──'N' (heartbeat pipe)──▶ coordinator ──{shard, attempt base}──▶ worker
+//   worker ──'D'/'F'──▶ coordinator ──{shard, attempt base}──▶ worker  (one channel)
 //
 //   * Workers inherit the Scenario by address space (fork, not exec) —
 //     no scenario serialization, bit-identical inputs by construction.
 //     A worker's first shard (the pool's lowest) rides in that fork-time
 //     snapshot, so the first World is built without a round trip.
-//   * After each shard a worker sends 'N' and blocks on its own
-//     assignment channel for the next shard; kNoShard tells it to exit.
+//   * After each shard a worker reports it done ('D') or quarantined
+//     ('F') and blocks on its channel for the reply, the next shard;
+//     kNoShard tells it to exit.
 //     The coordinator alone owns which shards are done, which are in
 //     flight and how many attempts each has spent, and answers with the
 //     lowest shard that is neither done nor held by a live worker. A
@@ -29,10 +30,13 @@
 //     gfw/checkpoint.h format: the journal is simultaneously the result
 //     spill file and the crash-recovery checkpoint. Any shard may land in
 //     any slot's journal; the coordinator records which one.
-//   * Each worker reports liveness over a heartbeat pipe (13-byte
-//     messages: tag, shard, event counter). Writes are < PIPE_BUF, so
-//     they are atomic even with the heartbeat thread and the shard
-//     thread sharing the fd.
+//   * Each worker talks to the coordinator over one AF_UNIX
+//     SOCK_SEQPACKET socket pair: heartbeats and 'S'/'D'/'F' (13-byte
+//     records: tag, shard, event counter) one way, assignments the
+//     other. Each send is one record, so the heartbeat thread and the
+//     shard thread share the fd without interleaving. A worker whose
+//     coordinator is gone sees EPIPE on its next send (or EOF on its
+//     next recv) and exits.
 //
 // Failure ladder (coordinator side):
 //   1. heartbeat silence > stall_timeout  → SIGTERM the worker
@@ -82,11 +86,9 @@ struct DistRunnerOptions {
   // Attempts spent in dead worker processes count toward this budget.
   int shard_retries = 1;
 
-  // How often each worker writes a heartbeat message.
-  std::chrono::milliseconds heartbeat_interval{25};
-  // Heartbeat silence deadline: a worker whose pipe has been quiet this
-  // long is presumed wedged or stopped and enters the SIGTERM→SIGKILL
-  // ladder. 0 disables the deadline (crashes are still contained —
+  // Heartbeat silence deadline (workers send one every 25 ms): a worker
+  // whose channel has been quiet this long is presumed wedged or stopped
+  // and enters the SIGTERM→SIGKILL ladder. 0 disables the deadline (crashes are still contained —
   // waitpid sees them without any timeout). Workers also arm an
   // in-process StallWatchdog with this timeout, so an in-simulation
   // stall is deadlined exactly as under the threaded runner.
@@ -97,7 +99,8 @@ struct DistRunnerOptions {
   // Slot journals live at `<journal_prefix>.worker<slot>`. Empty: a
   // private temp directory is created and removed after the merge.
   // Non-empty (operator-provided): journals persist, and `resume`
-  // restores completed shards from them — the distributed analogue of
+  // restores completed shards from every slot journal below `shards`,
+  // whatever worker count wrote it — the distributed analogue of
   // ShardedRunnerOptions::{checkpoint_path, resume}.
   std::string journal_prefix;
   bool keep_journals = false;
@@ -111,18 +114,15 @@ struct DistRunnerOptions {
   const std::atomic<int>* interrupt = nullptr;
 
   // Chaos injection (bench --worker-kill-after): after the chaos worker
-  // announces its Nth shard start, the coordinator sends it
-  // `chaos_signal`. Only a worker's first shard is fixed at fork, so
-  // only N = 1 has a reproducible kill site; later shards go to whichever
-  // worker asks first. 0 disables chaos.
+  // (slot base_seed % workers) announces its Nth shard start, the
+  // coordinator sends it `chaos_signal`. Only a worker's first shard is
+  // fixed at fork, so only N = 1 has a reproducible kill site; later
+  // shards go to whichever worker asks first. 0 disables chaos.
   int chaos_kill_after_shards = 0;
   // SIGKILL models a crash/OOM kill; SIGSTOP models a wedged process
   // (no heartbeats, not dead) and requires stall_timeout > 0 to ever be
   // collected — the ladder's SIGKILL takes down stopped processes too.
   int chaos_signal = SIGKILL;
-  // Which worker slot the chaos targets; -1 derives one from the
-  // scenario's base seed.
-  int chaos_worker = -1;
 
   // OS-level resource enforcement applied inside each worker child
   // immediately after fork (setrlimit, both soft and hard limit; 0 =
@@ -134,12 +134,6 @@ struct DistRunnerOptions {
   std::uint64_t worker_rlimit_as = 0;      // bytes of address space
   std::uint64_t worker_rlimit_cpu = 0;     // CPU seconds
   std::uint64_t worker_rlimit_nofile = 0;  // open file descriptors
-
-  // Safety valve on replacement forks. 0 derives a generous default
-  // (every shard could burn its whole retry budget as a process death).
-  // When the budget runs out and no worker is left alive, the shards
-  // still in the pool are quarantined instead of forking forever.
-  int worker_respawn_limit = 0;
 };
 
 class DistRunner : public Runner {

@@ -81,18 +81,18 @@ struct ShardFailure {
 // One line: "shard 3 (seed 0x...) stall during run after 2 attempt(s): ..."
 std::string describe(const ShardFailure& failure);
 
-// A distributed worker's pipe/journal IO verdict (gfw/dist_runner.h),
+// A distributed worker's channel/journal IO verdict (gfw/dist_runner.h),
 // journaled as a kind-5 frame at worker exit when any counter is nonzero
 // (gfw/checkpoint.h). Its counter table is kWorkerIoCounters
 // (gfw/runner.h).
 struct WorkerIoStats {
   std::uint32_t worker_id = 0;
-  // Heartbeat messages irrecoverably lost after the EINTR/partial-write
+  // Heartbeat messages irrecoverably lost after the EINTR/transient
   // retry loop gave up (the coordinator saw a stale heartbeat instead).
   std::uint64_t heartbeats_dropped = 0;
-  // Heartbeat writes that needed at least one retry but went through.
+  // Heartbeat sends that needed at least one retry but went through.
   std::uint64_t heartbeat_retries = 0;
-  // Journal/pipe opens retried with backoff under fd exhaustion
+  // Journal opens retried with backoff under fd exhaustion
   // (EMFILE/ENFILE) before succeeding.
   std::uint64_t journal_retries = 0;
 

@@ -12,8 +12,12 @@
 // (N = 1) kills at a reproducible site rather than racing wall clocks.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -130,6 +134,7 @@ class SharedCounter {
   ~SharedCounter() { ::munmap(count_, sizeof *count_); }
 
   void bump() const { count_->fetch_add(1); }
+  int value() const { return count_->load(); }
   // Blocks until the count reaches `n`; gives up after 30 s so that a
   // broken runner fails the test's assertions instead of hanging it.
   void wait_until(int n) const {
@@ -416,6 +421,84 @@ TEST(DistRunner, LastShardsWorkerDyingAfterTheOthersExitedIsReplaced) {
   armed.debug_fail_shard.fail_attempts = 0;
   armed.debug_fail_shard.die = false;
   EXPECT_EQ(campaign_digest(result), campaign_digest(in_process_reference(armed)));
+}
+
+TEST(DistRunner, ResumeReadsEverySlotJournalNotOnlyTheWorkersOwn) {
+  // Four workers leave four slot journals; a resume on two workers must
+  // still gather slots 2 and 3 instead of re-running the shards in them.
+  const gfw::Scenario scenario = fleet_scenario();
+  const gfw::CampaignResult reference = in_process_reference(scenario);
+  const std::string prefix = journal_prefix("fewer_workers");
+  remove_journals(prefix, 4);
+
+  gfw::DistRunnerOptions options = dist_options();
+  options.journal_prefix = prefix;
+  options.keep_journals = true;
+  const gfw::CampaignResult first = gfw::DistRunner(options).run(scenario);
+  EXPECT_EQ(campaign_digest(first), campaign_digest(reference));
+  // Every slot got its fork-time shard, so slots 2 and 3 hold results.
+  for (unsigned slot = 2; slot < 4; ++slot) {
+    EXPECT_GE(gfw::load_checkpoint(prefix + ".worker" + std::to_string(slot)).shards.size(),
+              1u)
+        << "slot " << slot;
+  }
+
+  options.workers = 2;
+  options.resume = true;
+  gfw::DistRunner resumed_runner(options);
+  const SharedCounter reruns;
+  resumed_runner.set_before_run([&](gfw::World&, std::uint32_t) { reruns.bump(); });
+  const gfw::CampaignResult resumed = resumed_runner.run(scenario);
+  EXPECT_EQ(reruns.value(), 0);
+  EXPECT_TRUE(resumed.complete());
+  EXPECT_EQ(campaign_digest(resumed), campaign_digest(reference));
+  remove_journals(prefix, 4);
+}
+
+TEST(DistRunner, OrphanedWorkersExitWhenTheCoordinatorDies) {
+  // A harness child becomes the subreaper for a coordinator it forks, so
+  // the workers the coordinator orphans are reparented to the harness,
+  // which reaps them. The workers' shards block for up to 30 s; once all
+  // four have started the coordinator is SIGKILLed, and every worker must
+  // notice its closed channel and exit within 5 s.
+  const std::string prefix = journal_prefix("orphans");
+  remove_journals(prefix, 4);
+  const SharedCounter started;
+  const SharedCounter never;
+  const pid_t harness = ::fork();
+  ASSERT_GE(harness, 0);
+  if (harness == 0) {
+    ::prctl(PR_SET_CHILD_SUBREAPER, 1);
+    const pid_t coordinator = ::fork();
+    if (coordinator < 0) std::_Exit(1);
+    if (coordinator == 0) {
+      gfw::DistRunnerOptions options = dist_options();
+      options.journal_prefix = prefix;
+      gfw::DistRunner runner(options);
+      runner.set_before_run([&](gfw::World&, std::uint32_t) {
+        started.bump();
+        never.wait_until(1);
+      });
+      runner.run(fleet_scenario());
+      std::_Exit(0);
+    }
+    started.wait_until(4);
+    if (started.value() < 4) std::_Exit(2);
+    ::kill(coordinator, SIGKILL);
+    int status = 0;
+    ::waitpid(coordinator, &status, 0);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (::waitpid(-1, &status, WNOHANG) < 0 && errno == ECHILD) std::_Exit(0);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::_Exit(3);  // a worker outlived its coordinator
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(harness, &status, 0), harness);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "2: workers never started, 3: orphans not reaped in 5 s";
+  remove_journals(prefix, 4);
 }
 
 TEST(DistRunner, ForeignCampaignJournalIsRefusedNotDeleted) {

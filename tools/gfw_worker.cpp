@@ -16,9 +16,10 @@
 //     append them to PATH. `--range` is the hand-scatter form: the
 //     operator fixes each invocation's static range, where DistRunner's
 //     own workers pull their shards from the coordinator one at a time.
-//     Naming the journals <prefix>.worker<slot> makes them gatherable by
-//     a resumed `bench_checkpoint --workers N --checkpoint <prefix>
-//     --resume` on the machine that merges. Re-running after a kill
+//     Naming the journals <prefix>.worker<slot> (slot below the shard
+//     count) makes them gatherable by a resumed `bench_checkpoint
+//     --workers N --checkpoint <prefix> --resume` on the machine that
+//     merges, for any N. Re-running after a kill
 //     resumes from the journal (completed shards are skipped).
 //     Numeric values must be whole unsigned tokens; anything else exits 2.
 #include <climits>
@@ -97,7 +98,7 @@ int describe_journal(const std::string& path) {
       std::cout << "    " << gfw::describe(failure) << "\n";
     }
   }
-  // Worker IO verdicts: pipe/journal degradation the worker survived —
+  // Worker IO verdicts: channel/journal degradation the worker survived —
   // including heartbeats it could not deliver at all.
   if (!ck.worker_io.empty()) {
     std::cout << "  worker io verdicts:   " << ck.worker_io.size() << "\n";
