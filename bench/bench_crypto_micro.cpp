@@ -27,8 +27,10 @@
 #include "crypto/kdf.h"
 #include "crypto/md5.h"
 #include "crypto/poly1305.h"
+#include "crypto/rc4.h"
 #include "crypto/rng.h"
 #include "crypto/sha1.h"
+#include "proxy/stream_crypto.h"
 #include "proxy/wire.h"
 
 #ifdef GFWSIM_HAVE_X86_SIMD
@@ -111,6 +113,48 @@ void BM_AesCtr(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_AesCtr)->Arg(1500)->Arg(16384);
+
+// CFB128 over a running stream (the state carries across iterations, as
+// a session's does). Decryption batches up to 8 blocks per AES call;
+// encryption is serial, one block per call.
+template <bool kEncrypt>
+void BM_AesCfb(benchmark::State& state) {
+  crypto::Rng rng(3);
+  const Bytes key = rng.bytes(32);
+  const Bytes iv = rng.bytes(16);
+  const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  crypto::AesCfb cfb(key, iv);
+  Bytes out(data.size());
+  for (auto _ : state) {
+    if constexpr (kEncrypt) {
+      cfb.encrypt(data, out.data());
+    } else {
+      cfb.decrypt(data, out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+void BM_AesCfbEncrypt(benchmark::State& state) { BM_AesCfb<true>(state); }
+void BM_AesCfbDecrypt(benchmark::State& state) { BM_AesCfb<false>(state); }
+BENCHMARK(BM_AesCfbEncrypt)->Arg(1500)->Arg(16384);
+BENCHMARK(BM_AesCfbDecrypt)->Arg(1500)->Arg(16384);
+
+void BM_Rc4(benchmark::State& state) {
+  crypto::Rng rng(3);
+  const Bytes key = rng.bytes(16);
+  const Bytes data = rng.bytes(static_cast<std::size_t>(state.range(0)));
+  crypto::Rc4 rc4(key);
+  Bytes out(data.size());
+  for (auto _ : state) {
+    rc4.transform(data, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Rc4)->Arg(1500);
 
 void BM_Ghash(benchmark::State& state) {
   crypto::Rng rng(3);
@@ -227,12 +271,28 @@ void BM_AeadSessionSetup(benchmark::State& state, const proxy::CipherSpec& spec)
   }
 }
 
+// One direction of a stream-method session from the master key and IV:
+// AES key expansion for CTR and CFB, MD5(key || IV) and the RC4 key
+// schedule for rc4-md5, a key copy for ChaCha20. Registered per stream
+// method in main() as BM_StreamSessionSetup/<method>.
+void BM_StreamSessionSetup(benchmark::State& state, const proxy::CipherSpec& spec) {
+  crypto::Rng rng(8);
+  const Bytes key = rng.bytes(spec.key_len);
+  const Bytes iv = rng.bytes(spec.iv_len);
+  for (auto _ : state) {
+    proxy::StreamSession session(spec, key, iv, proxy::StreamSession::Direction::kDecrypt);
+    benchmark::DoNotOptimize(&session);
+  }
+}
+
 void register_session_setup() {
   for (const proxy::CipherSpec* spec : proxy::all_ciphers()) {
-    if (spec->kind != proxy::CipherKind::kAead) continue;
-    const std::string name = "BM_AeadSessionSetup/" + std::string(spec->name);
-    benchmark::RegisterBenchmark(name.c_str(), [spec](benchmark::State& state) {
-      BM_AeadSessionSetup(state, *spec);
+    const bool aead = spec->kind == proxy::CipherKind::kAead;
+    const std::string name =
+        (aead ? "BM_AeadSessionSetup/" : "BM_StreamSessionSetup/") + std::string(spec->name);
+    const auto body = aead ? BM_AeadSessionSetup : BM_StreamSessionSetup;
+    benchmark::RegisterBenchmark(name.c_str(), [spec, body](benchmark::State& state) {
+      body(state, *spec);
     });
   }
 }

@@ -66,6 +66,15 @@ constexpr TeTables make_te_tables() {
 
 constexpr TeTables kTe = make_te_tables();
 
+// out = a ^ b over 8 bytes; any of the three may alias.
+inline void xor8(std::uint8_t* out, const std::uint8_t* a, const std::uint8_t* b) {
+  std::uint64_t x, y;
+  std::memcpy(&x, a, 8);
+  std::memcpy(&y, b, 8);
+  x ^= y;
+  std::memcpy(out, &x, 8);
+}
+
 }  // namespace
 
 Aes::Aes(ByteSpan key) {
@@ -78,34 +87,40 @@ Aes::Aes(ByteSpan key) {
   expand_key(key);
 }
 
+// FIPS 197 section 5.2 on big-endian words: w[i] = w[i-nk] ^ temp, with
+// temp = SubWord(RotWord(w[i-1])) ^ Rcon at each multiple of nk. Building
+// the words in registers and storing the bytes once avoids reading each
+// word back from four byte stores.
 void Aes::expand_key(ByteSpan key) {
   const std::size_t nk = key.size() / 4;          // key words
   const std::size_t total_words = 4 * (rounds_ + 1);
-  std::memcpy(round_keys_.data(), key.data(), key.size());
-
+  const auto sub_word = [](std::uint32_t w) {
+    return (static_cast<std::uint32_t>(kSbox[w >> 24]) << 24) |
+           (static_cast<std::uint32_t>(kSbox[(w >> 16) & 0xff]) << 16) |
+           (static_cast<std::uint32_t>(kSbox[(w >> 8) & 0xff]) << 8) |
+           static_cast<std::uint32_t>(kSbox[w & 0xff]);
+  };
+  std::uint32_t* w = round_keys_w_.data();
+  for (std::size_t i = 0; i < nk; ++i) w[i] = load_be32(key.data() + 4 * i);
+  std::size_t pos = 0;    // i % nk
+  std::size_t round = 1;  // i / nk
   for (std::size_t i = nk; i < total_words; ++i) {
-    std::uint8_t temp[4];
-    std::memcpy(temp, round_keys_.data() + 4 * (i - 1), 4);
-    if (i % nk == 0) {
+    std::uint32_t temp = w[i - 1];
+    if (pos == 0) {
       // RotWord + SubWord + Rcon.
-      const std::uint8_t t0 = temp[0];
-      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ kRcon[i / nk]);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t0];
-    } else if (nk > 6 && i % nk == 4) {
+      temp = sub_word((temp << 8) | (temp >> 24)) ^
+             (static_cast<std::uint32_t>(kRcon[round]) << 24);
+    } else if (nk > 6 && pos == 4) {
       // AES-256 extra SubWord.
-      for (auto& t : temp) t = kSbox[t];
+      temp = sub_word(temp);
     }
-    const std::uint8_t* prev = round_keys_.data() + 4 * (i - nk);
-    std::uint8_t* out = round_keys_.data() + 4 * i;
-    for (int j = 0; j < 4; ++j) out[j] = static_cast<std::uint8_t>(prev[j] ^ temp[j]);
+    w[i] = w[i - nk] ^ temp;
+    if (++pos == nk) {
+      pos = 0;
+      ++round;
+    }
   }
-
-  // Word form of the same schedule for the T-table kernel.
-  for (std::size_t i = 0; i < total_words; ++i) {
-    round_keys_w_[i] = load_be32(round_keys_.data() + 4 * i);
-  }
+  for (std::size_t i = 0; i < total_words; ++i) store_be32(round_keys_.data() + 4 * i, w[i]);
 }
 
 void Aes::encrypt_block(const std::uint8_t in[kBlockSize], std::uint8_t out[kBlockSize]) const {
@@ -315,12 +330,8 @@ void AesCtr::transform(ByteSpan data, std::uint8_t* out) {
     }
     std::uint8_t ks[8 * Aes::kBlockSize];
     aes_.encrypt_blocks(ctrs, ks, n);
-    for (std::size_t w = 0; w < 2 * n; ++w) {
-      std::uint64_t d, k;
-      std::memcpy(&d, data.data() + i + 8 * w, 8);
-      std::memcpy(&k, ks + 8 * w, 8);
-      d ^= k;
-      std::memcpy(out + i + 8 * w, &d, 8);
+    for (std::size_t w = 0; w < Aes::kBlockSize * n; w += 8) {
+      xor8(out + i + w, data.data() + i + w, ks + w);
     }
     i += Aes::kBlockSize * n;
     whole -= n;
@@ -343,20 +354,66 @@ AesCfb::AesCfb(ByteSpan key, ByteSpan iv) : aes_(key) {
 }
 
 void AesCfb::encrypt(ByteSpan plaintext, std::uint8_t* out) {
-  for (std::size_t i = 0; i < plaintext.size(); ++i) {
+  const std::size_t n = plaintext.size();
+  std::size_t i = 0;
+  // Finish a block left partial by the previous call.
+  for (; i < n && used_ < Aes::kBlockSize; ++i, ++used_) {
+    const std::uint8_t c = plaintext[i] ^ keystream_[used_];
+    shift_register_[used_] = c;  // ciphertext feeds back
+    out[i] = c;
+  }
+  // Whole blocks: each keystream block is E(previous ciphertext), so
+  // encryption stays one block at a time, but the xor and the feedback
+  // go 8 bytes at a time.
+  for (; n - i >= Aes::kBlockSize; i += Aes::kBlockSize) {
+    std::uint8_t ks[Aes::kBlockSize];
+    aes_.encrypt_block(shift_register_.data(), ks);
+    xor8(shift_register_.data(), plaintext.data() + i, ks);
+    xor8(shift_register_.data() + 8, plaintext.data() + i + 8, ks + 8);
+    std::memcpy(out + i, shift_register_.data(), Aes::kBlockSize);
+  }
+  // A partial block at the end buffers its keystream for the next call.
+  for (; i < n; ++i, ++used_) {
     if (used_ == Aes::kBlockSize) {
       keystream_ = aes_.encrypt_block(shift_register_);
       used_ = 0;
     }
     const std::uint8_t c = plaintext[i] ^ keystream_[used_];
-    shift_register_[used_] = c;  // ciphertext feeds back
+    shift_register_[used_] = c;
     out[i] = c;
-    ++used_;
   }
 }
 
 void AesCfb::decrypt(ByteSpan ciphertext, std::uint8_t* out) {
-  for (std::size_t i = 0; i < ciphertext.size(); ++i) {
+  const std::size_t n = ciphertext.size();
+  std::size_t i = 0;
+  for (; i < n && used_ < Aes::kBlockSize; ++i, ++used_) {
+    const std::uint8_t c = ciphertext[i];
+    out[i] = c ^ keystream_[used_];
+    shift_register_[used_] = c;
+  }
+  // Whole blocks: keystream block k is E(C_{k-1}), and every C_{k-1} is
+  // already in hand, so up to 8 blocks go through one batched
+  // encrypt_blocks call. The inputs are copied out first because `out`
+  // may be `ciphertext` itself.
+  std::size_t whole = (n - i) / Aes::kBlockSize;
+  while (whole > 0) {
+    const std::size_t b = whole < 8 ? whole : 8;
+    const std::size_t len = Aes::kBlockSize * b;
+    std::uint8_t feed[8 * Aes::kBlockSize];
+    std::memcpy(feed, shift_register_.data(), Aes::kBlockSize);
+    std::memcpy(feed + Aes::kBlockSize, ciphertext.data() + i, len - Aes::kBlockSize);
+    std::memcpy(shift_register_.data(), ciphertext.data() + i + len - Aes::kBlockSize,
+                Aes::kBlockSize);
+    std::uint8_t ks[8 * Aes::kBlockSize];
+    aes_.encrypt_blocks(feed, ks, b);
+    for (std::size_t w = 0; w < len; w += 8) {
+      xor8(out + i + w, ciphertext.data() + i + w, ks + w);
+    }
+    i += len;
+    whole -= b;
+  }
+  for (; i < n; ++i, ++used_) {
     if (used_ == Aes::kBlockSize) {
       keystream_ = aes_.encrypt_block(shift_register_);
       used_ = 0;
@@ -364,7 +421,6 @@ void AesCfb::decrypt(ByteSpan ciphertext, std::uint8_t* out) {
     const std::uint8_t c = ciphertext[i];
     out[i] = c ^ keystream_[used_];
     shift_register_[used_] = c;
-    ++used_;
   }
 }
 

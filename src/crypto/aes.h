@@ -55,13 +55,20 @@ class Aes {
 
   int rounds() const { return rounds_; }
 
+  // The expanded key, (rounds() + 1) * 16 bytes; public so tests can
+  // check it against FIPS 197 Appendix A.
+  ByteSpan round_keys() const {
+    return {round_keys_.data(), kBlockSize * static_cast<std::size_t>(rounds_ + 1)};
+  }
+
  private:
   void expand_key(ByteSpan key);
   void encrypt_ttable(const std::uint8_t* in, std::uint8_t* out) const;
   void encrypt2_ttable(const std::uint8_t* in, std::uint8_t* out) const;
 
   // Round keys: (rounds_ + 1) * 16 bytes, plus the same schedule as
-  // big-endian words for the T-table kernel.
+  // big-endian words for the T-table kernel (expand_key builds the words
+  // and stores the bytes from them).
   std::array<std::uint8_t, 15 * 16> round_keys_{};
   std::array<std::uint32_t, 15 * 4> round_keys_w_{};
   int rounds_ = 0;
@@ -93,7 +100,13 @@ class AesCtr {
 };
 
 // AES in 128-bit CFB mode (OpenSSL "aes-*-cfb"), stateful across calls.
-// Unlike CTR, encryption and decryption differ.
+// Unlike CTR, encryption and decryption differ. Encryption is serial
+// (each keystream block is E(previous ciphertext block)): one
+// encrypt_block per block, xor and feedback 8 bytes at a time. Decryption
+// knows every E input up front, so whole blocks go up to 8 at a time
+// through encrypt_blocks (8 AESENC chains on the SIMD tier). Byte loops
+// remain only for a partial block at either end of a call. `out` may
+// equal the input (in place) or not overlap it.
 class AesCfb {
  public:
   AesCfb(ByteSpan key, ByteSpan iv);

@@ -23,11 +23,29 @@ double shannon_entropy(ByteSpan data) {
   std::array<std::size_t, 256> counts{};
   for (std::uint8_t b : data) ++counts[b];
   const double n = static_cast<double>(data.size());
+  // A buffer has few distinct counts (a 594-byte random payload about
+  // ten), so each count's term p*log2(p) is computed once per call. The
+  // sum is the plain one, term by term in bin order, so the result is
+  // bit-identical to it. The memo covers counts up to 256, which holds
+  // every count of a random buffer up to 16 KiB (counts near 64); a
+  // larger count computes its term directly.
+  constexpr std::size_t kMemo = 257;
+  std::array<double, kMemo> term;  // term[c] is read only once known[c] is set
+  std::array<bool, kMemo> known{};
   double h = 0.0;
   for (std::size_t c : counts) {
     if (c == 0) continue;
-    const double p = static_cast<double>(c) / n;
-    h -= p * std::log2(p);
+    if (c < kMemo) {
+      if (!known[c]) {
+        const double p = static_cast<double>(c) / n;
+        term[c] = p * std::log2(p);
+        known[c] = true;
+      }
+      h -= term[c];
+    } else {
+      const double p = static_cast<double>(c) / n;
+      h -= p * std::log2(p);
+    }
   }
   return h;
 }

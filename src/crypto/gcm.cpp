@@ -18,7 +18,7 @@ std::uint64_t load_lo(const std::uint8_t* p) { return load_be64(p + 8); }
 // x^128 + x^7 + x^2 + x + 1 (R = 0xE1 << 120). This is the retained
 // bit-by-bit reference kernel — 128 shift/conditional-xor steps per call —
 // behind the reference tier, ghash_reference(), and the one-off H^2..H^4
-// derivation of the faster tiers.
+// derivation of the portable tier.
 void gf_mul_reference(std::uint64_t& zhi, std::uint64_t& zlo, std::uint64_t xhi,
                       std::uint64_t xlo, std::uint64_t yhi, std::uint64_t ylo) {
   std::uint64_t rhi = 0, rlo = 0;
@@ -98,30 +98,38 @@ AesGcm::AesGcm(ByteSpan key) : aes_(key), tier_(ghash_dispatch_tier()) {
   h_ = aes_.encrypt_block(zero);
   if (tier_ == KernelTier::kReference) return;
 
-  // H^1..H^4 for the four-block folds, by the reference multiply (three
-  // calls per key), so no tier builds a table just to take powers.
-  U128 hpow[4];
-  hpow[0] = {load_be64(h_.data()), load_be64(h_.data() + 8)};
-  for (int i = 1; i < 4; ++i) {
-    gf_mul_reference(hpow[i].hi, hpow[i].lo, hpow[i - 1].hi, hpow[i - 1].lo, hpow[0].hi,
-                     hpow[0].lo);
-  }
-  if (tier_ == KernelTier::kPortable) {
-    auto tables = std::make_unique<HTables>();
-    fill_htable(tables->h1, hpow[0]);
-    fill_htable(tables->h2, hpow[1]);
-    fill_htable(tables->h3, hpow[2]);
-    fill_htable(tables->h4, hpow[3]);
-    tables_ = std::move(tables);
+  const U128 h{load_be64(h_.data()), load_be64(h_.data() + 8)};
+#ifdef GFWSIM_HAVE_X86_SIMD
+  if (tier_ == KernelTier::kSimd) {
+    // H^2..H^4 from the fold kernel itself: with every key slot set to
+    // H, folding Y over four zero blocks gives Y*H. GF(2^128)
+    // multiplication is exact, so this is the same key material the
+    // reference multiply would give.
+    simd::GhashU128 key_pow[4] = {{h.hi, h.lo}, {h.hi, h.lo}, {h.hi, h.lo}, {h.hi, h.lo}};
+    simd::ghash_init(key_pow, ghash_key_x86_);
+    const std::uint8_t zero_blocks[64] = {};
+    U128 y = h;
+    for (int i = 2; i >= 0; --i) {  // key_pow[i] = H^(4-i)
+      simd::ghash_fold4(y.hi, y.lo, zero_blocks, ghash_key_x86_);
+      key_pow[i] = {y.hi, y.lo};
+    }
+    simd::ghash_init(key_pow, ghash_key_x86_);
     return;
   }
-#ifdef GFWSIM_HAVE_X86_SIMD
-  const simd::GhashU128 key_pow[4] = {{hpow[3].hi, hpow[3].lo},
-                                      {hpow[2].hi, hpow[2].lo},
-                                      {hpow[1].hi, hpow[1].lo},
-                                      {hpow[0].hi, hpow[0].lo}};
-  simd::ghash_init(key_pow, ghash_key_x86_);
 #endif
+  // The portable tier: H^1..H^4 by the reference multiply (three calls
+  // per key), so no tier builds a table just to take powers.
+  U128 hpow[4];
+  hpow[0] = h;
+  for (int i = 1; i < 4; ++i) {
+    gf_mul_reference(hpow[i].hi, hpow[i].lo, hpow[i - 1].hi, hpow[i - 1].lo, h.hi, h.lo);
+  }
+  auto tables = std::make_unique<HTables>();
+  fill_htable(tables->h1, hpow[0]);
+  fill_htable(tables->h2, hpow[1]);
+  fill_htable(tables->h3, hpow[2]);
+  fill_htable(tables->h4, hpow[3]);
+  tables_ = std::move(tables);
 }
 
 // Shoup 8-bit table: table[0x80] = H, table[0x40] = H*x, ..., table[1] =

@@ -11,7 +11,8 @@
 // blocks, 0*H^4 ^ (Y ^ c1)*H^k ^ ... ^ ck*H, exact by linearity. Each
 // object fixes its GHASH tier at construction and builds only that
 // tier's key material. The SIMD tier does the fold with PCLMUL
-// (gcm_x86.cpp); the portable tier walks four widened 8-bit Shoup
+// (gcm_x86.cpp) and takes H^2..H^4 from that same fold, run with H in
+// every key slot; the portable tier walks four widened 8-bit Shoup
 // tables in one interleaved loop (16 lookups per block, with a
 // 256-entry constant reduction table folding the shifted-out byte), and
 // its 16 KiB of tables is the only tier that has any. The reference

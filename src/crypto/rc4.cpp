@@ -10,9 +10,11 @@ Rc4::Rc4(ByteSpan key) {
   }
   for (int i = 0; i < 256; ++i) s_[i] = static_cast<std::uint8_t>(i);
   std::uint8_t j = 0;
+  std::size_t k = 0;  // i % key.size(), without the division
   for (int i = 0; i < 256; ++i) {
-    j = static_cast<std::uint8_t>(j + s_[i] + key[i % key.size()]);
+    j = static_cast<std::uint8_t>(j + s_[i] + key[k]);
     std::swap(s_[i], s_[j]);
+    if (++k == key.size()) k = 0;
   }
 }
 
