@@ -54,17 +54,17 @@ int main(int argc, char** argv) {
   const net::Endpoint server_ep{server_host.addr(), 8388};
 
   bool responding = false;
-  std::vector<std::shared_ptr<net::Connection>> sessions;
+  std::vector<net::ConnectionHandle> sessions;
   crypto::Rng response_rng(0x4e5);
-  server_host.listen(8388, [&](std::shared_ptr<net::Connection> conn) {
-    sessions.push_back(conn);
-    auto* raw = conn.get();
+  server_host.listen(8388, [&](net::ConnectionHandle conn) {
+    net::Connection* raw = conn.get();
     net::ConnectionCallbacks cb;
     cb.on_data = [&, raw](ByteSpan) {
       // Responding mode answers probers with 1-1000 random bytes.
       if (responding) raw->send(response_rng.bytes(1 + response_rng.uniform(0, 999)));
     };
     conn->set_callbacks(std::move(cb));
+    sessions.push_back(std::move(conn));
     while (sessions.size() > 512) sessions.erase(sessions.begin());
   });
 
@@ -77,13 +77,19 @@ int main(int argc, char** argv) {
   // Exp 1.a-style traffic: raw high-entropy payloads every 30 s.
   client::RandomDataTraffic traffic = client::RandomDataTraffic::exp1();
   crypto::Rng traffic_rng(0x7f10);
-  std::deque<std::shared_ptr<net::Connection>> client_conns;
+  // The deque owns the client connections; the timers resolve ids and do
+  // nothing once the deque has let go.
+  std::deque<net::ConnectionHandle> client_conns;
   const auto send_one = [&] {
-    auto conn = client_host.connect(server_ep, {});
-    client_conns.push_back(conn);
+    client_conns.push_back(client_host.connect(server_ep, {}));
+    const net::ConnId id = client_conns.back()->id();
     const Bytes payload = traffic.next(traffic_rng).first_payload;
-    loop.schedule_after(net::milliseconds(300), [conn, payload] { conn->send(payload); });
-    loop.schedule_after(net::seconds(20), [conn] { conn->close(); });
+    loop.schedule_after(net::milliseconds(300), [&network, id, payload] {
+      if (net::Connection* conn = network.connection(id)) conn->send(payload);
+    });
+    loop.schedule_after(net::seconds(20), [&network, id] {
+      if (net::Connection* conn = network.connection(id)) conn->close();
+    });
     while (client_conns.size() > 128) client_conns.pop_front();
   };
 

@@ -77,7 +77,7 @@ class Fetch {
   std::size_t head_size_ = 0;
   std::size_t response_bytes_ = 0;
   std::size_t first_packet_size_ = 0;
-  std::shared_ptr<net::Connection> conn_;
+  net::ConnectionHandle conn_;
   std::unique_ptr<FirstFlight> first_flight_;
   std::unique_ptr<proxy::Decryptor> decryptor_;  // null in raw mode
 };

@@ -26,16 +26,16 @@ std::uint32_t Brdgrd::pick_window() {
 }
 
 net::Host::Acceptor Brdgrd::wrap(net::Host::Acceptor inner) {
-  return [this, inner = std::move(inner)](std::shared_ptr<net::Connection> conn) {
+  return [this, inner = std::move(inner)](net::ConnectionHandle conn) {
     if (enabled_) {
       ++clamped_;
       conn->set_recv_window(pick_window());
       // Restore the window once the fragmented first flight is through.
-      std::weak_ptr<net::Connection> weak = conn;
-      loop_.schedule_after(config_.restore_after, [weak] {
-        if (auto alive = weak.lock(); alive && alive->established()) {
-          alive->set_recv_window(kRestoredWindow);
-        }
+      // The timer does not own the connection: it resolves the id, and
+      // finds nothing once the server has let go of it.
+      loop_.schedule_after(config_.restore_after, [net = &conn->network(), id = conn->id()] {
+        net::Connection* alive = net->connection(id);
+        if (alive != nullptr && alive->established()) alive->set_recv_window(kRestoredWindow);
       });
     }
     inner(std::move(conn));

@@ -319,15 +319,8 @@ void Gfw::finalize_probe(ProbeId id) {
   --in_flight_;
   ProbeRecord final_record = std::move(attempt.record);
   final_record.connect_retries = attempt.attempts - 1;
-  if (attempt.data_bytes > 0) {
-    final_record.reaction = probesim::Reaction::kData;
-  } else if (attempt.rst) {
-    final_record.reaction = probesim::Reaction::kRst;
-  } else if (attempt.fin) {
-    final_record.reaction = probesim::Reaction::kFinAck;
-  } else {
-    final_record.reaction = probesim::Reaction::kTimeout;
-  }
+  final_record.reaction =
+      probesim::classify_reaction(attempt.data_bytes, attempt.rst, attempt.fin);
   const net::Endpoint server = attempt.server;
   if (attempt.conn) attempt.conn->close();
   if (attempt.conn && attempt.conn->state() == net::Connection::State::kFinSent) {

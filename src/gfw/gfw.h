@@ -32,8 +32,8 @@
 #include "gfw/delay_model.h"
 #include "gfw/probe_log.h"
 #include "gfw/prober_pool.h"
-#include "gfw/slot_table.h"
 #include "net/network.h"
+#include "net/slot_table.h"
 #include "probesim/probesim.h"
 
 namespace gfwsim::gfw {
@@ -157,7 +157,7 @@ class Gfw : public net::Middlebox {
     ProbeRecord record;
     net::TimePoint deadline{};
     int attempts = 1;
-    std::shared_ptr<net::Connection> conn;
+    net::ConnectionHandle conn;
     bool rst = false;
     bool fin = false;
     std::size_t data_bytes = 0;
@@ -192,7 +192,7 @@ class Gfw : public net::Middlebox {
   // Re-launches queued probes while in-flight capacity allows (FIFO, so
   // the drain order is a pure function of the shard's event sequence).
   void drain_admission_queue();
-  using ProbeId = SlotTable<ProbeAttempt>::Id;
+  using ProbeId = net::SlotTable<ProbeAttempt>::Id;
   void start_probe_connection(ProbeId id);
   void finalize_probe(ProbeId id);
   // The probe's connection finished closing or failed: a finalized
@@ -223,7 +223,7 @@ class Gfw : public net::Middlebox {
   // Every probe attempt, from launch until finalize, or past finalize
   // until its half-closed connection sees FIN, RST or timeout; ~Gfw
   // releases whatever is left.
-  SlotTable<ProbeAttempt> probes_;
+  net::SlotTable<ProbeAttempt> probes_;
 
   // Resource governance (inert while governor_ is null and
   // probe_queue_cap_ is 0).

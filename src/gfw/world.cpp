@@ -128,9 +128,10 @@ void World::build() {
   }
 
   // Control host: listens but is never contacted by our clients; any
-  // arriving segment is counted.
+  // arriving segment is counted. The acceptor drops the handle, so the
+  // connection is freed right after its SYN/ACK.
   net::Host& control_host = net_.add_host(net::Ipv4(203, 0, 113, 77));
-  control_host.listen(8388, [this](std::shared_ptr<net::Connection> conn) {
+  control_host.listen(8388, [this](net::ConnectionHandle conn) {
     ++control_contacts_;
     conn->set_callbacks({});
   });
@@ -281,7 +282,7 @@ void World::launch_connection(ServerRig& rig) {
   }
 }
 
-void World::release_fetch(SlotTable<FetchSlot>::Id id) {
+void World::release_fetch(net::SlotTable<FetchSlot>::Id id) {
   if (--fetches_.get(id)->holders == 0) fetches_.erase(id);
 }
 

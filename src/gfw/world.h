@@ -25,7 +25,7 @@
 #include "defense/brdgrd.h"
 #include "gfw/gfw.h"
 #include "gfw/scenario.h"
-#include "gfw/slot_table.h"
+#include "net/slot_table.h"
 #include "probesim/probesim.h"
 
 namespace gfwsim::gfw {
@@ -130,7 +130,7 @@ class World {
     bool raw_traffic = false;
     std::size_t connections_launched = 0;
     // Ids of the rig's 256 most recent fetches.
-    std::deque<SlotTable<FetchSlot>::Id> fetch_window;
+    std::deque<net::SlotTable<FetchSlot>::Id> fetch_window;
   };
 
   void build();
@@ -140,7 +140,7 @@ class World {
   std::uint64_t rig_seed(std::uint64_t salt, std::size_t index) const;
   void launch_connection(ServerRig& rig);
   // One holder lets go of the fetch; the last one frees its slot.
-  void release_fetch(SlotTable<FetchSlot>::Id id);
+  void release_fetch(net::SlotTable<FetchSlot>::Id id);
   void pump_traffic(std::size_t rig_index);
   void maybe_inject_failure();
 
@@ -160,7 +160,7 @@ class World {
   std::vector<std::unique_ptr<ServerRig>> rigs_;
   // Every fetch the rigs launched that is still held; declared after
   // rigs_ so its connections go before the SsClients they call into.
-  SlotTable<FetchSlot> fetches_;
+  net::SlotTable<FetchSlot> fetches_;
 
   net::TimePoint traffic_until_{};
 

@@ -14,6 +14,12 @@
 // application, and connect/RTO/idle exhaustion fails the connection
 // through on_timeout. With faults disabled none of this machinery runs and
 // the wire format is bit-identical to the ideal-network behaviour.
+//
+// Ownership: the Network owns every Connection, names it by a generation-
+// tagged ConnId and must outlive every ConnectionHandle. Releasing the
+// handle frees the connection at once, or when the network's dispatch
+// into it returns if its callback is on the stack. Observers keep the
+// ConnId and resolve it with Network::connection().
 #pragma once
 
 #include <atomic>
@@ -32,6 +38,9 @@
 namespace gfwsim::net {
 
 class Network;
+
+// A connection's id in its Network; stale once the connection is freed.
+using ConnId = std::uint64_t;
 
 struct ConnectionCallbacks {
   // Handshake complete (client: SYN/ACK received; server: fires right
@@ -57,18 +66,18 @@ struct HeaderProfile {
   std::function<std::uint16_t()> ip_id;           // may be null -> 0
 };
 
-class Connection : public std::enable_shared_from_this<Connection> {
+class Connection {
  public:
   enum class State { kConnecting, kEstablished, kFinSent, kClosed, kReset };
 
-  // Deregisters from the owning Network (when it still exists), keeping
-  // the connection registry free of expired entries.
-  ~Connection();
+  ~Connection() { live_.fetch_sub(1, std::memory_order_relaxed); }
 
   // Connection objects alive in this process, across every Network. Read
   // by leak tests only: it never enters a summary, checkpoint or digest.
   static std::size_t live_count() { return live_.load(std::memory_order_relaxed); }
 
+  ConnId id() const { return id_; }
+  Network& network() const { return *net_; }
   Endpoint local() const { return local_; }
   Endpoint remote() const { return remote_; }
   State state() const { return state_; }
@@ -126,14 +135,11 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void release_arq_entries(std::size_t count);
 
   Network* net_ = nullptr;
-  // Expires when net_ is destroyed; guards the deregistration in
-  // ~Connection for connections that outlive their Network.
-  std::weak_ptr<char> net_alive_;
+  ConnId id_ = 0;
   Endpoint local_;
   Endpoint remote_;
   HeaderProfile header_;
   ConnectionCallbacks cb_;
-  std::weak_ptr<Connection> peer_;
   State state_ = State::kConnecting;
   std::uint32_t recv_window_ = 65535;
   std::uint32_t peer_window_ = 65535;
@@ -164,5 +170,12 @@ class Connection : public std::enable_shared_from_this<Connection> {
   };
   std::unique_ptr<Arq> arq_;
 };
+
+// The application's sole owner of one Connection: destroying or reset()ing
+// it releases the connection to its Network.
+struct ReleaseConnection {
+  void operator()(Connection* conn) const;
+};
+using ConnectionHandle = std::unique_ptr<Connection, ReleaseConnection>;
 
 }  // namespace gfwsim::net

@@ -10,7 +10,7 @@
 //
 // Contract notes:
 //  - Keys must be trivially copyable and equality-comparable; values must
-//    be default-constructible and movable (weak_ptr, unique_ptr, Rng,
+//    be default-constructible and movable (ids, unique_ptr, Rng,
 //    plain structs all qualify).
 //  - Pointers returned by find()/emplace are invalidated by any insert
 //    (the table may rehash) and by any erase (backshift moves entries).

@@ -32,19 +32,17 @@ std::string Segment::flags_to_string() const {
 
 EventLoop& Connection::loop() { return net_->loop(); }
 
-Connection::~Connection() {
-  live_.fetch_sub(1, std::memory_order_relaxed);
-  // Drop this connection's registry entry so the table never holds
-  // expired weak_ptrs (and the ephemeral-port usage count stays exact).
-  // Skipped when the Network died first.
-  if (!net_alive_.expired()) {
-    if (arq_) release_arq_entries(arq_->unacked.size());
-    net_->connection_destroyed(*this);
+void ReleaseConnection::operator()(Connection* conn) const {
+  Network& net = conn->network();
+  if (conn->id() == net.dispatching_) {
+    net.dispatch_released_ = true;
+  } else {
+    net.free_connection(conn->id());
   }
 }
 
 void Connection::release_arq_entries(std::size_t count) {
-  if (count == 0 || net_ == nullptr || net_alive_.expired()) return;
+  if (count == 0) return;
   if (ResourceGovernor* governor = net_->governor()) {
     governor->release(ResourceKind::kArqEntries, count);
   }
@@ -76,10 +74,7 @@ void Connection::close() {
       // so a lost FIN leaves this side half-closed until the idle
       // watchdog (if armed) reaps it.
       if (arq_) {
-        if (arq_->rto_timer != 0) {
-          loop().cancel(arq_->rto_timer);
-          arq_->rto_timer = 0;
-        }
+        loop().cancel(std::exchange(arq_->rto_timer, 0));
         release_arq_entries(arq_->unacked.size());
         arq_->unacked.clear();
       }
@@ -115,12 +110,14 @@ void Connection::set_recv_window(std::uint32_t bytes) {
   }
 }
 
+// The ARQ timers capture the connection's id, not the connection: one
+// that fires after the connection was freed finds nothing and does
+// nothing (freeing does not cancel them).
 void Connection::arm_syn_timer() {
-  std::weak_ptr<Connection> weak = weak_from_this();
   const Duration delay = arq_->config.syn_timeout * (1ll << (arq_->syn_attempts - 1));
-  arq_->syn_timer = loop().schedule_after(delay, [weak] {
-    auto self = weak.lock();
-    if (!self || self->state_ != State::kConnecting) return;
+  arq_->syn_timer = loop().schedule_after(delay, [net = net_, id = id_] {
+    Connection* self = net->connection(id);
+    if (self == nullptr || self->state_ != State::kConnecting) return;
     Arq& arq = *self->arq_;
     arq.syn_timer = 0;
     if (arq.syn_attempts > arq.config.max_syn_retries) {
@@ -136,10 +133,9 @@ void Connection::arm_syn_timer() {
 
 void Connection::arm_rto_timer() {
   if (arq_->rto_timer != 0) return;
-  std::weak_ptr<Connection> weak = weak_from_this();
-  arq_->rto_timer = loop().schedule_after(arq_->config.rto, [weak] {
-    auto self = weak.lock();
-    if (!self) return;
+  arq_->rto_timer = loop().schedule_after(arq_->config.rto, [net = net_, id = id_] {
+    Connection* self = net->connection(id);
+    if (self == nullptr) return;
     Arq& arq = *self->arq_;
     arq.rto_timer = 0;
     if (arq.unacked.empty() || !self->can_send()) return;
@@ -148,7 +144,7 @@ void Connection::arm_rto_timer() {
       return;
     }
     ++arq.rto_retries;
-    arq.unacked.for_each([&self, &arq](std::uint32_t, const Segment& stored) {
+    arq.unacked.for_each([self, &arq](std::uint32_t, const Segment& stored) {
       Segment copy = stored;
       copy.retransmission = true;
       ++arq.retransmissions;
@@ -160,11 +156,10 @@ void Connection::arm_rto_timer() {
 
 void Connection::arm_idle_timer() {
   if (arq_->config.idle_timeout <= Duration::zero()) return;
-  std::weak_ptr<Connection> weak = weak_from_this();
   arq_->idle_timer = loop().schedule_at(
-      last_activity_ + arq_->config.idle_timeout, [weak] {
-        auto self = weak.lock();
-        if (!self) return;
+      last_activity_ + arq_->config.idle_timeout, [net = net_, id = id_] {
+        Connection* self = net->connection(id);
+        if (self == nullptr) return;
         self->arq_->idle_timer = 0;
         if (self->state_ == State::kClosed || self->state_ == State::kReset) return;
         if (self->loop().now() - self->last_activity_ >=
@@ -179,10 +174,7 @@ void Connection::arm_idle_timer() {
 void Connection::cancel_arq_timers() {
   if (!arq_) return;
   for (TimerId* timer : {&arq_->syn_timer, &arq_->rto_timer, &arq_->idle_timer}) {
-    if (*timer != 0) {
-      loop().cancel(*timer);
-      *timer = 0;
-    }
+    loop().cancel(std::exchange(*timer, 0));  // cancel(0) is a no-op
   }
 }
 
@@ -191,10 +183,7 @@ void Connection::handle_ack(std::uint32_t ack_seq) {
   release_arq_entries(1);
   if (arq_->unacked.empty()) {
     arq_->rto_retries = 0;
-    if (arq_->rto_timer != 0) {
-      loop().cancel(arq_->rto_timer);
-      arq_->rto_timer = 0;
-    }
+    loop().cancel(std::exchange(arq_->rto_timer, 0));
   }
 }
 
@@ -211,6 +200,7 @@ bool Connection::note_received_seq(std::uint32_t seq) {
 
 void Connection::fail() {
   if (state_ == State::kClosed || state_ == State::kReset) return;
+  Network::DispatchScope scope(*net_, id_);
   cancel_arq_timers();
   state_ = State::kReset;
   net_->unregister_connection(*this);
@@ -257,30 +247,22 @@ std::uint16_t Host::allocate_ephemeral_port() {
   throw std::runtime_error("Host::allocate_ephemeral_port: range exhausted");
 }
 
-std::shared_ptr<Connection> Host::connect(Endpoint remote, ConnectionCallbacks callbacks,
-                                          ConnectOptions options) {
-  auto conn = std::shared_ptr<Connection>(new Connection());
-  conn->net_ = net_;
-  conn->local_ = Endpoint{addr_, options.src_port != 0 ? options.src_port
-                                                       : allocate_ephemeral_port()};
-  conn->remote_ = remote;
-  conn->header_ = options.header.value_or(default_header_);
-  conn->cb_ = std::move(callbacks);
-  if (options.recv_window) conn->recv_window_ = *options.recv_window;
-  conn->state_ = Connection::State::kConnecting;
-  conn->last_activity_ = net_->loop().now();
-  if (net_->arq_enabled()) {
-    conn->arq_ = std::make_unique<Connection::Arq>(options.arq.value_or(net_->arq_config()));
+ConnectionHandle Host::connect(Endpoint remote, ConnectionCallbacks callbacks,
+                               ConnectOptions options) {
+  const Endpoint local{addr_, options.src_port != 0 ? options.src_port
+                                                    : allocate_ephemeral_port()};
+  Connection& conn =
+      net_->create_connection(local, remote, options.header.value_or(default_header_),
+                              options.arq.value_or(net_->arq_config()));
+  conn.cb_ = std::move(callbacks);
+  if (options.recv_window) conn.recv_window_ = *options.recv_window;
+  net_->transmit(conn, static_cast<std::uint8_t>(TcpFlag::kSyn), {});
+  if (conn.arq_) {
+    conn.arq_->syn_attempts = 1;
+    conn.arm_syn_timer();
+    conn.arm_idle_timer();
   }
-
-  net_->register_connection(conn);
-  net_->transmit(*conn, static_cast<std::uint8_t>(TcpFlag::kSyn), {});
-  if (conn->arq_) {
-    conn->arq_->syn_attempts = 1;
-    conn->arm_syn_timer();
-    conn->arm_idle_timer();
-  }
-  return conn;
+  return ConnectionHandle(&conn);
 }
 
 // ---- Network ----------------------------------------------------------------
@@ -344,12 +326,44 @@ crypto::Rng& Network::fault_rng(Ipv4 src, Ipv4 dst) {
   return *rng;
 }
 
-std::shared_ptr<Connection> Network::find_connection(const Endpoint& local,
-                                                     const Endpoint& remote) {
-  auto* entry = connections_.find(flow_key(local, remote));
-  // Entries cannot be expired: a destroyed connection removes its own
-  // registration (~Connection), so a present entry always locks.
-  return entry == nullptr ? nullptr : entry->lock();
+Network::DispatchScope::~DispatchScope() {
+  const ConnId id = std::exchange(net.dispatching_, ~ConnId{0});
+  if (std::exchange(net.dispatch_released_, false)) net.free_connection(id);
+}
+
+Connection& Network::create_connection(Endpoint local, Endpoint remote, HeaderProfile header,
+                                       const ArqConfig& arq) {
+  const ConnId id = connections_.emplace(new Connection());
+  Connection& conn = *connection(id);
+  conn.net_ = this;
+  conn.id_ = id;
+  conn.local_ = local;
+  conn.remote_ = remote;
+  conn.header_ = std::move(header);
+  conn.last_activity_ = loop_.now();
+  if (arq_enabled()) conn.arq_ = std::make_unique<Connection::Arq>(arq);
+  if (registry_.insert_or_assign(flow_key(local, remote), id)) {
+    // Each new registry entry is one metered map slot; the matching
+    // release happens in unregister_connection.
+    if (governor_ != nullptr) governor_->acquire(ResourceKind::kMapSlots);
+    ++*port_use_.try_emplace(pack_endpoint(local)).first;
+  }
+  return conn;
+}
+
+void Network::free_connection(ConnId id) {
+  Connection& conn = *connection(id);
+  if (conn.arq_) conn.release_arq_entries(conn.arq_->unacked.size());
+  // The 4-tuple may have been re-registered by a newer connection; only
+  // an entry that still names this one is removed.
+  const ConnId* entry = registry_.find(flow_key(conn.local_, conn.remote_));
+  if (entry != nullptr && *entry == id) unregister_connection(conn);
+  connections_.erase(id);
+}
+
+Connection* Network::find_connection(const Endpoint& local, const Endpoint& remote) {
+  const ConnId* id = registry_.find(flow_key(local, remote));
+  return id == nullptr ? nullptr : connection(*id);
 }
 
 bool Network::local_port_in_use(Ipv4 addr, std::uint16_t port) const {
@@ -357,34 +371,9 @@ bool Network::local_port_in_use(Ipv4 addr, std::uint16_t port) const {
   return count != nullptr && *count > 0;
 }
 
-void Network::register_connection(const std::shared_ptr<Connection>& conn) {
-  conn->net_alive_ = alive_;
-  if (connections_.insert_or_assign(flow_key(conn->local_, conn->remote_),
-                                    std::weak_ptr<Connection>(conn))) {
-    // Each new registry entry is one metered map slot; the matching
-    // release happens in erase_registration.
-    if (governor_ != nullptr) governor_->acquire(ResourceKind::kMapSlots);
-    ++*port_use_.try_emplace(pack_endpoint(conn->local_)).first;
-  }
-}
-
 void Network::unregister_connection(const Connection& conn) {
-  erase_registration(flow_key(conn.local_, conn.remote_), pack_endpoint(conn.local_));
-}
-
-void Network::connection_destroyed(const Connection& conn) {
-  const FlowKey key = flow_key(conn.local_, conn.remote_);
-  auto* entry = connections_.find(key);
-  // The entry may belong to a different connection that re-registered the
-  // same 4-tuple; only the dying connection's own (now expired) weak_ptr
-  // is removed.
-  if (entry != nullptr && entry->expired()) {
-    erase_registration(key, pack_endpoint(conn.local_));
-  }
-}
-
-void Network::erase_registration(const FlowKey& key, std::uint64_t packed_local) {
-  if (!connections_.erase(key)) return;
+  if (!registry_.erase(flow_key(conn.local_, conn.remote_))) return;
+  const std::uint64_t packed_local = pack_endpoint(conn.local_);
   if (governor_ != nullptr) governor_->release(ResourceKind::kMapSlots);
   if (std::uint32_t* count = port_use_.find(packed_local)) {
     if (--*count == 0) port_use_.erase(packed_local);
@@ -573,11 +562,11 @@ std::uint64_t Network::payload_bytes_for(Endpoint endpoint) const {
 TeardownReport Network::teardown_report(Duration grace) {
   TeardownReport report;
   const TimePoint now = loop_.now();
-  connections_.for_each([&](const FlowKey&, const std::weak_ptr<Connection>& weak) {
-    const auto conn = weak.lock();
-    if (!conn) {
-      // Unreachable since ~Connection self-deregisters; counted anyway so
-      // a future registry bug shows up in the report rather than hiding.
+  registry_.for_each([&](const FlowKey&, ConnId id) {
+    const Connection* conn = connection(id);
+    if (conn == nullptr) {
+      // Unreachable while freeing deregisters; counted anyway so a
+      // future registry bug shows up in the report rather than hiding.
       ++report.expired_registrations;
       return;
     }
@@ -633,7 +622,7 @@ void Network::handle_syn(const Segment& segment) {
     send_rst_to(segment);  // connection refused
     return;
   }
-  if (const auto existing = find_connection(segment.dst, segment.src)) {
+  if (Connection* existing = find_connection(segment.dst, segment.src)) {
     // Duplicate SYN. When the client is retrying (its copy carries the
     // retransmission mark) and we are still waiting for the handshake
     // ACK, the original SYN/ACK was evidently lost: answer again.
@@ -645,25 +634,21 @@ void Network::handle_syn(const Segment& segment) {
     return;
   }
 
-  auto conn = std::shared_ptr<Connection>(new Connection());
-  conn->net_ = this;
-  conn->local_ = segment.dst;
-  conn->remote_ = segment.src;
-  conn->header_ = h->default_header_;
-  conn->state_ = Connection::State::kConnecting;
-  conn->peer_window_ = segment.window;
-  conn->last_activity_ = loop_.now();
-  if (arq_enabled()) conn->arq_ = std::make_unique<Connection::Arq>(arq_config_);
-  register_connection(conn);
+  Connection& conn =
+      create_connection(segment.dst, segment.src, h->default_header_, arq_config_);
+  conn.peer_window_ = segment.window;
 
   // Acceptor installs callbacks (and possibly a clamped window) before
   // the SYN/ACK goes out, so the very first advertised window is already
-  // the clamped one — exactly how brdgrd operates.
-  listener->second(conn);
-  transmit(*conn, TcpFlag::kSyn | TcpFlag::kAck, {});
+  // the clamped one — exactly how brdgrd operates. An acceptor that drops
+  // the handle still gets its SYN/ACK sent: the scope frees the
+  // connection only after that.
+  DispatchScope scope(*this, conn.id_);
+  listener->second(ConnectionHandle(&conn));
+  transmit(conn, TcpFlag::kSyn | TcpFlag::kAck, {});
   // The idle watchdog also reaps embryonic (SYN-received) connections
   // whose handshake never completes.
-  if (conn->arq_) conn->arm_idle_timer();
+  if (conn.arq_) conn.arm_idle_timer();
 }
 
 void Network::deliver(const Segment& segment) {
@@ -672,13 +657,14 @@ void Network::deliver(const Segment& segment) {
     return;
   }
 
-  auto conn = find_connection(segment.dst, segment.src);
-  if (!conn) {
+  Connection* conn = find_connection(segment.dst, segment.src);
+  if (conn == nullptr) {
     // Late segment to a vanished connection; RSTs answer data, the rest
     // is ignored.
     if (segment.is_data()) send_rst_to(segment);
     return;
   }
+  DispatchScope scope(*this, conn->id_);
 
   conn->peer_window_ = segment.window;
   conn->last_activity_ = loop_.now();
@@ -693,10 +679,7 @@ void Network::deliver(const Segment& segment) {
 
   if (segment.has(TcpFlag::kSyn) && segment.has(TcpFlag::kAck)) {
     if (conn->state_ == Connection::State::kConnecting) {
-      if (conn->arq_ && conn->arq_->syn_timer != 0) {
-        loop_.cancel(conn->arq_->syn_timer);
-        conn->arq_->syn_timer = 0;
-      }
+      if (conn->arq_) loop_.cancel(std::exchange(conn->arq_->syn_timer, 0));
       conn->state_ = Connection::State::kEstablished;
       transmit(*conn, static_cast<std::uint8_t>(TcpFlag::kAck), {});  // handshake ACK
       if (conn->cb_.on_connected) conn->cb_.on_connected();
@@ -738,11 +721,8 @@ void Network::deliver(const Segment& segment) {
   }
 
   if (segment.has(TcpFlag::kFin)) {
-    if (conn->state_ == Connection::State::kFinSent) {
-      conn->cancel_arq_timers();
-      conn->state_ = Connection::State::kClosed;
-      unregister_connection(*conn);
-    } else if (conn->state_ == Connection::State::kEstablished) {
+    if (conn->state_ == Connection::State::kFinSent ||
+        conn->state_ == Connection::State::kEstablished) {
       conn->cancel_arq_timers();
       conn->state_ = Connection::State::kClosed;
       unregister_connection(*conn);

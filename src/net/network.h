@@ -20,10 +20,10 @@
 // Lookup tables: connections, latency overrides, fault profiles, and
 // fault streams all live in open-addressing hash tables (net/flat_hash.h)
 // keyed on packed integers — a routed segment resolves its connection,
-// latency, and faults in O(1) with no tree walks. Connections remove
-// their own registry entry on destruction, so the per-port usage count
-// that guards ephemeral-port reuse is exact and the registry never holds
-// expired entries.
+// latency, and faults in O(1) with no tree walks. The Network owns every
+// connection (net/connection.h); the registry maps a 4-tuple to its id,
+// and freeing a connection removes the entry if it still names that id,
+// so the per-port usage count guarding ephemeral-port reuse is exact.
 #pragma once
 
 #include <functional>
@@ -41,6 +41,7 @@
 #include "net/flat_hash.h"
 #include "net/resources.h"
 #include "net/segment.h"
+#include "net/slot_table.h"
 
 namespace gfwsim::net {
 
@@ -76,9 +77,7 @@ struct TeardownReport {
   std::size_t embryonic = 0;           // stuck in kConnecting
   std::size_t half_closed = 0;         // kFinSent, FIN unanswered
   std::size_t stale_registrations = 0;  // live object, but closed/reset while registered
-  std::size_t expired_registrations = 0;  // always 0 now that connections
-                                          // deregister on destruction; kept
-                                          // for checkpoint-format stability
+  std::size_t expired_registrations = 0;  // registry ids that no longer resolve
   std::size_t pending_timers = 0;
   bool timers_overdue = false;       // a live timer was due at or before now
   std::size_t segments_in_flight = 0;  // scheduled deliveries not yet run
@@ -107,18 +106,19 @@ struct TransmitMeta {
 
 class Host {
  public:
-  using Acceptor = std::function<void(std::shared_ptr<Connection>)>;
+  using Acceptor = std::function<void(ConnectionHandle)>;
 
   Ipv4 addr() const { return addr_; }
 
   // Installs a listener; incoming SYNs to `port` create server-side
   // connections handed to `acceptor`, which must install callbacks (and
-  // may clamp the receive window) before the SYN/ACK is emitted.
+  // may clamp the receive window) before the SYN/ACK is emitted, which
+  // goes out even when the acceptor drops the handle.
   void listen(std::uint16_t port, Acceptor acceptor);
   void stop_listening(std::uint16_t port);
 
-  std::shared_ptr<Connection> connect(Endpoint remote, ConnectionCallbacks callbacks,
-                                      ConnectOptions options = {});
+  ConnectionHandle connect(Endpoint remote, ConnectionCallbacks callbacks,
+                           ConnectOptions options = {});
 
  private:
   friend class Network;
@@ -145,6 +145,12 @@ class Network {
   Host* host(Ipv4 addr);
 
   EventLoop& loop() { return loop_; }
+
+  // The connection `id` names, or null once it was freed.
+  Connection* connection(ConnId id) {
+    std::unique_ptr<Connection>* slot = connections_.get(id);
+    return slot == nullptr ? nullptr : slot->get();
+  }
 
   void set_default_latency(Duration latency) { default_latency_ = latency; }
   // Symmetric per-pair override.
@@ -238,6 +244,16 @@ class Network {
  private:
   friend class Host;
   friend class Connection;
+  friend struct ReleaseConnection;
+
+  // Open while a connection's callbacks may run (deliver, handle_syn, an
+  // ARQ failure): its handle released meanwhile frees it only when the
+  // scope ends, so the calling frame can keep using it. Never nested.
+  struct DispatchScope {
+    DispatchScope(Network& n, ConnId id) : net(n) { net.dispatching_ = id; }
+    ~DispatchScope();
+    Network& net;
+  };
 
   // Packed 4-tuple key: (local addr:port, remote addr:port), 48 bits per
   // endpoint.
@@ -277,33 +293,38 @@ class Network {
   void deliver(const Segment& segment);
   void handle_syn(const Segment& segment);
 
-  std::shared_ptr<Connection> find_connection(const Endpoint& local, const Endpoint& remote);
+  // Allocates and registers a connection (kConnecting, with ARQ state
+  // when ARQ is on) owned by this network.
+  Connection& create_connection(Endpoint local, Endpoint remote, HeaderProfile header,
+                                const ArqConfig& arq);
+  void free_connection(ConnId id);
+  Connection* find_connection(const Endpoint& local, const Endpoint& remote);
   // True if any live connection on `addr` has local port `port` (any
   // remote); used to keep ephemeral-port allocation collision-free after
   // the range wraps in long campaigns.
   bool local_port_in_use(Ipv4 addr, std::uint16_t port) const;
-  void register_connection(const std::shared_ptr<Connection>& conn);
+  // Removes the connection's 4-tuple from the registry, keeping the
+  // per-port count in step.
   void unregister_connection(const Connection& conn);
-  // Called from ~Connection: removes the registry entry (and its port
-  // count) for a connection destroyed while still registered.
-  void connection_destroyed(const Connection& conn);
-  // Removes `key` from the registry, keeping the per-port count in step.
-  void erase_registration(const FlowKey& key, std::uint64_t packed_local);
   void send_rst_to(const Segment& offending);
 
   EventLoop& loop_;
   Duration default_latency_ = milliseconds(50);
   FlatHashMap<std::uint64_t, Duration> latency_overrides_;  // symmetric pair
   FlatHashMap<std::uint64_t, std::unique_ptr<Host>> hosts_;  // by address
-  FlatHashMap<FlowKey, std::weak_ptr<Connection>, FlowKeyHash> connections_;
+  // The unique_ptr keeps a Connection& stable while a callback connect()s
+  // and grows the table.
+  SlotTable<std::unique_ptr<Connection>> connections_;
+  FlatHashMap<FlowKey, ConnId, FlowKeyHash> registry_;
   // Registered connections per packed local endpoint; exact because
-  // destroyed connections deregister themselves.
+  // freeing a connection deregisters it.
   FlatHashMap<std::uint64_t, std::uint32_t> port_use_;
+  // The connection a DispatchScope is open for, and whether its handle
+  // was released meanwhile.
+  ConnId dispatching_ = ~ConnId{0};
+  bool dispatch_released_ = false;
   std::vector<Middlebox*> middleboxes_;
   std::function<void(const SegmentRecord&)> tap_;
-  // Expires when this Network dies; lets ~Connection skip deregistration
-  // for connections that outlive their network.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 
   // Fault layer. fault_rngs_ is keyed by the *directed* pair — loss on
   // src->dst must not consume draws from dst->src.

@@ -28,7 +28,7 @@ std::uint64_t resource_unit_bytes(ResourceKind kind) {
     case ResourceKind::kTimerNodes:
       return 128;  // EventLoop::Node: links + deadline + inline callback
     case ResourceKind::kMapSlots:
-      return 64;  // FlatHashMap slot: packed key + weak_ptr control
+      return 64;  // a fixed accounting unit per registry entry
     case ResourceKind::kArqEntries:
       return 1600;  // SeqRing<Segment> slot: header + typical MSS payload ref
     case ResourceKind::kProbeRecords:

@@ -20,6 +20,12 @@ std::string_view reaction_name(Reaction r) {
   return "?";
 }
 
+Reaction classify_reaction(std::size_t data_bytes, bool rst, bool fin) {
+  if (data_bytes > 0) return Reaction::kData;
+  if (rst) return Reaction::kRst;
+  return fin ? Reaction::kFinAck : Reaction::kTimeout;
+}
+
 char reaction_code(Reaction r) {
   switch (r) {
     case Reaction::kTimeout: return 'T';
@@ -140,57 +146,39 @@ ProbeResult ProberSimulator::send_probe(ByteSpan payload) {
     net::TimePoint first_reaction{};
     bool reacted = false;
   };
-  auto obs = std::make_shared<Observation>();
+  // The callbacks capture this stack local: they die with the
+  // connection, which `conn` frees when this function returns.
+  Observation obs;
 
+  const auto react = [&obs, &loop] {
+    if (!obs.reacted) {
+      obs.reacted = true;
+      obs.first_reaction = loop.now();
+    }
+  };
   net::ConnectionCallbacks cb;
-  cb.on_connected = [obs] { obs->connected = true; };
-  cb.on_rst = [obs, &loop] {
-    obs->rst = true;
-    if (!obs->reacted) {
-      obs->reacted = true;
-      obs->first_reaction = loop.now();
-    }
-  };
-  cb.on_fin = [obs, &loop] {
-    obs->fin = true;
-    if (!obs->reacted) {
-      obs->reacted = true;
-      obs->first_reaction = loop.now();
-    }
-  };
-  cb.on_data = [obs, &loop](ByteSpan data) {
-    obs->data_bytes += data.size();
-    if (!obs->reacted) {
-      obs->reacted = true;
-      obs->first_reaction = loop.now();
-    }
-  };
+  cb.on_connected = [&obs] { obs.connected = true; };
+  cb.on_rst = [&obs, react] { obs.rst = true; react(); };
+  cb.on_fin = [&obs, react] { obs.fin = true; react(); };
+  cb.on_data = [&obs, react](ByteSpan data) { obs.data_bytes += data.size(); react(); };
 
-  auto conn = prober_.connect(server_, std::move(cb));
+  net::ConnectionHandle conn = prober_.connect(server_, std::move(cb));
   loop.run_until(loop.now() + net::seconds(5));
-  if (!obs->connected) {
+  if (!obs.connected) {
     // Refused (RST during handshake) or null-routed (silence).
     conn->close();
-    return {obs->rst ? Reaction::kRst : Reaction::kTimeout, net::seconds(5), 0};
+    return {obs.rst ? Reaction::kRst : Reaction::kTimeout, net::seconds(5), 0};
   }
 
   const net::TimePoint sent_at = loop.now();
-  obs->reacted = false;  // reactions only count after the payload
+  obs.reacted = false;  // reactions only count after the payload
   conn->send(payload);
   loop.run_until(sent_at + probe_timeout);
 
   ProbeResult result;
-  if (obs->data_bytes > 0) {
-    result.reaction = Reaction::kData;
-  } else if (obs->rst) {
-    result.reaction = Reaction::kRst;
-  } else if (obs->fin) {
-    result.reaction = Reaction::kFinAck;
-  } else {
-    result.reaction = Reaction::kTimeout;
-  }
-  result.latency = obs->reacted ? obs->first_reaction - sent_at : probe_timeout;
-  result.response_bytes = obs->data_bytes;
+  result.reaction = classify_reaction(obs.data_bytes, obs.rst, obs.fin);
+  result.latency = obs.reacted ? obs.first_reaction - sent_at : probe_timeout;
+  result.response_bytes = obs.data_bytes;
 
   // Like the GFW's probers, close with FIN/ACK whatever happened.
   conn->close();
@@ -321,12 +309,12 @@ Bytes ProbeLab::establish_legitimate_connection(const proxy::TargetSpec& target,
                                                 bool merge_header_and_data) {
   const Bytes packet = legitimate_first_packet(target, initial_data, merge_header_and_data);
 
-  auto connected = std::make_shared<bool>(false);
+  bool connected = false;
   net::ConnectionCallbacks cb;
-  cb.on_connected = [connected] { *connected = true; };
-  auto conn = client_host_->connect(server_endpoint_, std::move(cb));
+  cb.on_connected = [&connected] { connected = true; };
+  net::ConnectionHandle conn = client_host_->connect(server_endpoint_, std::move(cb));
   loop_.run_until(loop_.now() + net::seconds(2));
-  if (*connected) {
+  if (connected) {
     conn->send(packet);
     loop_.run_until(loop_.now() + net::seconds(2));
     conn->close();

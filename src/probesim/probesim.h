@@ -21,6 +21,9 @@ namespace gfwsim::probesim {
 enum class Reaction { kTimeout, kRst, kFinAck, kData };
 
 std::string_view reaction_name(Reaction r);
+// What a probe connection's events amount to; data outranks RST, and RST
+// outranks FIN/ACK.
+Reaction classify_reaction(std::size_t data_bytes, bool rst, bool fin);
 // Single-letter codes used in Table 5: T, R, F, D.
 char reaction_code(Reaction r);
 

@@ -17,9 +17,9 @@ ProxyServerBase::ProxyServerBase(net::EventLoop& loop, ServerConfig config,
 }
 
 ProxyServerBase::~ProxyServerBase() {
-  for (auto& [conn, session] : sessions_) {
-    if (session->idle_timer != 0) loop_.cancel(session->idle_timer);
-  }
+  sessions_.for_each([this](const std::unique_ptr<SessionBase>& session) {
+    loop_.cancel(session->idle_timer);
+  });
 }
 
 void ProxyServerBase::install(net::Host& host, std::uint16_t port) {
@@ -27,66 +27,63 @@ void ProxyServerBase::install(net::Host& host, std::uint16_t port) {
 }
 
 net::Host::Acceptor ProxyServerBase::acceptor() {
-  return [this](std::shared_ptr<net::Connection> conn) { accept(std::move(conn)); };
+  return [this](net::ConnectionHandle conn) { accept(std::move(conn)); };
 }
 
-ProxyServerBase::SessionBase* ProxyServerBase::find(net::Connection* conn) {
-  const auto it = sessions_.find(conn);
-  return it == sessions_.end() ? nullptr : it->second.get();
+ProxyServerBase::SessionBase* ProxyServerBase::find(SessionId id) {
+  std::unique_ptr<SessionBase>* session = sessions_.get(id);
+  return session == nullptr ? nullptr : session->get();
 }
 
-void ProxyServerBase::accept(std::shared_ptr<net::Connection> conn) {
-  auto session = make_session();
-  session->conn = conn;
-  net::Connection* raw = conn.get();
+void ProxyServerBase::accept(net::ConnectionHandle conn) {
+  const SessionId id = sessions_.emplace(make_session());
+  SessionBase& session = *find(id);
+  session.id = id;
 
   net::ConnectionCallbacks cb;
-  cb.on_data = [this, raw](ByteSpan data) { on_bytes(raw, data); };
-  cb.on_fin = [this, raw] { destroy(raw); };
-  cb.on_rst = [this, raw] { destroy(raw); };
+  cb.on_data = [this, id](ByteSpan data) { on_bytes(id, data); };
+  cb.on_fin = [this, id] { destroy(id); };
+  cb.on_rst = [this, id] { destroy(id); };
   conn->set_callbacks(std::move(cb));
+  session.conn = std::move(conn);
 
-  arm_idle_timer(*session);
-  sessions_.emplace(raw, std::move(session));
+  arm_idle_timer(session);
 }
 
 void ProxyServerBase::arm_idle_timer(SessionBase& session) {
-  if (session.idle_timer != 0) loop_.cancel(session.idle_timer);
-  net::Connection* raw = session.conn.get();
-  session.idle_timer = loop_.schedule_after(config_.idle_timeout, [this, raw] {
-    if (SessionBase* s = find(raw)) {
+  loop_.cancel(session.idle_timer);
+  session.idle_timer = loop_.schedule_after(config_.idle_timeout, [this, id = session.id] {
+    if (SessionBase* s = find(id)) {
       s->idle_timer = 0;
       close_session(*s);
     }
   });
 }
 
-void ProxyServerBase::on_bytes(net::Connection* conn, ByteSpan data) {
-  SessionBase* session = find(conn);
+void ProxyServerBase::on_bytes(SessionId id, ByteSpan data) {
+  SessionBase* session = find(id);
   if (session == nullptr) return;
   arm_idle_timer(*session);
   append(session->buffer, data);
   if (!session->drained) handle_data(*session);
 }
 
-void ProxyServerBase::destroy(net::Connection* conn) {
-  const auto it = sessions_.find(conn);
-  if (it == sessions_.end()) return;
-  if (it->second->idle_timer != 0) loop_.cancel(it->second->idle_timer);
-  sessions_.erase(it);
+void ProxyServerBase::destroy(SessionId id) {
+  SessionBase* session = find(id);
+  if (session == nullptr) return;
+  loop_.cancel(session->idle_timer);
+  sessions_.erase(id);
 }
 
-void ProxyServerBase::close_session(SessionBase& session) {
-  auto conn = session.conn;  // keep alive past destroy()
-  destroy(conn.get());
-  conn->close();
+net::ConnectionHandle ProxyServerBase::end_session(SessionBase& session) {
+  net::ConnectionHandle conn = std::move(session.conn);  // outlives destroy()
+  destroy(session.id);
+  return conn;
 }
 
-void ProxyServerBase::abort_session(SessionBase& session) {
-  auto conn = session.conn;
-  destroy(conn.get());
-  conn->abort();
-}
+void ProxyServerBase::close_session(SessionBase& session) { end_session(session)->close(); }
+
+void ProxyServerBase::abort_session(SessionBase& session) { end_session(session)->abort(); }
 
 void ProxyServerBase::respond(SessionBase& session, ByteSpan plaintext) {
   if (!session.egress) session.egress.emplace(*config_.cipher, key_, rng_);
@@ -94,23 +91,25 @@ void ProxyServerBase::respond(SessionBase& session, ByteSpan plaintext) {
 }
 
 void ProxyServerBase::start_upstream(SessionBase& session, const proxy::TargetSpec& target,
-                                     Bytes initial_data) {
-  const UpstreamOutcome outcome = upstream_->connect(target, initial_data);
-  net::Connection* raw = session.conn.get();
+                                     Bytes& plain, std::size_t consumed) {
+  const Bytes initial(plain.begin() + static_cast<std::ptrdiff_t>(consumed), plain.end());
+  plain.clear();
+  const UpstreamOutcome outcome = upstream_->connect(target, initial);
+  const SessionId id = session.id;
   switch (outcome.kind) {
     case UpstreamOutcome::Kind::kFailFast:
       // ss-libev closes the client connection when the remote connection
       // fails: the client sees FIN/ACK after a short delay.
-      loop_.schedule_after(outcome.delay, [this, raw] {
-        if (SessionBase* s = find(raw)) close_session(*s);
+      loop_.schedule_after(outcome.delay, [this, id] {
+        if (SessionBase* s = find(id)) close_session(*s);
       });
       break;
     case UpstreamOutcome::Kind::kHang:
       // SYN retransmission limbo; the peer gives up first.
       break;
     case UpstreamOutcome::Kind::kConnected:
-      loop_.schedule_after(outcome.delay, [this, raw, response = outcome.response] {
-        if (SessionBase* s = find(raw)) respond(*s, response);
+      loop_.schedule_after(outcome.delay, [this, id, response = outcome.response] {
+        if (SessionBase* s = find(id)) respond(*s, response);
       });
       break;
   }

@@ -11,10 +11,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "crypto/rng.h"
 #include "net/network.h"
+#include "net/slot_table.h"
 #include "proxy/wire.h"
 #include "servers/upstream.h"
 
@@ -50,8 +50,11 @@ class ProxyServerBase {
   std::size_t sessions_active() const { return sessions_.size(); }
 
  protected:
+  using SessionId = std::uint64_t;  // names a slot of sessions_
+
   struct SessionBase {
-    std::shared_ptr<net::Connection> conn;
+    net::ConnectionHandle conn;
+    SessionId id = 0;
     Bytes buffer;  // raw wire bytes not yet consumed
     std::optional<proxy::Encryptor> egress;
     net::TimerId idle_timer = 0;
@@ -79,19 +82,21 @@ class ProxyServerBase {
   // timeout closes it (the peer sees TIMEOUT).
   void drain_session(SessionBase& session) { session.drained = true; }
 
-  // True while `conn` still has a live session. Implementations use this
-  // to detect that a nested call performed a terminal action (which
-  // destroys the session) before touching the reference again.
-  bool alive(net::Connection* conn) const { return sessions_.count(conn) > 0; }
+  // The live session `id` names, or null once it was destroyed.
+  // Implementations use this to detect that a nested call performed a
+  // terminal action before touching a session reference again.
+  SessionBase* find(SessionId id);
 
   // Encrypts and sends plaintext back to the client, creating the
   // server->client Encryptor (fresh IV/salt) on first use.
   void respond(SessionBase& session, ByteSpan plaintext);
 
-  // Dispatches an upstream connection for a parsed target; failure/success
-  // actions follow the ss-libev pattern (FIN on failure, data on success).
-  void start_upstream(SessionBase& session, const proxy::TargetSpec& target,
-                      Bytes initial_data);
+  // Dispatches an upstream connection for a parsed target, sending what
+  // follows the first `consumed` bytes of `plain` and clearing it;
+  // failure/success actions follow the ss-libev pattern (FIN on failure,
+  // data on success).
+  void start_upstream(SessionBase& session, const proxy::TargetSpec& target, Bytes& plain,
+                      std::size_t consumed);
 
   net::EventLoop& loop_;
   ServerConfig config_;
@@ -100,13 +105,16 @@ class ProxyServerBase {
   crypto::Rng rng_;
 
  private:
-  void accept(std::shared_ptr<net::Connection> conn);
-  void on_bytes(net::Connection* conn, ByteSpan data);
+  void accept(net::ConnectionHandle conn);
+  void on_bytes(SessionId id, ByteSpan data);
   void arm_idle_timer(SessionBase& session);
-  void destroy(net::Connection* conn);
-  SessionBase* find(net::Connection* conn);
+  void destroy(SessionId id);
+  // Destroys the session and hands back its connection.
+  net::ConnectionHandle end_session(SessionBase& session);
 
-  std::unordered_map<net::Connection*, std::unique_ptr<SessionBase>> sessions_;
+  // Callbacks and timers capture a session's id: one that fires after the
+  // session was destroyed (its slot maybe reused) finds nothing.
+  net::SlotTable<std::unique_ptr<SessionBase>> sessions_;
 };
 
 }  // namespace gfwsim::servers

@@ -83,12 +83,8 @@ void HardenedServer::handle_data(SessionBase& base) {
     return;
   }
 
-  Bytes initial(
-      session.plain.begin() + static_cast<std::ptrdiff_t>(kTimestampLen + parsed.consumed),
-      session.plain.end());
-  session.plain.clear();
   session.phase = Session::Phase::kProxying;
-  start_upstream(session, parsed.spec, std::move(initial));
+  start_upstream(session, parsed.spec, session.plain, kTimestampLen + parsed.consumed);
 }
 
 }  // namespace gfwsim::servers

@@ -68,11 +68,8 @@ void LegacyStreamServer::handle_data(SessionBase& base) {
     case proxy::ParseStatus::kNeedMore:
       return;
     case proxy::ParseStatus::kOk: {
-      Bytes initial(session.plain.begin() + static_cast<std::ptrdiff_t>(parsed.consumed),
-                    session.plain.end());
-      session.plain.clear();
       session.phase = Session::Phase::kProxying;
-      start_upstream(session, parsed.spec, std::move(initial));
+      start_upstream(session, parsed.spec, session.plain, parsed.consumed);
       return;
     }
   }

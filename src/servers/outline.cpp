@@ -110,11 +110,8 @@ void OutlineServer::handle_data(SessionBase& base) {
         return;
       }
       if (parsed.status == proxy::ParseStatus::kNeedMore) continue;
-      Bytes initial(session.plain.begin() + static_cast<std::ptrdiff_t>(parsed.consumed),
-                    session.plain.end());
-      session.plain.clear();
       session.phase = Session::Phase::kProxying;
-      start_upstream(session, parsed.spec, std::move(initial));
+      start_upstream(session, parsed.spec, session.plain, parsed.consumed);
     } else {
       session.plain.clear();  // follow-on data relayed upstream
     }

@@ -140,11 +140,11 @@ void SsLibevServer::handle_aead(Session& session) {
     session.buffer.erase(session.buffer.begin(),
                          session.buffer.begin() + static_cast<std::ptrdiff_t>(need));
 
-    net::Connection* raw = session.conn.get();
+    const SessionId id = session.id;
     handle_plaintext(session);
     // handle_plaintext may have performed a terminal action (old versions
     // RST on a bad address type), destroying the session.
-    if (!alive(raw) || session.drained) return;
+    if (find(id) == nullptr || session.drained) return;
   }
 }
 
@@ -174,11 +174,8 @@ void SsLibevServer::handle_plaintext(Session& session) {
       }
       return;  // wait (TIMEOUT if the probe never completes a spec)
     case proxy::ParseStatus::kOk: {
-      Bytes initial(session.plain.begin() + static_cast<std::ptrdiff_t>(parsed.consumed),
-                    session.plain.end());
-      session.plain.clear();
       session.phase = Session::Phase::kProxying;
-      start_upstream(session, parsed.spec, std::move(initial));
+      start_upstream(session, parsed.spec, session.plain, parsed.consumed);
       return;
     }
   }

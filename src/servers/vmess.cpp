@@ -138,11 +138,8 @@ void VmessServer::handle_data(SessionBase& base) {
     drain_session(session);  // authenticated garbage: client bug
     return;
   }
-  Bytes initial(session.plain.begin() + static_cast<std::ptrdiff_t>(parsed.consumed),
-                session.plain.end());
-  session.plain.clear();
   session.phase = Session::Phase::kProxying;
-  start_upstream(session, parsed.spec, std::move(initial));
+  start_upstream(session, parsed.spec, session.plain, parsed.consumed);
 }
 
 }  // namespace gfwsim::servers

@@ -134,12 +134,12 @@ TEST_F(ClientFixture, MergedHeaderChangesFirstPacketSize) {
 // A bare TCP listener standing in for the server: it answers the first
 // data it receives with `response`.
 struct Sink {
-  std::vector<std::shared_ptr<net::Connection>> conns;
+  std::vector<net::ConnectionHandle> conns;
   Bytes seen;
   bool answered = false;
 
   void listen(net::Host& host, Bytes response) {
-    host.listen(8388, [this, response](std::shared_ptr<net::Connection> conn) {
+    host.listen(8388, [this, response](net::ConnectionHandle conn) {
       net::Connection* raw = conn.get();
       conns.push_back(std::move(conn));
       net::ConnectionCallbacks cb;
@@ -193,6 +193,30 @@ TEST_F(ClientFixture, RawSendReachesSink) {
   ASSERT_EQ(fetch->response_head().size(), Fetch::kHeadBytes);
   EXPECT_TRUE(std::equal(fetch->response_head().begin(), fetch->response_head().end(),
                          response.begin()));
+}
+
+// A server timer that outlives its session must find nothing, even when a
+// newer connection's session has taken its place. The fetch's upstream
+// reply is due 80 ms after its first flight reaches the server; the fetch
+// closes before that, and a silent connection is accepted in between.
+TEST_F(ClientFixture, StaleUpstreamReplyNeverReachesANewerConnection) {
+  net.set_default_latency(net::milliseconds(10));
+  install(probesim::ServerSetup::Impl::kLibevNew, "chacha20-ietf-poly1305");
+  SsClient client(client_host, server_ep, client_config("chacha20-ietf-poly1305"));
+  auto fetch = client.fetch(proxy::TargetSpec::hostname("example.com", 80),
+                            to_bytes("GET / HTTP/1.1\r\n\r\n"));
+  loop.run_until(net::milliseconds(35));
+  fetch->close();
+  loop.run_until(net::milliseconds(36));
+
+  std::size_t silent_bytes = 0;
+  net::ConnectionCallbacks cb;
+  cb.on_data = [&silent_bytes](ByteSpan data) { silent_bytes += data.size(); };
+  net::ConnectionHandle silent = client_host.connect(server_ep, std::move(cb));
+  loop.run_until(net::seconds(2));
+
+  EXPECT_EQ(silent->state(), net::Connection::State::kEstablished);
+  EXPECT_EQ(silent_bytes, 0u);
 }
 
 }  // namespace

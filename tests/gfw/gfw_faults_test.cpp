@@ -27,13 +27,13 @@ struct FaultsFixture : ::testing::Test {
   }
 
   void install_sink() {
-    server_host.listen(8388, [this](std::shared_ptr<net::Connection> conn) {
-      sink_conns.push_back(conn);
+    server_host.listen(8388, [this](net::ConnectionHandle conn) {
       conn->set_callbacks({});
+      sink_conns.push_back(std::move(conn));
     });
   }
 
-  std::vector<std::shared_ptr<net::Connection>> sink_conns;
+  std::vector<net::ConnectionHandle> sink_conns;
 };
 
 TEST_F(FaultsFixture, ProberRetriesUnreachableServerThenGivesUp) {
@@ -128,14 +128,14 @@ TEST_F(FaultsFixture, RetransmittedFirstPayloadFlagsExactlyOnce) {
   // flow also attracts probe connections to this listener.
   int deliveries = 0;
   bool first = true;
-  server_host.listen(8388, [&](std::shared_ptr<net::Connection> conn) {
-    sink_conns.push_back(conn);
+  server_host.listen(8388, [&](net::ConnectionHandle conn) {
     net::ConnectionCallbacks cb;
     if (first) {
       first = false;
       cb.on_data = [&](ByteSpan) { ++deliveries; };
     }
     conn->set_callbacks(std::move(cb));
+    sink_conns.push_back(std::move(conn));
   });
 
   GfwConfig config = base_config();

@@ -27,17 +27,16 @@ struct PipelineFixture : ::testing::Test {
 
   // A sink server: accepts and ignores everything.
   void install_sink() {
-    server_host.listen(8388, [this](std::shared_ptr<net::Connection> conn) {
-      sink_conns.push_back(conn);
+    server_host.listen(8388, [this](net::ConnectionHandle conn) {
       conn->set_callbacks({});
+      sink_conns.push_back(std::move(conn));
     });
   }
 
   // A responding server: answers any data with random bytes (the paper's
   // Exp 1.b server).
   void install_responder() {
-    server_host.listen(8388, [this](std::shared_ptr<net::Connection> conn) {
-      sink_conns.push_back(conn);
+    server_host.listen(8388, [this](net::ConnectionHandle conn) {
       auto* raw = conn.get();
       net::ConnectionCallbacks cb;
       cb.on_data = [this, raw](ByteSpan) {
@@ -45,10 +44,11 @@ struct PipelineFixture : ::testing::Test {
         raw->send(rng.bytes(1 + rng.uniform(0, 999)));
       };
       conn->set_callbacks(std::move(cb));
+      sink_conns.push_back(std::move(conn));
     });
   }
 
-  std::vector<std::shared_ptr<net::Connection>> sink_conns;
+  std::vector<net::ConnectionHandle> sink_conns;
 };
 
 TEST_F(PipelineFixture, FlaggedConnectionProducesStage1Probes) {
@@ -151,13 +151,13 @@ TEST_F(PipelineFixture, ReplayProbesReplayTheRecordedPayload) {
   // Capture what the server receives.
   Bytes seen_payload;
   server_host.stop_listening(8388);
-  server_host.listen(8388, [&](std::shared_ptr<net::Connection> conn) {
-    sink_conns.push_back(conn);
+  server_host.listen(8388, [&](net::ConnectionHandle conn) {
     net::ConnectionCallbacks cb;
     cb.on_data = [&](ByteSpan data) {
       if (seen_payload.empty()) seen_payload.assign(data.begin(), data.end());
     };
     conn->set_callbacks(std::move(cb));
+    sink_conns.push_back(std::move(conn));
   });
 
   crypto::Rng rng(5);

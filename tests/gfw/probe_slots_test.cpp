@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "gfw/gfw.h"
-#include "gfw/slot_table.h"
+#include "net/slot_table.h"
 
 namespace gfwsim::gfw {
 namespace {
@@ -19,7 +19,7 @@ struct Attempt {
 };
 
 TEST(SlotTable, StaleIdMissesAfterEraseAndReuse) {
-  SlotTable<Attempt> table;
+  net::SlotTable<Attempt> table;
   const auto first = table.emplace(Attempt{1, false});
   table.erase(first);
   EXPECT_EQ(table.get(first), nullptr);
@@ -43,7 +43,7 @@ TEST(SlotTable, RetryTimerFiringAfterSlotReuseLeavesNewAttemptAlone) {
   // it fires. Here that timer is scheduled, its attempt is finalized and
   // freed, and a new attempt takes the slot before the timer fires.
   net::EventLoop loop;
-  SlotTable<Attempt> table;
+  net::SlotTable<Attempt> table;
   const auto old_id = table.emplace(Attempt{1, false});
   bool fired = false;
   loop.schedule_after(net::seconds(2), [&table, &fired, old_id] {
@@ -78,7 +78,7 @@ struct ProbeSlotsFixture : ::testing::Test {
   net::Network net{loop};
   net::Host& server_host = net.add_host(net::Ipv4(203, 0, 113, 10));
   net::Endpoint server_ep{server_host.addr(), 8388};
-  std::vector<std::shared_ptr<net::Connection>> server_conns;
+  std::vector<net::ConnectionHandle> server_conns;
 
   GfwConfig config() {
     GfwConfig c;
@@ -89,12 +89,14 @@ struct ProbeSlotsFixture : ::testing::Test {
   // A server that accepts and never answers; with `abort_after` set it
   // resets each connection that long after accepting it.
   void install_server(net::Duration abort_after = net::Duration{}) {
-    server_host.listen(8388, [this, abort_after](std::shared_ptr<net::Connection> conn) {
-      server_conns.push_back(conn);
+    server_host.listen(8388, [this, abort_after](net::ConnectionHandle conn) {
       conn->set_callbacks({});
       if (abort_after > net::Duration{}) {
-        loop.schedule_after(abort_after, [conn] { conn->abort(); });
+        loop.schedule_after(abort_after, [this, id = conn->id()] {
+          if (net::Connection* c = net.connection(id)) c->abort();
+        });
       }
+      server_conns.push_back(std::move(conn));
     });
   }
 

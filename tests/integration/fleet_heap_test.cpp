@@ -74,8 +74,9 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { operator delet
 namespace gfwsim {
 namespace {
 
-// Peak live heap of one such World, construction to destruction.
-constexpr std::size_t kBudgetBytes = 3'600'000;
+// Peak live heap of one such World, construction to destruction: the
+// measured 2,974,230 B plus 5 %.
+constexpr std::size_t kBudgetBytes = 3'123'000;
 
 gfw::ServerSpec server(probesim::ServerSetup::Impl impl, const char* cipher,
                        const char* region) {

@@ -27,13 +27,13 @@ struct Fixture : ::testing::Test {
   Ipv4 server_ip{203, 0, 113, 5};
 };
 
-Host::Acceptor echo_acceptor(std::vector<std::shared_ptr<Connection>>& keep) {
-  return [&keep](std::shared_ptr<Connection> conn) {
-    keep.push_back(conn);
+Host::Acceptor echo_acceptor(std::vector<ConnectionHandle>& keep) {
+  return [&keep](ConnectionHandle conn) {
     auto* raw = conn.get();
     ConnectionCallbacks cb;
     cb.on_data = [raw](ByteSpan data) { raw->send(data); };
     conn->set_callbacks(std::move(cb));
+    keep.push_back(std::move(conn));
   };
 }
 
@@ -71,7 +71,7 @@ std::vector<std::string> exchange_transcript(bool wire_faults) {
   std::vector<std::string> transcript;
   net.set_tap([&](const SegmentRecord& r) { transcript.push_back(record_line(r)); });
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   ConnectionCallbacks cb;
   auto conn = client.connect({Ipv4(203, 0, 113, 5), 8388}, std::move(cb));
@@ -96,7 +96,7 @@ TEST_F(Fixture, ZeroProfileLeavesArqOffAndCountersZero) {
   EXPECT_FALSE(net.faults_enabled());
   EXPECT_FALSE(net.arq_enabled());
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   auto conn = client.connect(server_ep, {});
   loop.run();
@@ -121,7 +121,7 @@ TEST_F(Fixture, FullLossDropsEverySegmentWithCauseLoss) {
   std::vector<SegmentRecord> records;
   net.set_tap([&](const SegmentRecord& r) { records.push_back(r); });
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   bool connected = false;
   ConnectionCallbacks cb;
@@ -150,7 +150,7 @@ TEST_F(Fixture, OutageDropsWithCauseOutageAndNoRngDraws) {
   std::vector<SegmentRecord> records;
   net.set_tap([&](const SegmentRecord& r) { records.push_back(r); });
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   client.connect(server_ep, {});
   loop.run_until(minutes(1));
@@ -178,13 +178,13 @@ TEST_F(Fixture, DuplicationWithoutArqReachesTheAppTwice) {
   net.set_faults(client_ip, server_ip, dup);  // only client -> server
   net.force_arq(false);
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   int deliveries = 0;
-  server.listen(8388, [&](std::shared_ptr<Connection> conn) {
-    sessions.push_back(conn);
+  server.listen(8388, [&](ConnectionHandle conn) {
     ConnectionCallbacks cb;
     cb.on_data = [&](ByteSpan) { ++deliveries; };
     conn->set_callbacks(std::move(cb));
+    sessions.push_back(std::move(conn));
   });
   auto conn = client.connect(server_ep, {});
   loop.run();
@@ -201,13 +201,13 @@ TEST_F(Fixture, ArqSuppressesDuplicateDeliveries) {
   net.set_fault_seed(7);
   net.set_faults(client_ip, server_ip, dup);  // ARQ auto-enables
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   int deliveries = 0;
-  server.listen(8388, [&](std::shared_ptr<Connection> conn) {
-    sessions.push_back(conn);
+  server.listen(8388, [&](ConnectionHandle conn) {
     ConnectionCallbacks cb;
     cb.on_data = [&](ByteSpan) { ++deliveries; };
     conn->set_callbacks(std::move(cb));
+    sessions.push_back(std::move(conn));
   });
   auto conn = client.connect(server_ep, {});
   // Bounded runs: loop.run() would also fire the ARQ idle watchdog ten
@@ -232,7 +232,7 @@ TEST_F(Fixture, ReorderDelaysSegmentsAndCounts) {
   std::vector<SegmentRecord> records;
   net.set_tap([&](const SegmentRecord& r) { records.push_back(r); });
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   auto conn = client.connect(server_ep, {});
   loop.run();
@@ -253,7 +253,7 @@ TEST_F(Fixture, SynRetryEstablishesThroughTransientOutage) {
   net.set_fault_seed(7);
   net.set_default_faults(profile);
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   bool connected = false;
   ConnectionCallbacks cb;
@@ -288,13 +288,13 @@ TEST_F(Fixture, SynRetryExhaustionFiresOnTimeout) {
 TEST_F(Fixture, RtoRetransmitsUnderFullAckLossThenGivesUp) {
   net.force_arq(true);
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   int deliveries = 0;
-  server.listen(8388, [&](std::shared_ptr<Connection> conn) {
-    sessions.push_back(conn);
+  server.listen(8388, [&](ConnectionHandle conn) {
     ConnectionCallbacks cb;
     cb.on_data = [&](ByteSpan) { ++deliveries; };
     conn->set_callbacks(std::move(cb));
+    sessions.push_back(std::move(conn));
   });
   bool timed_out = false;
   ConnectionCallbacks cb;
@@ -327,17 +327,17 @@ TEST_F(Fixture, LossyPathStillDeliversExactlyOnceWithArq) {
   net.set_fault_seed(0xBEEF);
   net.set_default_faults(lossy);
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   std::size_t delivered_bytes = 0;
   int deliveries = 0;
-  server.listen(8388, [&](std::shared_ptr<Connection> conn) {
-    sessions.push_back(conn);
+  server.listen(8388, [&](ConnectionHandle conn) {
     ConnectionCallbacks cb;
     cb.on_data = [&](ByteSpan d) {
       ++deliveries;
       delivered_bytes += d.size();
     };
     conn->set_callbacks(std::move(cb));
+    sessions.push_back(std::move(conn));
   });
   bool connected = false;
   ConnectionCallbacks cb;
@@ -361,7 +361,7 @@ TEST_F(Fixture, IdleTimeoutReapsSilentConnections) {
   config.idle_timeout = seconds(5);
   net.set_arq(config);
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   bool timed_out = false;
   ConnectionCallbacks cb;
@@ -377,7 +377,7 @@ TEST_F(Fixture, IdleTimeoutReapsSilentConnections) {
 }
 
 TEST_F(Fixture, WatchdogFlagsEstablishedConnectionsIdlePastGrace) {
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   auto conn = client.connect(server_ep, {});
   loop.run();
@@ -413,7 +413,7 @@ TEST_F(Fixture, WatchdogAccountingIdentityHoldsUnderFaults) {
   net.set_fault_seed(0x5EED);
   net.set_default_faults(messy);
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   for (int i = 0; i < 5; ++i) {
     auto conn = client.connect(server_ep, {});
@@ -434,9 +434,9 @@ TEST_F(Fixture, WatchdogAccountingIdentityHoldsUnderFaults) {
 
 TEST_F(Fixture, IdealConnectionsCarryNoArqThroughEveryEnding) {
   ASSERT_FALSE(net.arq_enabled());
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
-  std::vector<std::shared_ptr<Connection>> clients;
+  std::vector<ConnectionHandle> clients;
   for (int i = 0; i < 4; ++i) clients.push_back(client.connect(server_ep, {}));
   loop.run();
   ASSERT_EQ(sessions.size(), 4u);
@@ -453,7 +453,7 @@ TEST_F(Fixture, IdealConnectionsCarryNoArqThroughEveryEnding) {
   const State client_states[] = {State::kFinSent, State::kReset, State::kClosed, State::kReset};
   const State server_states[] = {State::kClosed, State::kReset, State::kFinSent, State::kReset};
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    for (const auto& conn : {clients[i], sessions[i]}) {
+    for (const Connection* conn : {clients[i].get(), sessions[i].get()}) {
       EXPECT_FALSE(conn->arq_active()) << i;
       EXPECT_EQ(conn->retransmissions(), 0u) << i;
       EXPECT_EQ(conn->bytes_received(), 4u) << i;
@@ -490,7 +490,7 @@ TEST_F(Fixture, ArqAbortCancelsEveryTimerOnBothEnds) {
   net.set_default_faults(jitter);
   const std::size_t baseline = loop.pending();
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   auto conn = client.connect(server_ep, {});
   loop.run_until(seconds(1));
@@ -512,7 +512,7 @@ TEST_F(Fixture, ArqCloseLeavesOnlyTheIdleWatchdogUntilItFails) {
   net.set_arq(config);
   const std::size_t baseline = loop.pending();
 
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   bool timed_out = false;
   ConnectionCallbacks cb;
@@ -549,7 +549,7 @@ TEST_F(Fixture, ArqCloseLeavesOnlyTheIdleWatchdogUntilItFails) {
 // per-connection field costs about 2,700 copies. State that only some
 // connections use belongs in a lazily allocated block, as ARQ's does.
 TEST(ConnectionFootprint, StaysWithinItsBudget) {
-  EXPECT_LE(sizeof(Connection), 384u) << "sizeof(Connection) = " << sizeof(Connection);
+  EXPECT_LE(sizeof(Connection), 312u) << "sizeof(Connection) = " << sizeof(Connection);
 }
 #endif
 

@@ -1,5 +1,7 @@
 // Edge cases of the connection model: teardown orders, listener churn,
-// window extremes, port exhaustion behaviour.
+// window extremes, port exhaustion behaviour, and the ownership contract
+// (the Network owns every connection; a handle's release frees it, after
+// the dispatch into it returns when one is running).
 #include <gtest/gtest.h>
 
 #include "net/network.h"
@@ -13,12 +15,12 @@ struct EdgeFixture : ::testing::Test {
   Host& client = net.add_host(Ipv4(10, 0, 0, 1));
   Host& server = net.add_host(Ipv4(203, 0, 113, 5));
   Endpoint server_ep{Ipv4(203, 0, 113, 5), 8388};
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
 
   void listen_sink() {
-    server.listen(8388, [this](std::shared_ptr<Connection> conn) {
-      sessions.push_back(conn);
+    server.listen(8388, [this](ConnectionHandle conn) {
       conn->set_callbacks({});
+      sessions.push_back(std::move(conn));
     });
   }
 };
@@ -84,12 +86,12 @@ TEST_F(EdgeFixture, SendAfterPeerFinIsHarmless) {
 
 TEST_F(EdgeFixture, TinyWindowStillDeliversEverything) {
   Bytes received;
-  server.listen(8388, [&](std::shared_ptr<Connection> conn) {
+  server.listen(8388, [&](ConnectionHandle conn) {
     conn->set_recv_window(1);  // pathological clamp
-    sessions.push_back(conn);
     ConnectionCallbacks cb;
     cb.on_data = [&received](ByteSpan d) { append(received, d); };
     conn->set_callbacks(std::move(cb));
+    sessions.push_back(std::move(conn));
   });
   auto conn = client.connect(server_ep, {});
   loop.run();
@@ -102,7 +104,7 @@ TEST_F(EdgeFixture, EphemeralPortsWrapWithinLinuxRange) {
   listen_sink();
   std::set<std::uint16_t> ports;
   // Push the allocator past its wrap point.
-  std::vector<std::shared_ptr<Connection>> conns;
+  std::vector<ConnectionHandle> conns;
   for (int i = 0; i < 300; ++i) {
     auto conn = client.connect(server_ep, {});
     EXPECT_GE(conn->local().port, 32768);
@@ -166,6 +168,107 @@ TEST_F(EdgeFixture, SegmentRecordCarriesArrivalTime) {
   loop.run();
   ASSERT_FALSE(pcap.empty());
   EXPECT_EQ(pcap[0].arrive_at - pcap[0].segment.sent_at, milliseconds(25));
+}
+
+TEST_F(EdgeFixture, AcceptorThatDropsItsHandleStillAnswersThenResetsData) {
+  server.listen(8388, [](ConnectionHandle conn) { conn->set_callbacks({}); });
+  const std::size_t live_before = Connection::live_count();
+  bool connected = false;
+  bool rst = false;
+  ConnectionCallbacks cb;
+  cb.on_connected = [&] { connected = true; };
+  cb.on_rst = [&] { rst = true; };
+  auto conn = client.connect(server_ep, std::move(cb));
+  loop.run();
+
+  // The SYN/ACK went out before the server side was freed and left the
+  // registry; only the client's connection remains.
+  EXPECT_TRUE(connected);
+  EXPECT_EQ(Connection::live_count(), live_before + 1);
+  const TeardownReport report = net.teardown_report();
+  EXPECT_EQ(report.live_established, 1u);
+  EXPECT_EQ(report.embryonic, 0u);
+  EXPECT_EQ(report.expired_registrations, 0u);
+
+  conn->send(to_bytes("anyone there?"));
+  loop.run();
+  EXPECT_TRUE(rst);
+  EXPECT_EQ(conn->state(), Connection::State::kReset);
+}
+
+TEST_F(EdgeFixture, HandleReleasedInsideItsOwnCallbackFreesAfterItReturns) {
+  listen_sink();
+  // Each callback releases its own connection and then reads its capture.
+  // The closure lives inside the connection, so the read is only sound if
+  // the free waits for the callback to return (ASan checks it).
+  const auto connect_releasing = [this](ConnectionHandle& handle, std::size_t& live_inside) {
+    const auto release = [&handle, &live_inside, tag = std::string(64, 'x')] {
+      handle.reset();
+      live_inside = Connection::live_count() + (tag.size() - 64);
+    };
+    ConnectionCallbacks cb;
+    cb.on_data = [release](ByteSpan) { release(); };
+    cb.on_rst = release;
+    handle = client.connect(server_ep, std::move(cb));
+  };
+  ConnectionHandle on_data_conn;
+  ConnectionHandle on_rst_conn;
+  std::size_t live_in_on_data = 0;
+  std::size_t live_in_on_rst = 0;
+  connect_releasing(on_data_conn, live_in_on_data);
+  connect_releasing(on_rst_conn, live_in_on_rst);
+  loop.run();
+  ASSERT_EQ(sessions.size(), 2u);
+  const std::size_t live = Connection::live_count();
+
+  sessions[0]->send(to_bytes("hello"));
+  loop.run();
+  EXPECT_FALSE(on_data_conn);
+  EXPECT_EQ(live_in_on_data, live);
+  EXPECT_EQ(Connection::live_count(), live - 1);
+
+  sessions[1]->abort();
+  loop.run();
+  EXPECT_FALSE(on_rst_conn);
+  EXPECT_EQ(live_in_on_rst, live - 1);
+  EXPECT_EQ(Connection::live_count(), live - 2);
+  EXPECT_EQ(net.teardown_report().expired_registrations, 0u);
+}
+
+TEST_F(EdgeFixture, ReleasedArqConnectionLeavesItsTimersToFireAsNoOps) {
+  net.force_arq(true);
+  std::size_t segments = 0;
+  net.set_tap([&](const SegmentRecord&) { ++segments; });
+  // Nobody answers at this address: the SYN retry and idle timers stay
+  // armed.
+  auto conn = client.connect(Endpoint{Ipv4(198, 51, 100, 1), 80}, {});
+  loop.run_until(milliseconds(10));
+  const std::size_t pending = loop.pending();
+  const std::size_t segments_before = segments;
+
+  conn.reset();
+  EXPECT_EQ(loop.pending(), pending);  // freeing cancels nothing
+
+  loop.run();  // the timers fire and find no connection
+  EXPECT_EQ(segments, segments_before);
+  EXPECT_EQ(net.retransmissions(), 0u);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST_F(EdgeFixture, StaleIdResolvesToNullAfterItsSlotIsReused) {
+  listen_sink();
+  auto first = client.connect(server_ep, {});
+  const ConnId stale = first->id();
+  EXPECT_EQ(net.connection(stale), first.get());
+  first.reset();
+  EXPECT_EQ(net.connection(stale), nullptr);
+
+  auto second = client.connect(server_ep, {});
+  // Same slot (the low 32 bits), newer generation.
+  ASSERT_EQ(static_cast<std::uint32_t>(second->id()), static_cast<std::uint32_t>(stale));
+  EXPECT_NE(second->id(), stale);
+  EXPECT_EQ(net.connection(stale), nullptr);
+  EXPECT_EQ(net.connection(second->id()), second.get());
 }
 
 }  // namespace

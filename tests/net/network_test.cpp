@@ -17,18 +17,18 @@ struct Fixture : ::testing::Test {
 };
 
 // Echo acceptor: sends back whatever arrives.
-Host::Acceptor echo_acceptor(std::vector<std::shared_ptr<Connection>>& keep) {
-  return [&keep](std::shared_ptr<Connection> conn) {
-    keep.push_back(conn);
+Host::Acceptor echo_acceptor(std::vector<ConnectionHandle>& keep) {
+  return [&keep](ConnectionHandle conn) {
     auto* raw = conn.get();
     ConnectionCallbacks cb;
     cb.on_data = [raw](ByteSpan data) { raw->send(data); };
     conn->set_callbacks(std::move(cb));
+    keep.push_back(std::move(conn));
   };
 }
 
 TEST_F(Fixture, HandshakeThenDataRoundTrip) {
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
 
   bool connected = false;
@@ -73,13 +73,13 @@ TEST_F(Fixture, ConnectToNonexistentHostHangs) {
 }
 
 TEST_F(Fixture, ServerCloseDeliversFinToClient) {
-  std::vector<std::shared_ptr<Connection>> sessions;
-  server.listen(8388, [&](std::shared_ptr<Connection> conn) {
-    sessions.push_back(conn);
+  std::vector<ConnectionHandle> sessions;
+  server.listen(8388, [&](ConnectionHandle conn) {
     auto* raw = conn.get();
     ConnectionCallbacks cb;
     cb.on_data = [raw](ByteSpan) { raw->close(); };
     conn->set_callbacks(std::move(cb));
+    sessions.push_back(std::move(conn));
   });
 
   bool fin = false;
@@ -93,13 +93,13 @@ TEST_F(Fixture, ServerCloseDeliversFinToClient) {
 }
 
 TEST_F(Fixture, ServerAbortDeliversRstToClient) {
-  std::vector<std::shared_ptr<Connection>> sessions;
-  server.listen(8388, [&](std::shared_ptr<Connection> conn) {
-    sessions.push_back(conn);
+  std::vector<ConnectionHandle> sessions;
+  server.listen(8388, [&](ConnectionHandle conn) {
     auto* raw = conn.get();
     ConnectionCallbacks cb;
     cb.on_data = [raw](ByteSpan) { raw->abort(); };
     conn->set_callbacks(std::move(cb));
+    sessions.push_back(std::move(conn));
   });
 
   bool rst = false;
@@ -114,7 +114,7 @@ TEST_F(Fixture, ServerAbortDeliversRstToClient) {
 }
 
 TEST_F(Fixture, LargePayloadIsSegmentedByMss) {
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
 
   int client_data_segments = 0;
@@ -134,11 +134,11 @@ TEST_F(Fixture, LargePayloadIsSegmentedByMss) {
 TEST_F(Fixture, ClampedServerWindowSplitsFirstClientPayload) {
   // The brdgrd mechanism: server advertises a tiny window in its SYN/ACK,
   // so the client's first payload arrives as many small segments.
-  std::vector<std::shared_ptr<Connection>> sessions;
-  server.listen(8388, [&](std::shared_ptr<Connection> conn) {
+  std::vector<ConnectionHandle> sessions;
+  server.listen(8388, [&](ConnectionHandle conn) {
     conn->set_recv_window(64);
-    sessions.push_back(conn);
     conn->set_callbacks({});
+    sessions.push_back(std::move(conn));
   });
 
   std::vector<std::size_t> sizes;
@@ -156,11 +156,11 @@ TEST_F(Fixture, ClampedServerWindowSplitsFirstClientPayload) {
 }
 
 TEST_F(Fixture, WindowUpdateRestoresFullSegments) {
-  std::vector<std::shared_ptr<Connection>> sessions;
-  server.listen(8388, [&](std::shared_ptr<Connection> conn) {
+  std::vector<ConnectionHandle> sessions;
+  server.listen(8388, [&](ConnectionHandle conn) {
     conn->set_recv_window(64);
-    sessions.push_back(conn);
     conn->set_callbacks({});
+    sessions.push_back(std::move(conn));
   });
 
   auto conn = client.connect(server_ep, {});
@@ -186,7 +186,7 @@ struct DropAll : Middlebox {
 TEST_F(Fixture, MiddleboxCanNullRouteServerToClient) {
   // Reproduces the GFW's blocking mode: only server->client segments are
   // dropped, so the handshake never completes.
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
 
   DropAll gfw;
@@ -208,7 +208,7 @@ TEST_F(Fixture, MiddleboxCanNullRouteServerToClient) {
 TEST_F(Fixture, TapSeesHeadersAndHandshake) {
   std::vector<SegmentRecord> pcap;
   net.set_tap([&](const SegmentRecord& rec) { pcap.push_back(rec); });
-  server.listen(8388, [](std::shared_ptr<Connection> conn) { conn->set_callbacks({}); });
+  server.listen(8388, [](ConnectionHandle conn) { conn->set_callbacks({}); });
 
   HeaderProfile prober_header;
   prober_header.ttl = 47;
@@ -237,7 +237,7 @@ TEST_F(Fixture, TapSeesHeadersAndHandshake) {
 TEST_F(Fixture, LatencyOverridesApply) {
   net.set_default_latency(milliseconds(100));
   net.set_latency(client.addr(), server.addr(), milliseconds(10));
-  server.listen(8388, [](std::shared_ptr<Connection> conn) { conn->set_callbacks({}); });
+  server.listen(8388, [](ConnectionHandle conn) { conn->set_callbacks({}); });
 
   TimePoint connected_at{};
   ConnectionCallbacks cb;
@@ -248,7 +248,7 @@ TEST_F(Fixture, LatencyOverridesApply) {
 }
 
 TEST_F(Fixture, EphemeralPortsAdvance) {
-  server.listen(8388, [](std::shared_ptr<Connection> conn) { conn->set_callbacks({}); });
+  server.listen(8388, [](ConnectionHandle conn) { conn->set_callbacks({}); });
   auto c1 = client.connect(server_ep, {});
   auto c2 = client.connect(server_ep, {});
   EXPECT_NE(c1->local().port, c2->local().port);
@@ -256,7 +256,7 @@ TEST_F(Fixture, EphemeralPortsAdvance) {
 }
 
 TEST_F(Fixture, DataToVanishedConnectionGetsRst) {
-  std::vector<std::shared_ptr<Connection>> sessions;
+  std::vector<ConnectionHandle> sessions;
   server.listen(8388, echo_acceptor(sessions));
   auto conn = client.connect(server_ep, {});
   loop.run();
