@@ -79,7 +79,7 @@ class BlockingModule {
     net::TimePoint blocked_at{};
     net::TimePoint unblock_at{};
     // Region of the server that triggered this block ("" outside fleet
-    // campaigns; journaled only in fleet checkpoint frames).
+    // campaigns); every shard checkpoint frame journals it.
     std::string region;
   };
 

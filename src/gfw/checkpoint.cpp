@@ -3,8 +3,50 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <filesystem>
+
+#include "gfw/rows.h"
 
 namespace gfwsim::gfw {
+
+// ---- journaled records, in wire order ---------------------------------------
+//
+// One table per record the journal carries. The codec walks each table in
+// order, so a table's row order is the record's byte layout.
+
+GFWSIM_ROWS(net::Endpoint, GFWSIM_ROW(addr), GFWSIM_ROW(port));
+GFWSIM_ROWS(net::TeardownReport, GFWSIM_ROW(leaked_established),
+            GFWSIM_ROW(live_established), GFWSIM_ROW(embryonic), GFWSIM_ROW(half_closed),
+            GFWSIM_ROW(stale_registrations), GFWSIM_ROW(expired_registrations),
+            GFWSIM_ROW(pending_timers), GFWSIM_ROW(timers_overdue),
+            GFWSIM_ROW(segments_in_flight), GFWSIM_ROW(accounting_balanced));
+GFWSIM_ROWS(BlockingModule::BlockEntry, GFWSIM_ROW(server_ip), GFWSIM_ROW(port),
+            GFWSIM_ROW(blocked_at), GFWSIM_ROW(unblock_at), GFWSIM_ROW(region));
+GFWSIM_ROWS(ProbeRecord, GFWSIM_ROW(sent_at), GFWSIM_ROW(type), GFWSIM_ROW(server),
+            GFWSIM_ROW(src_ip), GFWSIM_ROW(asn), GFWSIM_ROW(src_port), GFWSIM_ROW(ttl),
+            GFWSIM_ROW(tsval), GFWSIM_ROW(tsval_process), GFWSIM_ROW(payload_len),
+            GFWSIM_ROW(reaction), GFWSIM_ROW(connect_retries), GFWSIM_ROW(replay_delay),
+            GFWSIM_ROW(is_first_replay_of_payload), GFWSIM_ROW(trigger_payload_hash),
+            GFWSIM_ROW(server_id));
+// Identity, then the kServerCounters rows (gfw/runner.h).
+GFWSIM_ROWS(ServerStats, GFWSIM_ROW(server_id), GFWSIM_ROW(endpoint), GFWSIM_ROW(region),
+            GFWSIM_ROW(impl), GFWSIM_ROW(cipher), GFWSIM_ROW(connections_launched),
+            GFWSIM_ROW(payload_bytes), GFWSIM_ROW(probes), GFWSIM_ROW(blocks));
+GFWSIM_ROWS(ShedRecord, GFWSIM_ROW(server_id), GFWSIM_ROW(region), GFWSIM_ROW(count));
+// The kResourceCounters rows, then the peaks and the sheds. The peaks
+// carry their own count, so a reader built with more (or fewer) metered
+// kinds still decodes the frame.
+GFWSIM_ROWS(ShardResources, GFWSIM_ROW(probes_shed), GFWSIM_ROW(probes_deferred),
+            GFWSIM_ROW(queue_overflow_drops), GFWSIM_ROW(peak_metered_bytes),
+            GFWSIM_ROW(acquisitions), GFWSIM_ROW(peak_units), GFWSIM_ROW(sheds));
+GFWSIM_ROWS(ShardFailure, GFWSIM_ROW(shard_index), GFWSIM_ROW(seed), GFWSIM_ROW(phase),
+            GFWSIM_ROW(kind), GFWSIM_ROW(attempts), GFWSIM_ROW(quarantined),
+            GFWSIM_ROW(nondeterministic), GFWSIM_ROW(what), GFWSIM_ROW(teardown));
+GFWSIM_ROWS(WorkerIoStats, GFWSIM_ROW(worker_id), GFWSIM_ROW(heartbeats_dropped),
+            GFWSIM_ROW(heartbeat_retries), GFWSIM_ROW(journal_retries));
+// After the 8-byte magic.
+GFWSIM_ROWS(CheckpointHeader, GFWSIM_ROW(version), GFWSIM_ROW(shard_count),
+            GFWSIM_ROW(base_seed), GFWSIM_ROW(scenario_fingerprint));
 
 namespace {
 
@@ -40,273 +82,196 @@ std::uint32_t crc32(ByteSpan data) {
   return c ^ 0xFFFFFFFFu;
 }
 
-// ---- primitive writers ----------------------------------------------------
+// ---- the codec: one rule per leaf type -----------------------------------
 
-void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
+// The last enumerator of each journaled enum; a byte above it is corrupt.
+constexpr auto last(probesim::ProbeType) { return probesim::ProbeType::kNR2; }
+constexpr auto last(probesim::Reaction) { return probesim::Reaction::kData; }
+constexpr auto last(ShardPhase) { return ShardPhase::kHarvest; }
+constexpr auto last(FailureKind) { return FailureKind::kResource; }
 
-void put_u16(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+// Appends v: a struct with a row table row by row, a leaf by its rule
+// (gfw/checkpoint.h). Integers go in as words, little-endian.
+template <typename T>
+void put(Bytes& out, const T& v) {
+  if constexpr (HasRows<T>) {
+    for_each_row<T>([&](const auto& row) { put(out, v.*row.member); });
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    put(out, static_cast<std::uint32_t>(v.size()));
+    append(out, ByteSpan(reinterpret_cast<const std::uint8_t*>(v.data()), v.size()));
+  } else if constexpr (kIs<T, std::optional>) {
+    put(out, v.has_value());
+    put(out, v.value_or(typename T::value_type{}));
+  } else if constexpr (kIs<T, std::vector> || kIsArray<T>) {
+    put(out, static_cast<std::uint32_t>(v.size()));
+    for (const auto& element : v) put(out, element);
+  } else if constexpr (std::is_same_v<T, net::Duration>) {
+    put(out, static_cast<std::int64_t>(v.count()));
+  } else if constexpr (std::is_same_v<T, net::Ipv4>) {
+    put(out, v.value);
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    out.push_back(static_cast<std::uint8_t>(v));
+  } else {
+    static_assert(std::is_integral_v<T>, "no wire rule");
+    if constexpr (sizeof(T) <= 2) {
+      out.push_back(static_cast<std::uint8_t>(v));
+      if constexpr (sizeof(T) == 2) out.push_back(static_cast<std::uint8_t>(v >> 8));
+    } else {
+      std::uint8_t buf[sizeof(T)];
+      if constexpr (sizeof(T) == 4) store_le32(buf, static_cast<std::uint32_t>(v));
+      else store_le64(buf, static_cast<std::uint64_t>(v));
+      append(out, ByteSpan(buf, sizeof(T)));
+    }
+  }
 }
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  std::uint8_t buf[4];
-  store_le32(buf, v);
-  append(out, ByteSpan(buf, 4));
+// The fewest bytes put() writes for a T (strings and sequences empty).
+template <typename T>
+constexpr std::size_t min_size() {
+  if constexpr (HasRows<T>) {
+    std::size_t size = 0;
+    for_each_row<T>([&](const auto& row) {
+      size += min_size<std::remove_cvref_t<decltype(std::declval<T&>().*row.member)>>();
+    });
+    return size;
+  } else if constexpr (std::is_same_v<T, std::string> || kIs<T, std::vector> ||
+                       kIsArray<T>) {
+    return 4;
+  } else if constexpr (kIs<T, std::optional>) {
+    return 1 + min_size<typename T::value_type>();
+  } else if constexpr (std::is_same_v<T, net::Duration>) {
+    return 8;
+  } else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>) {
+    return 1;
+  } else {
+    return sizeof(T);  // an integer, or an Ipv4's u32
+  }
 }
 
-void put_u64(Bytes& out, std::uint64_t v) {
-  std::uint8_t buf[8];
-  store_le64(buf, v);
-  append(out, ByteSpan(buf, 8));
+template <typename T>
+Bytes encode(const T& v) {
+  Bytes out;
+  out.reserve(min_size<T>());
+  put(out, v);
+  return out;
 }
 
-void put_i64(Bytes& out, std::int64_t v) { put_u64(out, static_cast<std::uint64_t>(v)); }
-
-void put_i32(Bytes& out, std::int32_t v) { put_u32(out, static_cast<std::uint32_t>(v)); }
-
-void put_string(Bytes& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  append(out, ByteSpan(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+// Out of line, so that the reader's checks inline into their callers.
+[[noreturn, gnu::noinline]] void corrupt(const std::string& what) {
+  throw CheckpointError("checkpoint: " + what);
 }
 
-// ---- primitive readers (bounds-checked) -----------------------------------
-
+// Reads back what put() wrote, bounds-checked.
 struct Cursor {
   ByteSpan data;
   std::size_t pos = 0;
 
   void need(std::size_t n) const {
-    if (n > data.size() - pos) {
-      throw CheckpointError("checkpoint: truncated frame payload");
-    }
+    if (n > data.size() - pos) corrupt("truncated frame payload");
   }
-  std::size_t remaining() const { return data.size() - pos; }
   // Count-field sanity: a corrupt (or hostile) element count whose
   // entries could not all fit in the remaining payload is rejected
-  // BEFORE any reserve()/loop, so a flipped length byte costs a
+  // BEFORE any allocation or loop, so a flipped length byte costs a
   // CheckpointError, never a multi-gigabyte allocation.
   void need_count(std::uint64_t count, std::size_t min_entry_size,
                   const char* what) const {
-    if (count > remaining() / min_entry_size) {
-      throw CheckpointError(std::string("checkpoint: implausible ") + what +
-                            " count " + std::to_string(count) +
-                            " for remaining payload");
+    if (count > (data.size() - pos) / min_entry_size) {
+      corrupt("implausible " + std::string(what) + " count " + std::to_string(count) +
+              " for remaining payload");
     }
   }
-  std::uint8_t u8() {
-    need(1);
-    return data[pos++];
+  void done(const char* frame) const {
+    if (pos != data.size()) corrupt(std::string("trailing bytes inside ") + frame + " frame");
   }
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        data[pos] | (static_cast<std::uint16_t>(data[pos + 1]) << 8));
-    pos += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    const std::uint32_t v = load_le32(data.data() + pos);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    const std::uint64_t v = load_le64(data.data() + pos);
-    pos += 8;
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data.data() + pos), n);
-    pos += n;
-    return s;
+
+  // `row` names v in errors: an implausible count, an unknown enum byte.
+  template <typename T>
+  void get(T& v, const char* row = "value") {
+    if constexpr (HasRows<T>) {
+      for_each_row<T>([&](const auto& r) { get(v.*r.member, r.name); });
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      std::uint32_t n = 0;
+      get(n);
+      need(n);
+      v.assign(reinterpret_cast<const char*>(data.data() + pos), n);
+      pos += n;
+    } else if constexpr (kIs<T, std::optional>) {
+      bool present = false;
+      typename T::value_type value{};
+      get(present);
+      get(value, row);
+      if (present) v = std::move(value);
+    } else if constexpr (kIs<T, std::vector> || kIsArray<T>) {
+      std::uint32_t n = 0;
+      get(n);
+      need_count(n, min_size<typename T::value_type>(), row);
+      if constexpr (kIs<T, std::vector>) v.resize(n);
+      // An array keeps as many elements as it has room for: a writer's
+      // extra ones are read and dropped; with fewer, the rest keep their
+      // value.
+      typename T::value_type dropped{};
+      for (std::uint32_t i = 0; i < n; ++i) get(i < v.size() ? v[i] : dropped, row);
+    } else if constexpr (std::is_same_v<T, net::Duration>) {
+      std::int64_t count = 0;
+      get(count);
+      v = net::Duration(count);
+    } else if constexpr (std::is_same_v<T, net::Ipv4>) {
+      get(v.value);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t byte = 0;
+      get(byte);
+      v = byte != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      std::uint8_t byte = 0;
+      get(byte);
+      if (byte > static_cast<std::uint8_t>(last(T{}))) {
+        corrupt("unknown " + std::string(row) + " byte " + std::to_string(byte));
+      }
+      v = static_cast<T>(byte);
+    } else {
+      static_assert(std::is_integral_v<T>, "no wire rule");
+      need(sizeof(T));
+      const std::uint8_t* p = data.data() + pos;
+      if constexpr (sizeof(T) == 1) v = static_cast<T>(p[0]);
+      else if constexpr (sizeof(T) == 2) v = static_cast<T>(p[0] | p[1] << 8);
+      else if constexpr (sizeof(T) == 4) v = static_cast<T>(load_le32(p));
+      else v = static_cast<T>(load_le64(p));
+      pos += sizeof(T);
+    }
   }
 };
 
-// ---- component codecs -----------------------------------------------------
-
-void put_teardown(Bytes& out, const net::TeardownReport& t) {
-  put_u64(out, t.leaked_established);
-  put_u64(out, t.live_established);
-  put_u64(out, t.embryonic);
-  put_u64(out, t.half_closed);
-  put_u64(out, t.stale_registrations);
-  put_u64(out, t.expired_registrations);
-  put_u64(out, t.pending_timers);
-  put_u8(out, t.timers_overdue ? 1 : 0);
-  put_u64(out, t.segments_in_flight);
-  put_u8(out, t.accounting_balanced ? 1 : 0);
+// One frame payload that is exactly one record.
+template <typename T>
+T decode(ByteSpan payload, const char* frame) {
+  Cursor in{payload};
+  T v;
+  in.get(v);
+  in.done(frame);
+  return v;
 }
 
-net::TeardownReport get_teardown(Cursor& in) {
-  net::TeardownReport t;
-  t.leaked_established = in.u64();
-  t.live_established = in.u64();
-  t.embryonic = in.u64();
-  t.half_closed = in.u64();
-  t.stale_registrations = in.u64();
-  t.expired_registrations = in.u64();
-  t.pending_timers = in.u64();
-  t.timers_overdue = in.u8() != 0;
-  t.segments_in_flight = in.u64();
-  t.accounting_balanced = in.u8() != 0;
-  return t;
-}
-
-void put_block_entry(Bytes& out, const BlockingModule::BlockEntry& e) {
-  put_u32(out, e.server_ip.value);
-  put_u8(out, e.port.has_value() ? 1 : 0);
-  put_u16(out, e.port.value_or(0));
-  put_i64(out, e.blocked_at.count());
-  put_i64(out, e.unblock_at.count());
-  put_string(out, e.region);
-}
-
-BlockingModule::BlockEntry get_block_entry(Cursor& in) {
-  BlockingModule::BlockEntry e;
-  e.server_ip = net::Ipv4(in.u32());
-  const bool has_port = in.u8() != 0;
-  const std::uint16_t port = in.u16();
-  if (has_port) e.port = port;
-  e.blocked_at = net::TimePoint(in.i64());
-  e.unblock_at = net::TimePoint(in.i64());
-  e.region = in.str();
-  return e;
-}
-
-void put_probe_record(Bytes& out, const ProbeRecord& r) {
-  put_i64(out, r.sent_at.count());
-  put_u8(out, static_cast<std::uint8_t>(r.type));
-  put_u32(out, r.server.addr.value);
-  put_u16(out, r.server.port);
-  put_u32(out, r.src_ip.value);
-  put_i32(out, r.asn);
-  put_u16(out, r.src_port);
-  put_u8(out, r.ttl);
-  put_u32(out, r.tsval);
-  put_i32(out, r.tsval_process);
-  put_u64(out, r.payload_len);
-  put_u8(out, static_cast<std::uint8_t>(r.reaction));
-  put_i32(out, r.connect_retries);
-  put_i64(out, r.replay_delay.count());
-  put_u8(out, r.is_first_replay_of_payload ? 1 : 0);
-  put_u64(out, r.trigger_payload_hash);
-  put_u16(out, r.server_id);
-}
-
-void put_server_stats(Bytes& out, const ServerStats& s) {
-  put_u16(out, s.server_id);
-  put_u32(out, s.endpoint.addr.value);
-  put_u16(out, s.endpoint.port);
-  put_string(out, s.region);
-  put_string(out, s.impl);
-  put_string(out, s.cipher);
-  for (const auto& row : kServerCounters) put_u64(out, s.*row.field);
-}
-
-ServerStats get_server_stats(Cursor& in) {
-  ServerStats s;
-  s.server_id = in.u16();
-  s.endpoint.addr = net::Ipv4(in.u32());
-  s.endpoint.port = in.u16();
-  s.region = in.str();
-  s.impl = in.str();
-  s.cipher = in.str();
-  for (const auto& row : kServerCounters) s.*row.field = in.u64();
-  return s;
-}
-
-void put_resources(Bytes& out, const ShardResources& r) {
-  for (const auto& row : kResourceCounters) put_u64(out, r.*row.field);
-  // Peak count is explicit so a reader built with more (or fewer)
-  // metered kinds still decodes the frame.
-  put_u32(out, static_cast<std::uint32_t>(net::kResourceKindCount));
-  for (const std::uint64_t peak : r.peak_units) put_u64(out, peak);
-  put_u32(out, static_cast<std::uint32_t>(r.sheds.size()));
-  for (const ShedRecord& shed : r.sheds) {
-    put_u16(out, shed.server_id);
-    put_string(out, shed.region);
-    put_u64(out, shed.count);
-  }
-}
-
-ShardResources get_resources(Cursor& in) {
-  ShardResources r;
-  for (const auto& row : kResourceCounters) r.*row.field = in.u64();
-  const std::uint32_t peaks = in.u32();
-  in.need_count(peaks, 8, "resource peak");
-  for (std::uint32_t i = 0; i < peaks; ++i) {
-    const std::uint64_t peak = in.u64();
-    // Extra kinds from a newer writer are read and dropped.
-    if (i < net::kResourceKindCount) r.peak_units[i] = peak;
-  }
-  const std::uint32_t sheds = in.u32();
-  in.need_count(sheds, 14, "shed record");  // u16 + empty string + u64
-  r.sheds.reserve(sheds);
-  for (std::uint32_t i = 0; i < sheds; ++i) {
-    ShedRecord shed;
-    shed.server_id = in.u16();
-    shed.region = in.str();
-    shed.count = in.u64();
-    r.sheds.push_back(std::move(shed));
-  }
-  return r;
-}
-
-ProbeRecord get_probe_record(Cursor& in) {
-  ProbeRecord r;
-  r.sent_at = net::TimePoint(in.i64());
-  r.type = static_cast<probesim::ProbeType>(in.u8());
-  r.server.addr = net::Ipv4(in.u32());
-  r.server.port = in.u16();
-  r.src_ip = net::Ipv4(in.u32());
-  r.asn = in.i32();
-  r.src_port = in.u16();
-  r.ttl = in.u8();
-  r.tsval = in.u32();
-  r.tsval_process = in.i32();
-  r.payload_len = in.u64();
-  r.reaction = static_cast<probesim::Reaction>(in.u8());
-  r.connect_retries = in.i32();
-  r.replay_delay = net::Duration(in.i64());
-  r.is_first_replay_of_payload = in.u8() != 0;
-  r.trigger_payload_hash = in.u64();
-  r.server_id = in.u16();
-  return r;
-}
+static_assert(sizeof(kMagic) + min_size<CheckpointHeader>() == kHeaderSize);
 
 Bytes serialize_header(const CheckpointHeader& header) {
-  Bytes out;
-  out.reserve(kHeaderSize);
-  append(out, ByteSpan(reinterpret_cast<const std::uint8_t*>(kMagic), 8));
-  put_u32(out, header.version);
-  put_u32(out, header.shard_count);
-  put_u64(out, header.base_seed);
-  put_u64(out, header.scenario_fingerprint);
+  Bytes out(kMagic, kMagic + sizeof(kMagic));
+  put(out, header);
   return out;
 }
 
 CheckpointHeader parse_header(ByteSpan data) {
   if (data.size() < kHeaderSize ||
-      std::memcmp(data.data(), kMagic, 8) != 0) {
+      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     throw CheckpointError("checkpoint: bad magic (not a GFWCKPT1 file)");
   }
-  Cursor in{data, 8};
+  Cursor in{data, sizeof(kMagic)};
   CheckpointHeader header;
-  header.version = in.u32();
+  in.get(header);
   if (header.version != kCheckpointVersion) {
     throw CheckpointError("checkpoint: unsupported format version " +
                           std::to_string(header.version) + " (expected " +
                           std::to_string(kCheckpointVersion) + ")");
   }
-  header.shard_count = in.u32();
-  header.base_seed = in.u64();
-  header.scenario_fingerprint = in.u64();
   return header;
 }
 
@@ -384,56 +349,43 @@ void require_same_campaign(const CheckpointHeader& journal,
 
 Bytes serialize_shard(const ShardSummary& summary, const ProbeLog& log) {
   Bytes out;
-  // Rough upfront sizing: fixed summary block + 66B per probe record.
-  out.reserve(384 + 66 * log.size());
-  put_u32(out, summary.shard_index);
-  put_u64(out, summary.seed);
-  for (const auto& row : kShardCounters) put_u64(out, summary.*row.field);
-  put_teardown(out, summary.teardown);
-  put_u32(out, static_cast<std::uint32_t>(summary.blocking_history.size()));
-  for (const auto& entry : summary.blocking_history) put_block_entry(out, entry);
+  // Rough upfront sizing: fixed summary block + the probe records.
+  out.reserve(384 + min_size<ProbeRecord>() * log.size());
+  put(out, summary.shard_index);
+  put(out, summary.seed);
+  for (const auto& row : kShardCounters) put(out, summary.*row.field);
+  put(out, summary.teardown);
+  put(out, summary.blocking_history);
   // log_offset is NOT serialized: the merge recomputes it, so a resumed
   // merge places restored slices exactly where an uninterrupted run did.
-  put_u64(out, log.size());
-  for (const auto& record : log.records()) put_probe_record(out, record);
-  put_u32(out, static_cast<std::uint32_t>(summary.servers.size()));
-  for (const ServerStats& server : summary.servers) put_server_stats(out, server);
-  put_resources(out, summary.resources);
+  put(out, static_cast<std::uint64_t>(log.size()));
+  for (const auto& record : log.records()) put(out, record);
+  put(out, summary.servers);
+  put(out, summary.resources);
   return out;
 }
 
 ShardRun parse_shard(ByteSpan payload) {
-  Cursor in{payload, 0};
+  Cursor in{payload};
   ShardRun out;
   out.completed = true;
   ShardSummary& s = out.summary;
-  s.shard_index = in.u32();
-  s.seed = in.u64();
-  for (const auto& row : kShardCounters) s.*row.field = in.u64();
-  s.teardown = get_teardown(in);
-  // Count fields are checked against the minimum serialized entry size
-  // (strings counted at their 4-byte length prefix, i.e. empty).
-  const std::uint32_t blocks = in.u32();
-  in.need_count(blocks, 27, "block entry");
-  s.blocking_history.reserve(blocks);
-  for (std::uint32_t i = 0; i < blocks; ++i) {
-    s.blocking_history.push_back(get_block_entry(in));
-  }
-  const std::uint64_t probes = in.u64();
-  in.need_count(probes, 66, "probe record");
+  in.get(s.shard_index);
+  in.get(s.seed);
+  for (const auto& row : kShardCounters) in.get(s.*row.field);
+  in.get(s.teardown);
+  in.get(s.blocking_history, "blocking_history");
+  std::uint64_t probes = 0;
+  in.get(probes);
+  in.need_count(probes, min_size<ProbeRecord>(), "probe record");
   std::vector<ProbeRecord> records;
   records.reserve(probes);
-  for (std::uint64_t i = 0; i < probes; ++i) records.push_back(get_probe_record(in));
+  for (std::uint64_t i = 0; i < probes; ++i) in.get(records.emplace_back());
   out.log.assign(std::move(records));
   s.probes = out.log.size();
-  const std::uint32_t servers = in.u32();
-  in.need_count(servers, 52, "server stats");
-  s.servers.reserve(servers);
-  for (std::uint32_t i = 0; i < servers; ++i) s.servers.push_back(get_server_stats(in));
-  s.resources = get_resources(in);
-  if (in.pos != payload.size()) {
-    throw CheckpointError("checkpoint: trailing bytes inside shard frame");
-  }
+  in.get(s.servers, "servers");
+  in.get(s.resources);
+  in.done("shard");
   return out;
 }
 
@@ -448,66 +400,16 @@ bool shard_has_fleet_data(const ShardSummary& summary, const ProbeLog& log) {
   return false;
 }
 
-Bytes serialize_failure(const ShardFailure& failure) {
-  Bytes out;
-  out.reserve(128 + failure.what.size());
-  put_u32(out, failure.shard_index);
-  put_u64(out, failure.seed);
-  put_u8(out, static_cast<std::uint8_t>(failure.phase));
-  put_u8(out, static_cast<std::uint8_t>(failure.kind));
-  put_i32(out, failure.attempts);
-  put_u8(out, failure.quarantined ? 1 : 0);
-  put_u8(out, failure.nondeterministic ? 1 : 0);
-  put_string(out, failure.what);
-  put_teardown(out, failure.teardown);
-  return out;
-}
+Bytes serialize_failure(const ShardFailure& failure) { return encode(failure); }
 
 ShardFailure parse_failure(ByteSpan payload) {
-  Cursor in{payload, 0};
-  ShardFailure f;
-  f.shard_index = in.u32();
-  f.seed = in.u64();
-  const std::uint8_t phase = in.u8();
-  if (phase > static_cast<std::uint8_t>(ShardPhase::kHarvest)) {
-    throw CheckpointError("checkpoint: failure frame has unknown phase " +
-                          std::to_string(phase));
-  }
-  f.phase = static_cast<ShardPhase>(phase);
-  const std::uint8_t kind = in.u8();
-  if (kind > static_cast<std::uint8_t>(FailureKind::kResource)) {
-    throw CheckpointError("checkpoint: failure frame has unknown kind " +
-                          std::to_string(kind));
-  }
-  f.kind = static_cast<FailureKind>(kind);
-  f.attempts = in.i32();
-  f.quarantined = in.u8() != 0;
-  f.nondeterministic = in.u8() != 0;
-  f.what = in.str();
-  f.teardown = get_teardown(in);
-  if (in.pos != payload.size()) {
-    throw CheckpointError("checkpoint: trailing bytes inside failure frame");
-  }
-  return f;
+  return decode<ShardFailure>(payload, "failure");
 }
 
-Bytes serialize_worker_io(const WorkerIoStats& io) {
-  Bytes out;
-  out.reserve(28);
-  put_u32(out, io.worker_id);
-  for (const auto& row : kWorkerIoCounters) put_u64(out, io.*row.field);
-  return out;
-}
+Bytes serialize_worker_io(const WorkerIoStats& io) { return encode(io); }
 
 WorkerIoStats parse_worker_io(ByteSpan payload) {
-  Cursor in{payload, 0};
-  WorkerIoStats io;
-  io.worker_id = in.u32();
-  for (const auto& row : kWorkerIoCounters) io.*row.field = in.u64();
-  if (in.pos != payload.size()) {
-    throw CheckpointError("checkpoint: trailing bytes inside worker-io frame");
-  }
-  return io;
+  return decode<WorkerIoStats>(payload, "worker-io");
 }
 
 // ---- writer ---------------------------------------------------------------
@@ -522,15 +424,10 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
     // the loader skips them and the next frame is self-delimiting only
     // from its own offset — so truncate the torn tail first.
     if (existing.torn_tail_bytes > 0) {
-      std::ifstream in(path, std::ios::binary | std::ios::ate);
-      const auto size = static_cast<std::size_t>(in.tellg());
-      in.seekg(0);
-      Bytes keep(size - existing.torn_tail_bytes);
-      in.read(reinterpret_cast<char*>(keep.data()),
-              static_cast<std::streamsize>(keep.size()));
-      std::ofstream rewrite(path, std::ios::binary | std::ios::trunc);
-      rewrite.write(reinterpret_cast<const char*>(keep.data()),
-                    static_cast<std::streamsize>(keep.size()));
+      std::error_code error;
+      const std::uintmax_t size = std::filesystem::file_size(path, error);
+      if (!error) std::filesystem::resize_file(path, size - existing.torn_tail_bytes, error);
+      if (error) throw CheckpointError("checkpoint: cannot truncate torn tail of " + path);
     }
     out_.open(path, std::ios::binary | std::ios::app);
     if (!out_) throw CheckpointError("checkpoint: cannot open " + path + " for append");
@@ -562,9 +459,9 @@ void CheckpointWriter::append_frame(std::uint32_t kind, const Bytes& payload) {
   // frame (which the loader drops) — never an interior hole.
   Bytes frame;
   frame.reserve(kFrameHeaderSize + payload.size());
-  put_u32(frame, kind);
-  put_u64(frame, payload.size());
-  put_u32(frame, crc32(payload));
+  put(frame, kind);
+  put(frame, static_cast<std::uint64_t>(payload.size()));
+  put(frame, crc32(payload));
   append(frame, payload);
   out_.write(reinterpret_cast<const char*>(frame.data()),
              static_cast<std::streamsize>(frame.size()));

@@ -20,17 +20,24 @@
 //     u64 payload size (bounded by kMaxFramePayload; a larger claim is
 //         treated as corruption, not an allocation request)
 //     u32 CRC-32 (IEEE) of the payload
-//     payload (serialize_shard / serialize_failure / serialize_worker_io;
-//              see checkpoint.cpp)
-// A shard frame carries every ShardSummary field but log_offset (the
-// merge recomputes it): index, seed, the kShardCounters rows in row order
-// (gfw/runner.h), teardown, blocks, probes, server rows (identity, then
-// kServerCounters) and resources (kResourceCounters, peaks, sheds). A
-// single server is a fleet of one, so every shard is written the same
-// way. Failure frames carry a quarantined or recovered ShardFailure, how
-// a distributed worker ships its supervision verdicts back to the
-// coordinator (gfw/dist_runner.h); worker-IO frames carry its worker id
-// and kWorkerIoCounters rows, appended at worker exit when nonzero.
+//     payload (serialize_shard / serialize_failure / serialize_worker_io)
+// The codec is one walk over row tables (gfw/rows.h): checkpoint.cpp
+// declares one table per journaled record, in wire order, and one rule
+// per leaf type. An integer is its own width; an enum or bool is one
+// byte, and an enum byte above its last enumerator is a CheckpointError
+// naming the row; a Duration or TimePoint is an i64, an Ipv4 a u32; a
+// string is a u32 length plus its bytes; an optional is a presence byte
+// plus the value or a default; a vector or array is a u32 count plus its
+// elements, and the reader keeps only as many array elements as it has
+// room for. A shard frame carries every ShardSummary field but
+// log_offset (the merge recomputes it): index, seed, the kShardCounters
+// rows in row order (gfw/runner.h), teardown, blocks, probes, server
+// rows and resources. A single server is a fleet of one, so every shard
+// is written the same way. Failure frames carry a quarantined or
+// recovered ShardFailure, how a distributed worker ships its supervision
+// verdicts back to the coordinator (gfw/dist_runner.h); worker-IO frames
+// carry its worker id and kWorkerIoCounters rows, appended at worker exit
+// when nonzero.
 // Older versions are refused with a clear error — journals are
 // per-campaign scratch, not archives. A shard or failure frame whose
 // shard index is outside the header's shard count is corruption.

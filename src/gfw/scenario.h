@@ -11,22 +11,18 @@
 // policy (serial vs sharded-parallel) is the Runner layer's (gfw/runner.h).
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "client/ss_client.h"
 #include "client/traffic_spec.h"
 #include "defense/brdgrd.h"
 #include "gfw/gfw.h"
+#include "gfw/rows.h"
 #include "net/resources.h"
 #include "probesim/probesim.h"
 
@@ -188,83 +184,8 @@ inline void validate(const Scenario& scenario) {
 
 // ---- Rows: every value a Scenario can set, declared once --------------------
 //
-// Each config struct a Scenario reaches lists its members once, as
-// {name, member pointer} rows, the way gfw/runner.h declares its counters.
-// scenario_fingerprint (gfw/checkpoint.cpp) and its test walk these tables
-// instead of naming fields. A skip row is a member the fingerprint leaves
-// out on purpose; a type without a table is a leaf.
-
-template <typename S, typename T, bool Mixed = true>
-struct Row {
-  static constexpr bool mixed = Mixed;
-  const char* name;
-  T S::*member;
-};
-
-template <typename S>
-inline constexpr auto kRows = std::tuple<>{};
-template <typename S>
-concept HasRows = std::tuple_size_v<std::remove_cvref_t<decltype(kRows<S>)>> != 0;
-
-// Leaf kinds for the walkers of the tables (the fingerprint and its test):
-// is T an instance of Of (std::optional, std::vector, std::map, ...)?
-template <typename T, template <typename...> class Of>
-inline constexpr bool kIs = false;
-template <template <typename...> class Of, typename... Args>
-inline constexpr bool kIs<Of<Args...>, Of> = true;
-template <typename T>
-inline constexpr bool kIsArray = false;
-template <typename T, std::size_t N>
-inline constexpr bool kIsArray<std::array<T, N>> = true;
-
-namespace detail {
-// S{AnyMember x N} is valid exactly while N <= S's member count.
-struct AnyMember {
-  template <typename T>
-  operator T() const;
-};
-template <typename S, typename... Members>
-constexpr std::size_t member_count() {
-  if constexpr (requires { S{Members{}..., AnyMember{}}; }) {
-    return member_count<S, Members..., AnyMember>();
-  }
-  return sizeof...(Members);
-}
-// No two rows of a table name the same member.
-template <typename Rows>
-constexpr bool distinct_rows(const Rows& rows) {
-  return std::apply(
-      [](const auto&... row) {
-        const std::string_view names[] = {row.name...};
-        return std::ranges::all_of(
-            names, [&](std::string_view n) { return std::ranges::count(names, n) == 1; });
-      },
-      rows);
-}
-}  // namespace detail
-
-// Calls f(row) for each row of S's table, in table order.
-template <typename S, typename F>
-constexpr void for_each_row(F&& f) {
-  std::apply([&](const auto&... row) { (f(row), ...); }, kRows<S>);
-}
-
-// GFWSIM_ROWS(S, rows...) declares S's table; a row's name is its
-// member's. Its static_asserts are the tripwire: a member added to S
-// without a row (or a skip row), or a member listed twice, fails the
-// build.
-#define GFWSIM_ROWS(Type, ...)                                                      \
-  template <>                                                                       \
-  inline constexpr auto kRows<Type> = [] {                                          \
-    using S = Type;                                                                 \
-    constexpr std::tuple rows{__VA_ARGS__};                                         \
-    static_assert(detail::distinct_rows(rows), "a member of " #Type " has two rows"); \
-    static_assert(std::tuple_size_v<decltype(rows)> == detail::member_count<S>(),   \
-                  "every member of " #Type " needs a row");                         \
-    return rows;                                                                    \
-  }()
-#define GFWSIM_ROW(m) Row{#m, &S::m}
-#define GFWSIM_SKIP(m) Row<S, decltype(S::m), false>{#m, &S::m}
+// Each config struct a Scenario reaches lists its members once (gfw/rows.h).
+// scenario_fingerprint (gfw/checkpoint.cpp) and its test walk these tables.
 
 // debug_fail_shard is test-only failure injection: a rerun with the fault
 // off must resume the faulted run's journal.
@@ -314,9 +235,5 @@ GFWSIM_ROWS(Scenario::ResourceConfig, GFWSIM_ROW(limits), GFWSIM_ROW(probe_queue
             GFWSIM_ROW(path_queue_cap));
 GFWSIM_ROWS(net::ResourceLimits, GFWSIM_ROW(total_bytes), GFWSIM_ROW(unit_caps),
             GFWSIM_ROW(fail_at_acquisition), GFWSIM_ROW(fail_probability));
-
-#undef GFWSIM_SKIP
-#undef GFWSIM_ROW
-#undef GFWSIM_ROWS
 
 }  // namespace gfwsim::gfw

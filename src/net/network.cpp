@@ -354,10 +354,7 @@ Connection& Network::create_connection(Endpoint local, Endpoint remote, HeaderPr
 void Network::free_connection(ConnId id) {
   Connection& conn = *connection(id);
   if (conn.arq_) conn.release_arq_entries(conn.arq_->unacked.size());
-  // The 4-tuple may have been re-registered by a newer connection; only
-  // an entry that still names this one is removed.
-  const ConnId* entry = registry_.find(flow_key(conn.local_, conn.remote_));
-  if (entry != nullptr && *entry == id) unregister_connection(conn);
+  unregister_connection(conn);
   connections_.erase(id);
 }
 
@@ -372,7 +369,10 @@ bool Network::local_port_in_use(Ipv4 addr, std::uint16_t port) const {
 }
 
 void Network::unregister_connection(const Connection& conn) {
-  if (!registry_.erase(flow_key(conn.local_, conn.remote_))) return;
+  const FlowKey key = flow_key(conn.local_, conn.remote_);
+  const ConnId* entry = registry_.find(key);
+  if (entry == nullptr || *entry != conn.id_) return;
+  registry_.erase(key);
   const std::uint64_t packed_local = pack_endpoint(conn.local_);
   if (governor_ != nullptr) governor_->release(ResourceKind::kMapSlots);
   if (std::uint32_t* count = port_use_.find(packed_local)) {

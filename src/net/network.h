@@ -304,7 +304,8 @@ class Network {
   // the range wraps in long campaigns.
   bool local_port_in_use(Ipv4 addr, std::uint16_t port) const;
   // Removes the connection's 4-tuple from the registry, keeping the
-  // per-port count in step.
+  // per-port count in step. A 4-tuple that a newer connection has since
+  // re-registered keeps its entry.
   void unregister_connection(const Connection& conn);
   void send_rst_to(const Segment& offending);
 

@@ -7,6 +7,7 @@
 // campaign, torn tail).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -988,6 +989,84 @@ TEST(Checkpoint, UnknownFailureKindIsAStructuredRejection) {
   } catch (const gfw::CheckpointError& error) {
     EXPECT_NE(std::string(error.what()).find("unknown kind"),
               std::string::npos);
+  }
+}
+
+TEST(Checkpoint, UnknownProbeEnumByteIsAStructuredRejectionNamingTheRow) {
+  // Every journaled enum is range-checked, not only the failure frame's:
+  // a probe record with a type or reaction byte past the last enumerator
+  // is corruption, and the error names the row.
+  const gfw::ShardSummary summary = make_summary();
+  const Bytes bytes = gfw::serialize_shard(summary, make_log());
+  // The first byte that differs from the same shard with an empty log is
+  // the low byte of the u64 probe count; the first record follows it.
+  const Bytes empty = gfw::serialize_shard(summary, gfw::ProbeLog{});
+  const std::size_t count_at = static_cast<std::size_t>(
+      std::mismatch(bytes.begin(), bytes.end(), empty.begin()).first - bytes.begin());
+  // Record layout: i64 sent_at, u8 type, ..., with the u8 reaction at 42.
+  const std::size_t record_at = count_at + 8;
+  const struct {
+    std::size_t offset;
+    std::uint8_t byte;
+    const char* message;
+  } cases[] = {
+      {record_at + 8, static_cast<std::uint8_t>(probesim::ProbeType::kNR2) + 1,
+       "unknown type byte 7"},
+      {record_at + 42, static_cast<std::uint8_t>(probesim::Reaction::kData) + 1,
+       "unknown reaction byte 4"},
+  };
+  for (const auto& c : cases) {
+    Bytes corrupt = bytes;
+    corrupt[c.offset] = c.byte;
+    try {
+      gfw::parse_shard(corrupt);
+      FAIL() << c.message << " parsed without error";
+    } catch (const gfw::CheckpointError& error) {
+      EXPECT_NE(std::string(error.what()).find(c.message), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(Checkpoint, APeakCountFromAnotherBuildStillDecodes) {
+  // The resource peaks carry their own count, so a frame from a build
+  // with more metered kinds drops the extra peaks, and one from a build
+  // with fewer leaves the missing peaks at 0; the sheds after them still
+  // decode.
+  const gfw::ShardSummary summary = make_fleet_summary();
+  const Bytes bytes = gfw::serialize_shard(summary, make_fleet_log());
+  constexpr std::size_t kKinds = net::kResourceKindCount;
+  // The frame ends with u32 peak count, the u64 peaks, then the sheds:
+  // u32 count, {u16, "beijing", u64} and {u16, "", u64}.
+  constexpr std::size_t kShedsSize = 4 + (2 + 4 + 7 + 8) + (2 + 4 + 8);
+  const std::size_t peaks_at = bytes.size() - kShedsSize - 8 * kKinds;
+  const std::size_t count_at = peaks_at - 4;
+  ASSERT_EQ(load_le32(bytes.data() + count_at), kKinds);
+
+  const auto with_count = [&](std::uint32_t count) {
+    Bytes spliced = bytes;
+    store_le32(spliced.data() + count_at, count);
+    const auto peaks_end = spliced.begin() + static_cast<std::ptrdiff_t>(peaks_at + 8 * kKinds);
+    if (count > kKinds) {
+      spliced.insert(peaks_end, 8, 0xEE);
+    } else {
+      spliced.erase(peaks_end - 8, peaks_end);
+    }
+    return gfw::parse_shard(spliced).summary.resources;
+  };
+
+  const gfw::ShardResources more = with_count(kKinds + 1);
+  EXPECT_EQ(more.peak_units, summary.resources.peak_units);
+  const gfw::ShardResources fewer = with_count(kKinds - 1);
+  for (std::size_t kind = 0; kind + 1 < kKinds; ++kind) {
+    EXPECT_EQ(fewer.peak_units[kind], summary.resources.peak_units[kind]) << kind;
+  }
+  EXPECT_EQ(fewer.peak_units[kKinds - 1], 0u);
+  for (const gfw::ShardResources& r : {more, fewer}) {
+    ASSERT_EQ(r.sheds.size(), 2u);
+    EXPECT_EQ(r.sheds[0].region, "beijing");
+    EXPECT_EQ(r.sheds[0].count, 5u);
+    EXPECT_EQ(r.sheds[1].count, 2u);
   }
 }
 

@@ -61,6 +61,19 @@ TEST_F(EdgeFixture, AbortBeforeHandshakeCompletesQuietly) {
   EXPECT_EQ(conn->state(), Connection::State::kReset);
 }
 
+TEST_F(EdgeFixture, AnOlderConnectionsAbortLeavesTheNewerRegistrationAlone) {
+  // B re-registers A's 4-tuple; A's abort must not unregister B, or B's
+  // SYN/ACK finds no connection and the handshake never completes.
+  listen_sink();
+  ConnectOptions from_port;
+  from_port.src_port = 40000;
+  auto a = client.connect(server_ep, {}, from_port);
+  auto b = client.connect(server_ep, {}, from_port);
+  a->abort();
+  loop.run();
+  EXPECT_EQ(b->state(), Connection::State::kEstablished);
+}
+
 TEST_F(EdgeFixture, SimultaneousCloseBothSidesEndClosed) {
   listen_sink();
   auto conn = client.connect(server_ep, {});
